@@ -68,7 +68,20 @@ from .boundary import (
     szbar_constancy_experiment,
 )
 
+from . import dirichlet, szego
+
 __version__ = "0.1.0"
+
+
+def clear_caches() -> None:
+    """Empty the package's exact memo tables: Fischer systems and Szego columns.
+
+    Each Ellipse also memoises its z/zbar defining polynomial; that memo
+    lives and dies with the instance.
+    """
+    dirichlet._fischer_cache.clear()
+    szego._column_cache.clear()
+
 
 __all__ = [
     "GaussianRational",
@@ -120,5 +133,6 @@ __all__ = [
     "numerical_szego",
     "poly_values",
     "szbar_constancy_experiment",
+    "clear_caches",
     "__version__",
 ]

@@ -142,9 +142,10 @@ def _weighted_lstsq(V, fvals, weights) -> tuple[np.ndarray, float, float, str | 
     sqrt_w = np.sqrt(weights)
     A = V * sqrt_w[:, None]
     rhs = fvals * sqrt_w
-    coeffs, _, _, _ = np.linalg.lstsq(A, rhs, rcond=None)
+    coeffs, _, _, s = np.linalg.lstsq(A, rhs, rcond=None)
     residual = float(np.linalg.norm(A @ coeffs - rhs))
-    cond = float(np.linalg.cond(A))
+    # 2-norm condition number from the singular values lstsq already has.
+    cond = float(s[0] / s[-1]) if s[-1] > 0 else float("inf")
     warning = None
     if cond > CONDITION_WARN_THRESHOLD:
         warning = (

@@ -8,11 +8,15 @@ a single exact linear solve: take q with Lap(r*q) = Lap(p); then
 u = p - r*q is harmonic, agrees with p on the boundary (their difference
 is a multiple of r), and has degree <= deg p.
 
-In the graded monomial basis the map is block triangular: the degree-d
-image of a degree-d monomial comes only from the top homogeneous part of
-r.  The determinant is certified exactly as the product of the diagonal
-(homogeneous) blocks, and elimination on the assembled matrix stays cheap
-because sub-block entries vanish.
+One builder assembles that Fischer matrix for both polynomial types: on an
+n-dimensional Ellipsoid it acts on real monomials x^alpha, on a planar
+Ellipse it acts natively on z^a zbar^b with Lap = 4 d/dz d/dzbar, so the
+Szego machinery never leaves z/zbar.  Both bases are graded, and in either
+the map is block triangular: the degree-d image of a degree-d monomial
+comes only from the top homogeneous part of r.  The determinant is
+certified exactly as the product of the diagonal (homogeneous) blocks, and
+elimination on the assembled matrix stays cheap because sub-block entries
+vanish.  Systems are cached per (domain, m).
 """
 
 from __future__ import annotations
@@ -21,13 +25,7 @@ from dataclasses import dataclass
 
 from .domains import Ellipse, Ellipsoid
 from .linalg import InternalCheckError, det_exact, solve_exact
-from .polynomials import (
-    PolyRealN,
-    PolyZZbar,
-    monomials_real,
-    xy_to_zzbar,
-    zzbar_to_xy,
-)
+from .polynomials import PolyRealN, PolyZZbar, monomials_real, monomials_zzbar
 from .rational import GaussianRational, ZERO
 
 
@@ -45,24 +43,39 @@ class FischerSystem:
         return len(self.basis_order)
 
 
-_fischer_cache: dict[tuple[Ellipsoid, int], FischerSystem] = {}
+_fischer_cache: dict[tuple[Ellipse | Ellipsoid, int], FischerSystem] = {}
 
 
-def fischer_system(e: Ellipsoid, m: int) -> FischerSystem:
-    """Build (and certify) the Fischer matrix for degree bound m >= 0."""
+def _poly_from_terms(domain: Ellipse | Ellipsoid, terms: dict) -> PolyZZbar | PolyRealN:
+    """A polynomial of the type native to the domain: z/zbar on an Ellipse."""
+    if isinstance(domain, Ellipse):
+        return PolyZZbar(terms)
+    return PolyRealN(domain.dim, terms)
+
+
+def fischer_system(domain: Ellipse | Ellipsoid, m: int) -> FischerSystem:
+    """Build (and certify) the Fischer matrix for degree bound m >= 0.
+
+    On an Ellipse the basis is monomials_zzbar(m), on an Ellipsoid it is
+    monomials_real(dim, m).
+    """
     if m < 0:
         raise ValueError("degree bound must be nonnegative")
-    cached = _fischer_cache.get((e, m))
+    cached = _fischer_cache.get((domain, m))
     if cached is not None:
         return cached
 
-    r = e.defining_poly()
-    basis = monomials_real(e.dim, m)
+    if isinstance(domain, Ellipse):
+        r = domain.defining_poly_zzbar()
+        basis = monomials_zzbar(m)
+    else:
+        r = domain.defining_poly()
+        basis = monomials_real(domain.dim, m)
     index = {alpha: i for i, alpha in enumerate(basis)}
     size = len(basis)
     columns = []
     for alpha in basis:
-        image = (r * PolyRealN.monomial(alpha)).laplacian()
+        image = (r * _poly_from_terms(domain, {alpha: 1})).laplacian()
         col = [ZERO] * size
         for key, c in image.terms():
             if sum(key) > sum(alpha):
@@ -76,7 +89,7 @@ def fischer_system(e: Ellipsoid, m: int) -> FischerSystem:
         tuple(columns[j][i] for j in range(size)) for i in range(size)
     )
 
-    det = _block_determinant(e, m, basis, index, matrix)
+    det = _block_determinant(m, basis, index, matrix)
     if not det:
         raise InternalCheckError(
             "singular Fischer system on a positive definite ellipsoid"
@@ -84,11 +97,11 @@ def fischer_system(e: Ellipsoid, m: int) -> FischerSystem:
     system = FischerSystem(
         degree_bound=m, basis_order=tuple(basis), matrix=matrix, determinant=det
     )
-    _fischer_cache[(e, m)] = system
+    _fischer_cache[(domain, m)] = system
     return system
 
 
-def _block_determinant(e, m, basis, index, matrix) -> GaussianRational:
+def _block_determinant(m, basis, index, matrix) -> GaussianRational:
     # Block triangular in the graded basis: det = product over degrees d of
     # the determinant of the homogeneous block (rows and columns of degree d).
     det = GaussianRational(1)
@@ -101,6 +114,22 @@ def _block_determinant(e, m, basis, index, matrix) -> GaussianRational:
     return det
 
 
+def _extend(domain: Ellipse | Ellipsoid, r, p):
+    """p - r*q with Lap(r*q) = Lap(p), solved on the domain's Fischer system."""
+    if p.degree() <= 1:
+        return p
+    system = fischer_system(domain, p.degree() - 2)
+    g = dict(p.laplacian().terms())
+    rhs = [g.get(alpha, ZERO) for alpha in system.basis_order]
+    solution = solve_exact(system.matrix, rhs)
+    if solution is None:
+        raise InternalCheckError("certified-invertible Fischer system failed to solve")
+    q = _poly_from_terms(
+        domain, {alpha: c for alpha, c in zip(system.basis_order, solution) if c}
+    )
+    return p - r * q
+
+
 def harmonic_extension(e: Ellipsoid, p: PolyRealN) -> PolyRealN:
     """The harmonic polynomial with the same boundary values as p.
 
@@ -111,24 +140,16 @@ def harmonic_extension(e: Ellipsoid, p: PolyRealN) -> PolyRealN:
         raise ValueError(f"polynomial dimension {p.dim} != domain dimension {e.dim}")
     if p.degree() <= 1:
         return p
-    m = p.degree() - 2
-    system = fischer_system(e, m)
-    g = p.laplacian()
-    rhs = [g.coefficient(alpha) for alpha in system.basis_order]
-    solution = solve_exact(system.matrix, rhs)
-    if solution is None:
-        raise InternalCheckError("certified-invertible Fischer system failed to solve")
-    q = PolyRealN(
-        e.dim,
-        {alpha: c for alpha, c in zip(system.basis_order, solution) if c},
-    )
-    return p - e.defining_poly() * q
+    return _extend(e, e.defining_poly(), p)
 
 
 def harmonic_extension_zzbar(e: Ellipse, p: PolyZZbar) -> PolyZZbar:
-    """Planar harmonic extension for z/zbar polynomials on an ellipse."""
-    u = harmonic_extension(e.to_ellipsoid(), zzbar_to_xy(p))
-    return xy_to_zzbar(u)
+    """Planar harmonic extension, solved natively in z/zbar on an ellipse.
+
+    Same guarantees as harmonic_extension: Lap(u) = 0, deg(u) <= deg(p),
+    and p - u is a multiple of the defining polynomial of e.
+    """
+    return _extend(e, e.defining_poly_zzbar(), p)
 
 
 def is_harmonic(p: PolyRealN | PolyZZbar) -> bool:

@@ -16,9 +16,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .linalg import det_exact
-from .polynomials import PolyRealN, PolyZZbar, xy_to_zzbar
+from .polynomials import PolyRealN, PolyZZbar
 from .rational import GaussianRational
 
 
@@ -159,16 +160,33 @@ class Ellipse:
         return self.to_ellipsoid().defining_poly()
 
     def defining_poly_zzbar(self) -> PolyZZbar:
-        """The defining polynomial rewritten exactly in z, zbar."""
-        return xy_to_zzbar(self.defining_poly_xy())
+        """The defining polynomial written exactly in z, zbar."""
+        return self._r_zzbar
+
+    @cached_property
+    def _r_zzbar(self) -> PolyZZbar:
+        # Substitute x = (z + zbar)/2, y = (z - zbar)/(2i) into
+        # (x-h)^2/a^2 + (y-k)^2/b^2 - 1; built once per instance.
+        ia2 = 1 / (self.a * self.a)
+        ib2 = 1 / (self.b * self.b)
+        linear = GaussianRational(-self.h * ia2, self.k * ib2)
+        quadratic = (ia2 - ib2) / 4
+        return PolyZZbar({
+            (2, 0): quadratic,
+            (1, 1): (ia2 + ib2) / 2,
+            (0, 2): quadratic,
+            (1, 0): linear,
+            (0, 1): linear.conjugate(),
+            (0, 0): self.h * self.h * ia2 + self.k * self.k * ib2 - 1,
+        })
 
     def d_r(self) -> PolyZZbar:
         """Holomorphic derivative of the defining polynomial (degree 1)."""
-        return self.defining_poly_zzbar().d_dz()
+        return self._r_zzbar.d_dz()
 
     def dbar_r(self) -> PolyZZbar:
         """Antiholomorphic derivative of the defining polynomial (degree 1)."""
-        return self.defining_poly_zzbar().d_dzbar()
+        return self._r_zzbar.d_dzbar()
 
     def center_zzbar(self) -> GaussianRational:
         return GaussianRational(self.h, self.k)

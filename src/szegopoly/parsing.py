@@ -18,7 +18,7 @@ import re
 from fractions import Fraction
 
 from .rational import GaussianRational
-from .polynomials import PolyRealN, PolyZZbar, xy_to_zzbar, zzbar_to_xy
+from .polynomials import MAX_EXPONENT, PolyRealN, PolyZZbar, xy_to_zzbar, zzbar_to_xy
 
 
 class ParseError(ValueError):
@@ -184,8 +184,11 @@ class _Parser:
             exp_tok = self.peek()
             if exp_tok is None or exp_tok[0] != "number" or "/" in exp_tok[1]:
                 raise self.error("expected a nonnegative integer exponent after '^'")
+            n = int(exp_tok[1])
+            if n > MAX_EXPONENT:
+                raise self.error(f"exponent {n} exceeds the 32-bit bound")
             self.advance()
-            value = _raw_pow(value, int(exp_tok[1]))
+            value = _raw_pow(value, n)
         return value
 
     def primary(self) -> dict:
@@ -193,13 +196,16 @@ class _Parser:
         if tok is None:
             raise self.error("unexpected end of input")
         kind, text, _ = tok
-        if kind == "number":
+        if kind in ("number", "imag"):
+            digits = text[:-1] if kind == "imag" else text
+            try:
+                mag = _parse_fraction(digits) if digits else Fraction(1)
+            except ZeroDivisionError:
+                raise self.error(f"zero denominator in {text!r}") from None
             self.advance()
-            return _raw_const(GaussianRational(_parse_fraction(text)))
-        if kind == "imag":
-            self.advance()
-            mag = _parse_fraction(text[:-1]) if len(text) > 1 else Fraction(1)
-            return _raw_const(GaussianRational(0, mag))
+            if kind == "imag":
+                return _raw_const(GaussianRational(0, mag))
+            return _raw_const(GaussianRational(mag))
         if kind == "name":
             self.advance()
             return {((text, 1),): GaussianRational(1)}
@@ -270,9 +276,12 @@ def parse_polynomial(text: str):
     """
     raw = _Parser(text).parse()
     kind, dim = _classify_vars(raw, text)
-    if kind == "real":
-        return _raw_to_real(raw, dim)
-    return _raw_to_zzbar(raw)
+    try:
+        if kind == "real":
+            return _raw_to_real(raw, dim)
+        return _raw_to_zzbar(raw)
+    except OverflowError as exc:  # a product of powers past the 32-bit bound
+        raise ParseError(str(exc), 0) from None
 
 
 def parse_poly_zzbar(text: str) -> PolyZZbar:

@@ -120,6 +120,10 @@ class GaussianRational:
         return NotImplemented
 
     def __hash__(self):
+        # Equal values hash equally: a real value compares equal to its
+        # Fraction/int, so it must hash like one.
+        if not self.im:
+            return hash(self.re)
         return hash((self.re, self.im))
 
     def __complex__(self) -> complex:

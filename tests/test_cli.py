@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from szegopoly.cli import main
 from szegopoly.parsing import parse_poly_real, parse_poly_zzbar
 from szegopoly.polynomials import PolyRealN, PolyZZbar
@@ -101,6 +103,17 @@ def test_parse_error_exit_code_and_message(capsys):
     code, out, err = run_cli(capsys, "szego", "--ellipse", "2,1,0,0", "--poly", "z +")
     assert code == 2
     assert "column" in err
+
+
+@pytest.mark.parametrize(
+    "poly", ["1/0", "(1/0i)*z", "z^99999999999", "z^2000000000*z^2000000000"]
+)
+def test_unrepresentable_poly_is_bad_input(capsys, poly):
+    code, out, err = run_cli(capsys, "szego", "--ellipse", "2,1", "--poly", poly)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: parse error at column")
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_bad_ellipse_exit_code(capsys):

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from szegopoly.dirichlet import (
     fischer_system,
@@ -12,7 +13,14 @@ from szegopoly.dirichlet import (
     is_harmonic,
 )
 from szegopoly.domains import Ellipse, Ellipsoid
-from szegopoly.polynomials import PolyRealN, PolyZZbar, divide_exact, xy_to_zzbar
+from szegopoly.polynomials import (
+    PolyRealN,
+    PolyZZbar,
+    divide_exact,
+    monomials_zzbar,
+    xy_to_zzbar,
+    zzbar_to_xy,
+)
 from szegopoly.rational import GaussianRational
 from szegopoly.sampling import random_ellipsoid, random_poly_real
 
@@ -231,3 +239,55 @@ def test_is_harmonic_examples():
     assert is_harmonic(X**3 - X * Y * Y * 3)  # Re z^3
     assert is_harmonic(PolyZZbar.var_z() ** 5)
     assert is_harmonic(PolyRealN.zero(3))
+
+
+# -- native z/zbar path against the x/y oracle ---------------------------------------
+
+small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+positive_rationals = st.fractions(
+    min_value=Fraction(1, 4), max_value=5, max_denominator=4
+)
+ellipses = st.builds(
+    Ellipse, positive_rationals, positive_rationals, small_rationals, small_rationals
+)
+coefficients = st.builds(GaussianRational, small_rationals, small_rationals)
+
+
+@st.composite
+def zzbar_polys(draw, max_degree=8):
+    degree = draw(st.integers(0, max_degree))
+    keys = draw(st.lists(st.sampled_from(monomials_zzbar(degree)), unique=True))
+    return PolyZZbar({key: draw(coefficients) for key in keys})
+
+
+@settings(max_examples=60, deadline=None)
+@given(ellipses)
+def test_native_defining_poly_zzbar_matches_xy_oracle(e):
+    assert e.defining_poly_zzbar() == xy_to_zzbar(e.defining_poly_xy())
+    assert e.d_r() == e.defining_poly_zzbar().d_dz()
+    assert e.dbar_r() == e.d_r().conjugate()
+
+
+@settings(max_examples=25, deadline=None)
+@given(ellipses, zzbar_polys())
+def test_native_harmonic_extension_zzbar_matches_xy_oracle(e, p):
+    oracle = xy_to_zzbar(harmonic_extension(e.to_ellipsoid(), zzbar_to_xy(p)))
+    assert harmonic_extension_zzbar(e, p) == oracle
+
+
+def test_fischer_system_on_ellipse_uses_zzbar_basis():
+    e = Ellipse(2, 1, Fraction(1, 3), Fraction(-1, 2))
+    fs = fischer_system(e, 3)
+    assert list(fs.basis_order) == monomials_zzbar(3)
+    assert fs.determinant
+    # column j is the image Lap(r * z^a zbar^b) of the j-th basis monomial
+    r = e.defining_poly_zzbar()
+    for j, (a, b) in enumerate(fs.basis_order):
+        image = (r * PolyZZbar.monomial(a, b)).laplacian()
+        assert [fs.matrix[i][j] for i in range(fs.size)] == [
+            image.coefficient(*key) for key in fs.basis_order
+        ]
+    # one cache, keyed by the domain: the x/y system is a separate entry
+    assert fischer_system(e, 3) is fs
+    assert fischer_system(e.to_ellipsoid(), 3) is not fs
+

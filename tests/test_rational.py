@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from szegopoly.rational import GaussianRational, I, ONE, ZERO
 
@@ -67,6 +68,28 @@ def test_immutable_and_hashable():
         c.re = Fraction(5)
     assert hash(GaussianRational(1, 2)) == hash(c)
     assert {c: "x"}[GaussianRational(1, 2)] == "x"
+
+
+def test_real_values_hash_like_their_rational():
+    assert {1: "v"}.get(GaussianRational(1)) == "v"
+    assert {Fraction(1, 2): "v"}.get(GaussianRational(Fraction(1, 2))) == "v"
+    assert {GaussianRational(-3): "v"}.get(-3) == "v"
+
+
+small = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+numbers = st.one_of(
+    st.integers(-4, 4),
+    small,
+    st.builds(GaussianRational, small),
+    st.builds(GaussianRational, small, small),
+)
+
+
+@settings(max_examples=300)
+@given(numbers, numbers)
+def test_equal_values_hash_equal(a, b):
+    if a == b:
+        assert hash(a) == hash(b)
 
 
 def test_complex_conversion():

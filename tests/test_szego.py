@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 
+import szegopoly
+from szegopoly import dirichlet, szego
 from szegopoly.domains import Ellipse
 from szegopoly.polynomials import PolyZZbar
 from szegopoly.rational import GaussianRational
@@ -240,3 +242,21 @@ def test_verify_detects_degree_violation():
     cert = verify_decomposition(tampered, E21)
     assert not cert.checks["projection_degree"]
     assert not cert.checks["residual_zero"]
+
+
+# -- caches ---------------------------------------------------------------------------
+
+def test_clear_caches_empties_every_cache_and_projection_refills_them():
+    e = Ellipse(3, 2, Fraction(1, 3), Fraction(-2, 3))
+    f = ZB**3 + Z * ZB
+    first = szego_project(e, f)
+    assert szego._column_cache and dirichlet._fischer_cache
+
+    szegopoly.clear_caches()
+    assert not szego._column_cache
+    assert not dirichlet._fischer_cache
+
+    again = szego_project(e, f)
+    assert again == first
+    assert (e, 3) in szego._column_cache
+    assert {(e, 0), (e, 1)} <= set(dirichlet._fischer_cache)
