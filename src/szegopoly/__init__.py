@@ -33,7 +33,13 @@ from .parsing import (
     poly_zzbar_from_json,
     poly_zzbar_to_json,
 )
-from .linalg import InternalCheckError, det_exact, solve_exact
+from .linalg import (
+    ExactFactorization,
+    InternalCheckError,
+    det_exact,
+    factor_exact,
+    solve_exact,
+)
 from .domains import Ellipse, Ellipsoid
 from .dirichlet import (
     FischerSystem,
@@ -74,7 +80,8 @@ __version__ = "0.1.0"
 
 
 def clear_caches() -> None:
-    """Empty the package's exact memo tables: Fischer systems and Szego columns.
+    """Empty the package's exact memo tables: Fischer systems and the
+    factored Szego systems.
 
     Each Ellipse also memoises its z/zbar defining polynomial; that memo
     lives and dies with the instance.
@@ -102,8 +109,10 @@ __all__ = [
     "poly_real_to_json",
     "poly_zzbar_from_json",
     "poly_zzbar_to_json",
+    "ExactFactorization",
     "InternalCheckError",
     "det_exact",
+    "factor_exact",
     "solve_exact",
     "Ellipse",
     "Ellipsoid",

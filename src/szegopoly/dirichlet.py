@@ -16,7 +16,7 @@ the map is block triangular: the degree-d image of a degree-d monomial
 comes only from the top homogeneous part of r.  The determinant is
 certified exactly as the product of the diagonal (homogeneous) blocks, and
 elimination on the assembled matrix stays cheap because sub-block entries
-vanish.  Systems are cached per (domain, m).
+vanish.  Systems are cached per (domain, m), in a bounded LRU table.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 from .domains import Ellipse, Ellipsoid
 from .linalg import InternalCheckError, det_exact, solve_exact
+from .lru import LRUCache
 from .polynomials import PolyRealN, PolyZZbar, monomials_real, monomials_zzbar
 from .rational import GaussianRational, ZERO
 
@@ -43,7 +44,11 @@ class FischerSystem:
         return len(self.basis_order)
 
 
-_fischer_cache: dict[tuple[Ellipse | Ellipsoid, int], FischerSystem] = {}
+# Bound on the (domain, m) systems kept in _fischer_cache; the least recently
+# used system is dropped first.
+FISCHER_CACHE_SIZE = 256
+
+_fischer_cache: LRUCache = LRUCache(FISCHER_CACHE_SIZE)
 
 
 def _poly_from_terms(domain: Ellipse | Ellipsoid, terms: dict) -> PolyZZbar | PolyRealN:

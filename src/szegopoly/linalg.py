@@ -1,4 +1,4 @@
-"""Exact linear algebra over the Gaussian rationals.
+"""Exact linear algebra over the Gaussian rationals: factor once, solve many.
 
 Dense Gaussian elimination with every entry kept as an exact
 GaussianRational.  Pivots are chosen by symbolic magnitude (total bit size
@@ -7,6 +7,13 @@ blowing up; ties break on row order, so elimination is deterministic.  Two
 pivot strategies are exposed so that independent solves of the same system
 can cross-check each other.
 
+factor_exact runs the elimination once, on the matrix alone, and records
+each step: the row swap, the multipliers and the reduced pivot row.  The
+pivot choice reads only matrix entries, so replaying those steps on a
+right-hand side does exactly the arithmetic a one-shot solve would, and a
+system used for many right-hand sides is eliminated only once.
+solve_exact and det_exact are one-shot uses of the same factorisation.
+
 Zero multipliers are skipped, so block-structured systems (such as the
 Fischer matrices, which are block triangular in the graded basis) cost
 little more than their diagonal blocks.
@@ -14,7 +21,7 @@ little more than their diagonal blocks.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .rational import GaussianRational, ZERO, ONE
 
@@ -41,6 +48,106 @@ def _pick_pivot(rows, col, start, strategy):
     raise ValueError(f"unknown pivot strategy {strategy!r}")
 
 
+class _Step(NamedTuple):
+    """One pivot step r: swap rows r and `swap`, then eliminate below row r."""
+
+    swap: int
+    col: int
+    pivot: GaussianRational
+    tail: tuple[tuple[int, GaussianRational], ...]  # nonzero (j, U[r][j]), j > col
+    multipliers: tuple[tuple[int, GaussianRational], ...]  # (row k, L[k][r])
+
+
+class ExactFactorization:
+    """The recorded elimination of one matrix, replayable on any right-hand side."""
+
+    __slots__ = ("rows", "cols", "steps", "_swaps")
+
+    def __init__(self, rows: int, cols: int, steps: list[_Step]):
+        self.rows = rows
+        self.cols = cols
+        self.steps = tuple(steps)
+        self._swaps = sum(1 for r, step in enumerate(steps) if step.swap != r)
+
+    @property
+    def rank(self) -> int:
+        return len(self.steps)
+
+    def solve(self, rhs: Sequence[GaussianRational]) -> list[GaussianRational] | None:
+        """One solution of matrix @ x = rhs (free variables zero), or None
+        when the system is inconsistent."""
+        if len(rhs) != self.rows:
+            raise ValueError(f"{self.rows} rows but {len(rhs)} right-hand sides")
+        b = list(rhs)
+        for r, (swap, _, _, _, multipliers) in enumerate(self.steps):
+            b[r], b[swap] = b[swap], b[r]
+            v = b[r]
+            if v:
+                for k, f in multipliers:
+                    b[k] = b[k] - f * v
+        for k in range(self.rank, self.rows):
+            if b[k]:
+                return None  # 0 = nonzero: inconsistent
+
+        x: list[GaussianRational] = [ZERO] * self.cols
+        for r in reversed(range(self.rank)):
+            _, col, pivot, tail, _ = self.steps[r]
+            acc = b[r]
+            for j, v in tail:
+                if x[j]:
+                    acc = acc - v * x[j]
+            x[col] = acc / pivot
+        return x
+
+    @property
+    def determinant(self) -> GaussianRational:
+        """Exact determinant of a square matrix: +-(product of the pivots)."""
+        if self.rows != self.cols:
+            raise ValueError("determinant requires a square matrix")
+        if self.rank < self.cols:
+            return ZERO
+        det = -ONE if self._swaps % 2 else ONE
+        for step in self.steps:
+            det = det * step.pivot
+        return det
+
+
+def factor_exact(matrix: Matrix, *, pivot: str = "small") -> ExactFactorization:
+    """Eliminate matrix once and record the steps; it may be rectangular."""
+    m = len(matrix)
+    n = len(matrix[0]) if m else 0
+    work = [list(row) for row in matrix]
+    if any(len(row) != n for row in work):
+        raise ValueError("ragged matrix")
+
+    steps: list[_Step] = []
+    r = 0
+    for c in range(n):
+        if r == m:
+            break
+        i = _pick_pivot(work, c, r, pivot)
+        if i is None:
+            continue
+        work[r], work[i] = work[i], work[r]
+        piv_row = work[r]
+        piv = piv_row[c]
+        tail = tuple((j, piv_row[j]) for j in range(c + 1, n) if piv_row[j])
+        multipliers = []
+        for k in range(r + 1, m):
+            f = work[k][c]
+            if not f:
+                continue
+            f = f / piv
+            row_k = work[k]
+            row_k[c] = ZERO
+            for j, v in tail:
+                row_k[j] = row_k[j] - f * v
+            multipliers.append((k, f))
+        steps.append(_Step(i, c, piv, tail, tuple(multipliers)))
+        r += 1
+    return ExactFactorization(m, n, steps)
+
+
 def solve_exact(
     matrix: Matrix,
     rhs: Sequence[GaussianRational],
@@ -53,84 +160,9 @@ def solve_exact(
     system is inconsistent.  The matrix may be rectangular; rows and rhs
     must have matching lengths.
     """
-    m = len(matrix)
-    if m != len(rhs):
-        raise ValueError(f"{m} rows but {len(rhs)} right-hand sides")
-    if m == 0:
-        return []
-    n = len(matrix[0])
-    work = [list(row) + [b] for row, b in zip(matrix, rhs)]
-    for row in work:
-        if len(row) != n + 1:
-            raise ValueError("ragged matrix")
-
-    pivots: list[tuple[int, int]] = []  # (row, col)
-    r = 0
-    for c in range(n):
-        if r == m:
-            break
-        i = _pick_pivot(work, c, r, pivot)
-        if i is None:
-            continue
-        work[r], work[i] = work[i], work[r]
-        piv_row = work[r]
-        piv = piv_row[c]
-        for k in range(r + 1, m):
-            f = work[k][c]
-            if not f:
-                continue
-            f = f / piv
-            row_k = work[k]
-            row_k[c] = ZERO
-            for j in range(c + 1, n + 1):
-                v = piv_row[j]
-                if v:
-                    row_k[j] = row_k[j] - f * v
-        pivots.append((r, c))
-        r += 1
-
-    for k in range(r, m):
-        if work[k][n]:
-            return None  # 0 = nonzero: inconsistent
-
-    x: list[GaussianRational] = [ZERO] * n
-    for row_i, col_i in reversed(pivots):
-        row = work[row_i]
-        acc = row[n]
-        for j in range(col_i + 1, n):
-            if row[j] and x[j]:
-                acc = acc - row[j] * x[j]
-        x[col_i] = acc / row[col_i]
-    return x
+    return factor_exact(matrix, pivot=pivot).solve(rhs)
 
 
 def det_exact(matrix: Matrix) -> GaussianRational:
     """Exact determinant of a square matrix of GaussianRationals."""
-    m = len(matrix)
-    if any(len(row) != m for row in matrix):
-        raise ValueError("determinant requires a square matrix")
-    if m == 0:
-        return ONE
-    work = [list(row) for row in matrix]
-    det = ONE
-    for c in range(m):
-        i = _pick_pivot(work, c, c, "small")
-        if i is None:
-            return ZERO
-        if i != c:
-            work[c], work[i] = work[i], work[c]
-            det = -det
-        piv_row = work[c]
-        piv = piv_row[c]
-        det = det * piv
-        for k in range(c + 1, m):
-            f = work[k][c]
-            if not f:
-                continue
-            f = f / piv
-            row_k = work[k]
-            for j in range(c + 1, m):
-                v = piv_row[j]
-                if v:
-                    row_k[j] = row_k[j] - f * v
-    return det
+    return factor_exact(matrix).determinant

@@ -17,7 +17,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .rational import GaussianRational
+from .rational import GaussianRational, ONE
 from .polynomials import MAX_EXPONENT, PolyRealN, PolyZZbar, xy_to_zzbar, zzbar_to_xy
 
 
@@ -87,7 +87,33 @@ def _raw_add(a: dict, b: dict) -> dict:
     return out
 
 
+def _unit_monomial(a: dict) -> tuple | None:
+    """The key of a single-term polynomial with coefficient 1, else None."""
+    if len(a) == 1:
+        ((key, c),) = a.items()
+        if c == ONE:
+            return key
+    return None
+
+
+def _raw_shift(a: dict, key: tuple) -> dict:
+    """a times the unit monomial key: exponent addition only, no coefficients."""
+    out: dict = {}
+    for ka, ca in a.items():
+        exps = dict(ka)
+        for var, e in key:
+            exps[var] = exps.get(var, 0) + e
+        out[tuple(sorted(exps.items()))] = ca
+    return out
+
+
 def _raw_mul(a: dict, b: dict) -> dict:
+    key = _unit_monomial(b)
+    if key is not None:
+        return _raw_shift(a, key)
+    key = _unit_monomial(a)
+    if key is not None:
+        return _raw_shift(b, key)
     out: dict = {}
     for ka, ca in a.items():
         for kb, cb in b.items():
@@ -106,7 +132,10 @@ def _raw_mul(a: dict, b: dict) -> dict:
 
 
 def _raw_pow(a: dict, n: int) -> dict:
-    result = _raw_const(GaussianRational(1))
+    key = _unit_monomial(a)
+    if key is not None and n:
+        return {tuple((var, e * n) for var, e in key): ONE}
+    result = _raw_const(ONE)
     base = a
     while n:
         if n & 1:

@@ -16,6 +16,8 @@ with h holomorphic of degree <= deg f; h is the weighted Szego projection
 of f.  The solver assembles the finite linear system over the unknown
 coefficient blocks (h, p, q) and solves it exactly; h is unique even
 though (p, q) are not, and verify_decomposition re-checks every claim.
+The system depends only on (ellipse, N), so it is factored once and each
+projection replays that factorisation on its own right-hand side.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ from dataclasses import dataclass, field
 
 from .dirichlet import harmonic_extension_zzbar
 from .domains import Ellipse
-from .linalg import InternalCheckError, solve_exact
+from .linalg import ExactFactorization, InternalCheckError, factor_exact, solve_exact
+from .lru import LRUCache
 from .polynomials import PolyZZbar, monomials_zzbar
 from .rational import GaussianRational, ZERO
 
@@ -57,38 +60,53 @@ class SzegoDecomposition:
         }
 
 
-# Columns of the decomposition system depend only on (ellipse, N); they are
-# cached so batches of projections on one ellipse assemble quickly.
-_column_cache: dict[tuple[Ellipse, int], list[list[GaussianRational]]] = {}
+# Bound on the (ellipse, N) systems kept in _column_cache, so a process that
+# sees many ellipses keeps a fixed number of them; the least recently used
+# system is dropped first.
+COLUMN_CACHE_SIZE = 64
 
 
-def _system_columns(e: Ellipse, N: int, rows: list[tuple[int, int]], row_index):
-    cached = _column_cache.get((e, N))
-    if cached is not None:
-        return cached
+def _system_matrix(e: Ellipse, N: int, *, with_A: bool) -> list[list[GaussianRational]]:
+    """Row-major matrix of the block system on monomials_zzbar(N).
 
-    r = e.defining_poly_zzbar()
-    columns: list[list[GaussianRational]] = []
-
-    def column_of(poly: PolyZZbar) -> list[GaussianRational]:
-        col = [ZERO] * len(rows)
-        for key, c in poly.terms():
-            col[row_index[key]] = c
-        return col
-
-    # h block: holomorphic monomials z^k, k <= N.
-    for k in range(N + 1):
-        columns.append(column_of(PolyZZbar.monomial(k, 0)))
-    # p block: A applied to every monomial of degree <= N.
-    for a, b in monomials_zzbar(N):
-        columns.append(column_of(operator_A(e, PolyZZbar.monomial(a, b))))
-    # q block: r times every monomial of degree <= N - 2.
+    Columns, in order: the h block z^k (k <= N); when with_A, the p block
+    A(z^a zbar^b) over monomials_zzbar(N); the q block r * z^a zbar^b over
+    monomials_zzbar(N - 2).
+    """
+    columns = [PolyZZbar.monomial(k, 0) for k in range(N + 1)]
+    if with_A:
+        columns += [operator_A(e, PolyZZbar.monomial(a, b)) for a, b in monomials_zzbar(N)]
     if N >= 2:
-        for a, b in monomials_zzbar(N - 2):
-            columns.append(column_of(r * PolyZZbar.monomial(a, b)))
+        r = e.defining_poly_zzbar()
+        columns += [r * PolyZZbar.monomial(a, b) for a, b in monomials_zzbar(N - 2)]
+    row_index = {key: i for i, key in enumerate(monomials_zzbar(N))}
+    matrix = [[ZERO] * len(columns) for _ in row_index]
+    for j, poly in enumerate(columns):
+        for key, c in poly.terms():
+            matrix[row_index[key]][j] = c
+    return matrix
 
-    _column_cache[(e, N)] = columns
-    return columns
+
+class _SzegoSystem:
+    """The decomposition matrix of one (ellipse, N), with its exact
+    factorisation for each pivot strategy, made on first use."""
+
+    def __init__(self, matrix: list[list[GaussianRational]]):
+        self.matrix = matrix
+        self.factors: dict[str, ExactFactorization] = {}
+
+    def factor(self, pivot: str) -> ExactFactorization:
+        factorization = self.factors.get(pivot)
+        if factorization is None:
+            factorization = factor_exact(self.matrix, pivot=pivot)
+            self.factors[pivot] = factorization
+        return factorization
+
+
+# The decomposition system depends only on (ellipse, N), so projections on
+# one ellipse eliminate it once per pivot strategy and then only replay the
+# recorded elimination on each right-hand side.
+_column_cache: LRUCache = LRUCache(COLUMN_CACHE_SIZE)
 
 
 def szego_project(
@@ -114,15 +132,12 @@ def szego_project(
             )
         N = ambient_degree
 
-    rows = monomials_zzbar(N)
-    row_index = {key: i for i, key in enumerate(rows)}
-    columns = _system_columns(e, N, rows, row_index)
-    matrix = [
-        [columns[j][i] for j in range(len(columns))] for i in range(len(rows))
-    ]
-    rhs = [f.coefficient(a, b) for a, b in rows]
-
-    solution = solve_exact(matrix, rhs, pivot=pivot)
+    system = _column_cache.get((e, N))
+    if system is None:
+        system = _SzegoSystem(_system_matrix(e, N, with_A=True))
+        _column_cache[(e, N)] = system
+    rhs = [f.coefficient(a, b) for a, b in monomials_zzbar(N)]
+    solution = system.factor(pivot).solve(rhs)
     if solution is None:
         raise InternalCheckError(
             "Szego decomposition system is inconsistent; the operator "
@@ -151,29 +166,8 @@ def kernel_membership(e: Ellipse, p: PolyZZbar) -> bool:
     exact linear solve.
     """
     N = max(p.degree(), 0)
-    rows = monomials_zzbar(N)
-    row_index = {key: i for i, key in enumerate(rows)}
-    r = e.defining_poly_zzbar()
-
-    columns: list[list[GaussianRational]] = []
-
-    def column_of(poly: PolyZZbar):
-        col = [ZERO] * len(rows)
-        for key, c in poly.terms():
-            col[row_index[key]] = c
-        return col
-
-    for k in range(N + 1):
-        columns.append(column_of(PolyZZbar.monomial(k, 0)))
-    if N >= 2:
-        for a, b in monomials_zzbar(N - 2):
-            columns.append(column_of(r * PolyZZbar.monomial(a, b)))
-
-    matrix = [
-        [columns[j][i] for j in range(len(columns))] for i in range(len(rows))
-    ]
-    rhs = [p.coefficient(a, b) for a, b in rows]
-    return solve_exact(matrix, rhs) is not None
+    rhs = [p.coefficient(a, b) for a, b in monomials_zzbar(N)]
+    return solve_exact(_system_matrix(e, N, with_A=False), rhs) is not None
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
 
-from szegopoly.linalg import det_exact, solve_exact
+from szegopoly.linalg import det_exact, factor_exact, solve_exact
 from szegopoly.rational import GaussianRational, ZERO
 
 
@@ -120,3 +122,125 @@ def test_ragged_matrix_rejected():
         solve_exact([[gr(1), gr(2)], [gr(1)]], [gr(1), gr(1)])
     with pytest.raises(ValueError):
         solve_exact([[gr(1)]], [gr(1), gr(2)])
+
+
+# -- factor once, solve many ---------------------------------------------------------
+
+small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=4)
+entries = st.builds(GaussianRational, small_fractions, small_fractions)
+
+
+def matmul(A, B):
+    return [
+        [sum((A[i][k] * B[k][j] for k in range(len(B))), start=ZERO) for j in range(len(B[0]))]
+        for i in range(len(A))
+    ]
+
+
+def augmented_solve(A, b, pivot):
+    """Reference: eliminate [A | b] in one pass, with the same pivot rule.
+
+    The factorised solver must pick the same solution, free variables zero.
+    """
+    from szegopoly.linalg import _pick_pivot
+
+    m, n = len(A), len(A[0])
+    work = [list(row) + [v] for row, v in zip(A, b)]
+    pivots, r = [], 0
+    for c in range(n):
+        i = _pick_pivot(work, c, r, pivot) if r < m else None
+        if i is None:
+            continue
+        work[r], work[i] = work[i], work[r]
+        for k in range(r + 1, m):
+            f = work[k][c] / work[r][c]
+            work[k] = [u - f * v for u, v in zip(work[k], work[r])]
+        pivots.append((r, c))
+        r += 1
+    if any(work[k][n] for k in range(r, m)):
+        return None
+    x = [ZERO] * n
+    for row_i, col_i in reversed(pivots):
+        row = work[row_i]
+        acc = row[n] - sum((row[j] * x[j] for j in range(col_i + 1, n)), start=ZERO)
+        x[col_i] = acc / row[col_i]
+    return x
+
+
+def sympy_rank(A):
+    """Rank computed by sympy, independent of the solver under test."""
+    return sympy.Matrix(
+        [[sympy.Rational(c.re) + sympy.I * sympy.Rational(c.im) for c in row] for row in A]
+    ).rank()
+
+
+dims = st.integers(1, 5)
+
+
+@st.composite
+def low_rank_matrices(draw, m, n):
+    """An m x n matrix B*C of rank <= k, with k drawn up to min(m, n)."""
+    k = draw(st.integers(0, min(m, n)))
+    if k == 0:
+        return [[ZERO] * n for _ in range(m)]
+    B = draw(st.lists(st.lists(entries, min_size=k, max_size=k), min_size=m, max_size=m))
+    C = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=k, max_size=k))
+    return matmul(B, C)
+
+
+def draw_rhs(draw, A):
+    """Either A times a random x (consistent) or an arbitrary right-hand side."""
+    if draw(st.booleans()):
+        return matvec(A, draw(st.lists(entries, min_size=len(A[0]), max_size=len(A[0]))))
+    return draw(st.lists(entries, min_size=len(A), max_size=len(A)))
+
+
+@st.composite
+def systems_with_rhs(draw):
+    A = draw(low_rank_matrices(draw(dims), draw(dims)))
+    return A, draw_rhs(draw, A)
+
+
+@settings(max_examples=60, deadline=None)
+@given(systems_with_rhs(), st.sampled_from(["small", "large"]))
+def test_factored_solve_is_exact_and_none_only_when_inconsistent(system, pivot):
+    A, b = system
+    x = factor_exact(A, pivot=pivot).solve(b)
+    consistent = sympy_rank(A) == sympy_rank([row + [v] for row, v in zip(A, b)])
+    assert (x is not None) == consistent
+    if x is not None:
+        assert matvec(A, x) == b
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), st.sampled_from(["small", "large"]))
+def test_one_factorization_replays_every_one_shot_solve(data, pivot):
+    A = data.draw(low_rank_matrices(data.draw(dims), data.draw(dims)))
+    factorization = factor_exact(A, pivot=pivot)
+    for _ in range(3):
+        b = draw_rhs(data.draw, A)
+        x = factorization.solve(b)
+        assert x == solve_exact(A, b, pivot=pivot) == augmented_solve(A, b, pivot)
+
+
+@st.composite
+def square_pairs(draw):
+    n = draw(st.integers(1, 4))
+    return draw(low_rank_matrices(n, n)), draw(low_rank_matrices(n, n))
+
+
+@settings(max_examples=40, deadline=None)
+@given(square_pairs())
+def test_factored_determinant_is_multiplicative(pair):
+    A, B = pair
+
+    def det(M):
+        return factor_exact(M).determinant
+
+    assert det(matmul(A, B)) == det(A) * det(B)
+    assert (det(A) == ZERO) == (sympy_rank(A) < len(A))
+
+
+def test_determinant_of_rectangular_factorization_rejected():
+    with pytest.raises(ValueError):
+        factor_exact([[gr(1), gr(2)]]).determinant

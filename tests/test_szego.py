@@ -260,3 +260,41 @@ def test_clear_caches_empties_every_cache_and_projection_refills_them():
     assert again == first
     assert (e, 3) in szego._column_cache
     assert {(e, 0), (e, 1)} <= set(dirichlet._fischer_cache)
+
+
+@pytest.mark.parametrize(
+    "kwargs", [{"pivot": "small"}, {"pivot": "large"}, {"ambient_degree": 6}]
+)
+def test_cached_projection_equals_cold_projection(kwargs):
+    e = Ellipse(5, 4, Fraction(1, 3), Fraction(2, 3))
+    f = ZB**4 + Fraction(1, 2) * Z**2 * ZB - 3 * Z
+    szegopoly.clear_caches()
+    cold = szego_project(e, f, **kwargs)
+    system = szego._column_cache[(e, cold.N)]
+    factorization = system.factors[kwargs.get("pivot", "small")]
+
+    cached = szego_project(e, f, **kwargs)
+    assert cached == cold
+    assert szego._column_cache[(e, cold.N)] is system
+    assert system.factors[kwargs.get("pivot", "small")] is factorization
+    assert verify_decomposition(cached, e).passed
+
+
+def test_caches_are_bounded_and_evict_least_recently_used(monkeypatch):
+    monkeypatch.setattr(szego._column_cache, "maxsize", 2)
+    monkeypatch.setattr(dirichlet._fischer_cache, "maxsize", 2)
+    szegopoly.clear_caches()
+    e1, e2, e3 = (Ellipse(2, 1, Fraction(k, 3), 0) for k in (1, 2, -1))
+    f = ZB**2
+
+    szego_project(e1, f)
+    szego_project(e2, f)
+    szego_project(e1, f)  # e1 is now the most recently used
+    szego_project(e3, f)
+    assert list(szego._column_cache) == [(e1, 2), (e3, 2)]
+
+    for e in (e1, e2, e3):
+        dirichlet.fischer_system(e, 0)
+    dirichlet.fischer_system(e2, 0)
+    dirichlet.fischer_system(e1, 1)
+    assert list(dirichlet._fischer_cache) == [(e2, 0), (e1, 1)]
