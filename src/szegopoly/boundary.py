@@ -27,7 +27,7 @@ import numpy as np
 from .dirichlet import is_harmonic
 from .domains import Ellipse
 from .polynomials import PolyRealN, PolyZZbar, xy_to_zzbar
-from .rational import GaussianRational
+from .rational import ONE, ZERO, GaussianRational
 from .szego import szego_project
 
 CONDITION_WARN_THRESHOLD = 1e10
@@ -249,12 +249,17 @@ def holomorphic_coeffs_in_scaled_basis(
             f"polynomial degree {p.degree()} exceeds basis degree {degree}"
         )
     center = GaussianRational(e.h, e.k)
-    scale = max(e.a, e.b)
-    out = [GaussianRational(0) for _ in range(degree + 1)]
+    scale = GaussianRational(max(e.a, e.b))
+    center_pow = [ONE]
+    scale_pow = [ONE]
+    for _ in range(p.degree()):
+        center_pow.append(center_pow[-1] * center)
+        scale_pow.append(scale_pow[-1] * scale)
+    out = [ZERO] * (degree + 1)
     for (n, _), c in p.terms():
         # (center + s*w)^n
         for j in range(n + 1):
-            out[j] = out[j] + c * comb(n, j) * center ** (n - j) * GaussianRational(scale**j)
+            out[j] = out[j] + c * comb(n, j) * center_pow[n - j] * scale_pow[j]
     return np.array([complex(v) for v in out])
 
 

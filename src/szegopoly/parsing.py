@@ -356,8 +356,7 @@ def parse_poly_real(text: str, dim: int | None = None) -> PolyRealN:
 
 
 def format_coefficient(c: GaussianRational) -> str:
-    sign = "+" if c.im >= 0 else "-"
-    return f"({c.re}{sign}{abs(c.im)}i)"
+    return f"({c})"
 
 
 def format_poly_zzbar(p: PolyZZbar) -> str:
@@ -389,11 +388,13 @@ def format_poly_real(p: PolyRealN) -> str:
 # -- JSON forms ---------------------------------------------------------------
 
 
+def _coefficient_json(c: GaussianRational) -> dict:
+    re, im = c.text_parts()
+    return {"re": re, "im": im}
+
+
 def poly_zzbar_to_json(p: PolyZZbar) -> list[dict]:
-    return [
-        {"a": a, "b": b, "re": str(c.re), "im": str(c.im)}
-        for (a, b), c in p.terms()
-    ]
+    return [{"a": a, "b": b, **_coefficient_json(c)} for (a, b), c in p.terms()]
 
 
 def poly_zzbar_from_json(items: list[dict]) -> PolyZZbar:
@@ -411,8 +412,7 @@ def poly_real_to_json(p: PolyRealN) -> dict:
     return {
         "dim": p.dim,
         "terms": [
-            {"alpha": list(alpha), "re": str(c.re), "im": str(c.im)}
-            for alpha, c in p.terms()
+            {"alpha": list(alpha), **_coefficient_json(c)} for alpha, c in p.terms()
         ],
     }
 

@@ -6,82 +6,143 @@ conjugation and division by a nonzero element are all exact; no rounding
 ever occurs.  Instances are immutable and hashable, which lets them serve
 as dictionary values in sparse polynomials and as matrix entries in exact
 linear solves.
+
+Representation.  A value is stored as one integer triple (a, b, d) meaning
+(a + b*i)/d, with the invariants
+
+  * d > 0,
+  * gcd(a, b, d) = 1,
+  * zero is (0, 0, 1).
+
+The form is canonical, so equality is triple equality.  Each field
+operation works on Python ints and normalises its result once, with one
+math.gcd over the numerator parts and the denominator; storing re and im
+as two Fractions instead costs one gcd per part per intermediate
+Fraction, which made number construction the dominant cost of the exact
+solver.  Two cheaper routes keep the result reduced without a full gcd:
+a sum over coprime denominators is already reduced (and otherwise only the
+gcd of the denominators can survive), and scaling by a rational r = n/m
+cross-cancels like Fraction multiplication does.  re and im are read-only
+Fraction views built on demand.  As with fractions.Fraction, the three
+ints live in private slots and no public operation ever changes them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Union
 
 RationalLike = Union[int, Fraction]
 
 
+def _ratio_text(n: int, d: int) -> str:
+    """str(Fraction(n, d)) for d > 0, without building the Fraction."""
+    g = gcd(n, d)
+    if g != 1:
+        n //= g
+        d //= g
+    return str(n) if d == 1 else f"{n}/{d}"
+
+
+def _ratio_bits(n: int, d: int) -> int:
+    """Bit lengths of the numerator and denominator of n/d in lowest terms."""
+    g = gcd(n, d)
+    return (n // g).bit_length() + (d // g).bit_length()
+
+
 class GaussianRational:
-    """A complex number re + im*i with exact rational re, im."""
+    """A complex number (a + b*i)/d held as a reduced integer triple."""
 
-    __slots__ = ("re", "im")
+    __slots__ = ("_a", "_b", "_d")
 
-    def __init__(self, re: RationalLike = 0, im: RationalLike = 0):
-        # Fraction keeps itself in lowest terms with a positive denominator,
-        # so canonical form is automatic.
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GaussianRational is immutable")
+    def __new__(cls, re: RationalLike = 0, im: RationalLike = 0):
+        if not isinstance(re, (int, Fraction)) or not isinstance(im, (int, Fraction)):
+            raise TypeError(
+                f"cannot interpret ({re!r}, {im!r}) as a Gaussian rational"
+            )
+        # Both parts are in lowest terms, so over the lcm of their
+        # denominators no prime divides a, b and d together.
+        rd, jd = re.denominator, im.denominator
+        d = rd // gcd(rd, jd) * jd
+        self = object.__new__(cls)
+        self._a = re.numerator * (d // rd)
+        self._b = im.numerator * (d // jd)
+        self._d = d
+        return self
 
     @staticmethod
     def coerce(value) -> "GaussianRational":
         """Accept ints, Fractions and GaussianRationals interchangeably."""
         if isinstance(value, GaussianRational):
             return value
-        if isinstance(value, (int, Fraction)):
-            return GaussianRational(value)
+        if isinstance(value, int):
+            return _make(int(value), 0, 1)
+        if isinstance(value, Fraction):
+            return _make(value.numerator, 0, value.denominator)
         raise TypeError(f"cannot interpret {value!r} as a Gaussian rational")
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
 
     # -- field operations -------------------------------------------------
 
     def __add__(self, other):
-        other = GaussianRational.coerce(other)
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        if type(other) is not GaussianRational:
+            other = GaussianRational.coerce(other)
+        return _sum(self._a, self._b, self._d, other._a, other._b, other._d)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = GaussianRational.coerce(other)
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        if type(other) is not GaussianRational:
+            other = GaussianRational.coerce(other)
+        return _sum(self._a, self._b, self._d, -other._a, -other._b, other._d)
 
     def __rsub__(self, other):
         return GaussianRational.coerce(other) - self
 
     def __mul__(self, other):
-        other = GaussianRational.coerce(other)
-        if not self.im and not other.im:
-            return GaussianRational(self.re * other.re)
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if type(other) is not GaussianRational:
+            other = GaussianRational.coerce(other)
+        a1, b1, d1 = self._a, self._b, self._d
+        a2, b2, d2 = other._a, other._b, other._d
+        if not b2:
+            return _scale(a1, b1, d1, a2, d2)
+        if not b1:
+            return _scale(a2, b2, d2, a1, d1)
+        return _reduce(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d1 * d2)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = GaussianRational.coerce(other)
-        if not other:
-            raise ZeroDivisionError("division by zero Gaussian rational")
-        if not other.im:
-            return GaussianRational(self.re / other.re, self.im / other.re)
-        n = other.re * other.re + other.im * other.im
-        return GaussianRational(
-            (self.re * other.re + self.im * other.im) / n,
-            (self.im * other.re - self.re * other.im) / n,
+        if type(other) is not GaussianRational:
+            other = GaussianRational.coerce(other)
+        a2, b2, d2 = other._a, other._b, other._d
+        if not b2:
+            if not a2:
+                raise ZeroDivisionError("division by zero Gaussian rational")
+            if a2 < 0:
+                return _scale(self._a, self._b, self._d, -d2, -a2)
+            return _scale(self._a, self._b, self._d, d2, a2)
+        # x / y = x * conj(y) * d2 / (a2^2 + b2^2)
+        a1, b1 = self._a, self._b
+        return _reduce(
+            (a1 * a2 + b1 * b2) * d2,
+            (b1 * a2 - a1 * b2) * d2,
+            self._d * (a2 * a2 + b2 * b2),
         )
 
     def __rtruediv__(self, other):
         return GaussianRational.coerce(other) / self
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _make(-self._a, -self._b, self._d)
 
     def __pow__(self, n: int) -> "GaussianRational":
         if not isinstance(n, int):
@@ -99,57 +160,129 @@ class GaussianRational:
         return result
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return _make(self._a, -self._b, self._d)
 
     def norm(self) -> Fraction:
         """Squared modulus re**2 + im**2, an exact rational."""
-        return self.re * self.re + self.im * self.im
+        a, b, d = self._a, self._b, self._d
+        return Fraction(a * a + b * b, d * d)
 
     # -- predicates and conversions ---------------------------------------
 
     def __bool__(self) -> bool:
-        return bool(self.re) or bool(self.im)
+        return self._a != 0 or self._b != 0
 
     def is_real(self) -> bool:
-        return not self.im
+        return not self._b
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            other = GaussianRational.coerce(other)
-            return self.re == other.re and self.im == other.im
+        if type(other) is GaussianRational:
+            return self._a == other._a and self._b == other._b and self._d == other._d
+        if isinstance(other, int):
+            return not self._b and self._d == 1 and self._a == other
+        if isinstance(other, Fraction):
+            return (
+                not self._b
+                and self._d == other.denominator
+                and self._a == other.numerator
+            )
         return NotImplemented
 
     def __hash__(self):
         # Equal values hash equally: a real value compares equal to its
         # Fraction/int, so it must hash like one.
-        if not self.im:
-            return hash(self.re)
-        return hash((self.re, self.im))
+        if not self._b:
+            return hash(self._a) if self._d == 1 else hash(Fraction(self._a, self._d))
+        return hash((self._a, self._b, self._d))
 
     def __complex__(self) -> complex:
-        return complex(float(self.re), float(self.im))
+        # int / int is correctly rounded, so this equals float(re), float(im).
+        return complex(self._a / self._d, self._b / self._d)
 
     def bit_size(self) -> int:
         """Symbolic magnitude: total bit length of numerators and denominators.
 
-        Used for pivot selection in exact elimination, where keeping pivots
-        small limits coefficient blow-up.
+        The bit lengths are those of re and im in lowest terms.  Used for
+        pivot selection in exact elimination, where keeping pivots small
+        limits coefficient blow-up.
         """
-        return (
-            self.re.numerator.bit_length()
-            + self.re.denominator.bit_length()
-            + self.im.numerator.bit_length()
-            + self.im.denominator.bit_length()
-        )
+        a, b, d = self._a, self._b, self._d
+        if d == 1:
+            return a.bit_length() + b.bit_length() + 2
+        return _ratio_bits(a, d) + _ratio_bits(b, d)
+
+    def text_parts(self) -> tuple[str, str]:
+        """(str(self.re), str(self.im)), formatted from the triple."""
+        return _ratio_text(self._a, self._d), _ratio_text(self._b, self._d)
 
     def __repr__(self):
         return f"GaussianRational({self.re!r}, {self.im!r})"
 
     def __str__(self):
-        sign = "+" if self.im >= 0 else "-"
-        return f"{self.re}{sign}{abs(self.im)}i"
+        re, im = self.text_parts()
+        if im[0] == "-":
+            return f"{re}-{im[1:]}i"
+        return f"{re}+{im}i"
 
 
-ZERO = GaussianRational(0)
-ONE = GaussianRational(1)
-I = GaussianRational(0, 1)
+_new = object.__new__
+
+
+def _make(a: int, b: int, d: int) -> GaussianRational:
+    """Wrap a triple that already satisfies the invariants."""
+    g = _new(GaussianRational)
+    g._a = a
+    g._b = b
+    g._d = d
+    return g
+
+
+def _reduce(a: int, b: int, d: int) -> GaussianRational:
+    """Normalise (a + b*i)/d, d > 0, with one gcd."""
+    g = gcd(d, a, b)
+    if g == 1:
+        return _make(a, b, d)
+    return _make(a // g, b // g, d // g)
+
+
+def _sum(a1: int, b1: int, d1: int, a2: int, b2: int, d2: int) -> GaussianRational:
+    """(a1 + b1*i)/d1 + (a2 + b2*i)/d2 for two reduced triples.
+
+    A prime dividing only d1/g (g = gcd(d1, d2)) would have to divide a1
+    and b1 too, so only a factor of g can be common to the result; with
+    coprime denominators the result is already reduced.
+    """
+    g = gcd(d1, d2)
+    if g == 1:
+        return _make(a1 * d2 + a2 * d1, b1 * d2 + b2 * d1, d1 * d2)
+    s, t = d1 // g, d2 // g
+    a, b = a1 * t + a2 * s, b1 * t + b2 * s
+    h = gcd(g, a, b)
+    if h == 1:
+        return _make(a, b, s * d2)
+    return _make(a // h, b // h, s * (d2 // h))
+
+
+def _scale(a: int, b: int, d: int, n: int, m: int) -> GaussianRational:
+    """(a + b*i)/d times the rational n/m, both reduced and m > 0.
+
+    Cross-cancelling like Fraction multiplication leaves nothing to reduce:
+    gcd(n, d) takes the factors of d that n can cancel, and the common
+    factor of a and b takes those of m.  A zero factor cancels the other's
+    denominator entirely, so zero comes out as (0, 0, 1).
+    """
+    g1 = gcd(n, d)
+    if g1 != 1:
+        n //= g1
+        d //= g1
+    g2 = gcd(m, a, b)
+    if g2 != 1:
+        a //= g2
+        b //= g2
+        m //= g2
+    return _make(a * n, b * n, d * m)
+
+
+ZERO = _make(0, 0, 1)
+ONE = _make(1, 0, 1)
+I = _make(0, 1, 1)

@@ -1,5 +1,6 @@
 """Exactness and field behavior of GaussianRational."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -114,3 +115,129 @@ def test_mixed_int_fraction_operands():
     assert c + Fraction(1, 2) == GaussianRational(Fraction(3, 2), 1)
     assert 1 - c == GaussianRational(0, -1)
     assert 2 / GaussianRational(0, 2) == GaussianRational(0, -1)
+
+
+@pytest.mark.parametrize("bad", [0.1, 1.0, 1j, "1", "1/2", None])
+def test_constructor_accepts_what_coerce_accepts(bad):
+    with pytest.raises(TypeError):
+        GaussianRational.coerce(bad)
+    with pytest.raises(TypeError):
+        GaussianRational(bad)
+    with pytest.raises(TypeError):
+        GaussianRational(1, bad)
+
+
+# -- the (a + b*i)/d representation against a two-Fraction reference --------
+
+parts = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=-12, max_value=12, max_denominator=16),
+    st.builds(Fraction, st.integers(-(2**90), 2**90), st.integers(1, 2**90)),
+)
+pairs = st.one_of(
+    st.tuples(parts, parts),
+    st.tuples(parts, st.just(Fraction(0))),
+    st.tuples(st.just(Fraction(0)), parts),
+)
+
+
+def ref_mul(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def ref_div(x, y):
+    n = y[0] * y[0] + y[1] * y[1]
+    return ((x[0] * y[0] + x[1] * y[1]) / n, (x[1] * y[0] - x[0] * y[1]) / n)
+
+
+def ref_pow(x, n):
+    result = (Fraction(1), Fraction(0))
+    for _ in range(abs(n)):
+        result = ref_mul(result, x)
+    return ref_div((Fraction(1), Fraction(0)), result) if n < 0 else result
+
+
+def assert_matches(g, ref):
+    a, b, d = g._a, g._b, g._d
+    assert type(a) is int and type(b) is int and type(d) is int
+    assert d > 0
+    assert math.gcd(a, b, d) == 1
+    if not a and not b:
+        assert d == 1
+    assert type(g.re) is Fraction and type(g.im) is Fraction
+    assert (g.re, g.im) == ref
+    assert g.bit_size() == sum(
+        f.numerator.bit_length() + f.denominator.bit_length() for f in ref
+    )
+    assert g.text_parts() == (str(ref[0]), str(ref[1]))
+    sign = "+" if ref[1] >= 0 else "-"
+    assert str(g) == f"{ref[0]}{sign}{abs(ref[1])}i"
+    assert complex(g) == complex(float(ref[0]), float(ref[1]))
+
+
+@settings(max_examples=300)
+@given(pairs, pairs)
+def test_field_operations_match_fraction_pairs(x, y):
+    gx, gy = GaussianRational(*x), GaussianRational(*y)
+    assert_matches(gx, x)
+    assert_matches(gx + gy, (x[0] + y[0], x[1] + y[1]))
+    assert_matches(gx - gy, (x[0] - y[0], x[1] - y[1]))
+    assert_matches(gx * gy, ref_mul(x, y))
+    assert_matches(-gx, (-x[0], -x[1]))
+    assert_matches(gx.conjugate(), (x[0], -x[1]))
+    assert gx.norm() == x[0] * x[0] + x[1] * x[1]
+    assert type(gx.norm()) is Fraction
+    if any(y):
+        assert_matches(gx / gy, ref_div(x, y))
+    else:
+        with pytest.raises(ZeroDivisionError):
+            gx / gy
+    assert (gx == gy) == (x == y)
+
+
+@settings(max_examples=100)
+@given(pairs, st.integers(-4, 4))
+def test_powers_match_fraction_pairs(x, n):
+    g = GaussianRational(*x)
+    if n < 0 and not any(x):
+        with pytest.raises(ZeroDivisionError):
+            g**n
+    else:
+        assert_matches(g**n, ref_pow(x, n))
+
+
+@settings(max_examples=200)
+@given(parts, st.one_of(st.integers(-(2**70), 2**70), parts))
+def test_mixed_operands_match_fraction_pairs(x, r):
+    g = GaussianRational(x, x)
+    zero = Fraction(0)
+    assert_matches(g + r, (x + r, x))
+    assert_matches(r - g, (r - x, -x))
+    assert_matches(r * g, (r * x, r * x))
+    if r:
+        assert_matches(g / r, (x / r, x / r))
+    if x:
+        assert_matches(r / g, ref_div((Fraction(r), zero), (x, x)))
+
+
+@settings(max_examples=200)
+@given(parts)
+def test_real_values_agree_with_int_and_fraction(x):
+    g = GaussianRational(x)
+    assert g == x and x == g
+    assert hash(g) == hash(x)
+    assert g.is_real()
+    assert g != x + 1
+    if x.denominator == 1:
+        assert g == int(x) and int(x) == g
+        assert hash(g) == hash(int(x))
+    assert GaussianRational(x, 1) != x
+
+
+def test_parts_are_read_only():
+    c = GaussianRational(1, 2)
+    with pytest.raises(AttributeError):
+        c.im = Fraction(5)
+    with pytest.raises(AttributeError):
+        c.extra = 1
+    assert c == GaussianRational(1, 2)
