@@ -27,7 +27,7 @@ from .domains import Ellipse, Ellipsoid
 from .linalg import InternalCheckError, det_exact, solve_exact
 from .lru import LRUCache
 from .polynomials import PolyRealN, PolyZZbar, monomials_real, monomials_zzbar
-from .rational import GaussianRational, ZERO
+from .rational import GaussianRational, ONE, ZERO
 
 
 @dataclass(frozen=True)
@@ -49,13 +49,6 @@ class FischerSystem:
 FISCHER_CACHE_SIZE = 256
 
 _fischer_cache: LRUCache = LRUCache(FISCHER_CACHE_SIZE)
-
-
-def _poly_from_terms(domain: Ellipse | Ellipsoid, terms: dict) -> PolyZZbar | PolyRealN:
-    """A polynomial of the type native to the domain: z/zbar on an Ellipse."""
-    if isinstance(domain, Ellipse):
-        return PolyZZbar(terms)
-    return PolyRealN(domain.dim, terms)
 
 
 def fischer_system(domain: Ellipse | Ellipsoid, m: int) -> FischerSystem:
@@ -80,7 +73,7 @@ def fischer_system(domain: Ellipse | Ellipsoid, m: int) -> FischerSystem:
     size = len(basis)
     columns = []
     for alpha in basis:
-        image = (r * _poly_from_terms(domain, {alpha: 1})).laplacian()
+        image = (r * r._new({alpha: ONE})).laplacian()
         col = [ZERO] * size
         for key, c in image.terms():
             if sum(key) > sum(alpha):
@@ -129,9 +122,7 @@ def _extend(domain: Ellipse | Ellipsoid, r, p):
     solution = solve_exact(system.matrix, rhs)
     if solution is None:
         raise InternalCheckError("certified-invertible Fischer system failed to solve")
-    q = _poly_from_terms(
-        domain, {alpha: c for alpha, c in zip(system.basis_order, solution) if c}
-    )
+    q = r._new({alpha: c for alpha, c in zip(system.basis_order, solution) if c})
     return p - r * q
 
 

@@ -18,7 +18,9 @@ import re
 from fractions import Fraction
 
 from .rational import GaussianRational, ONE
-from .polynomials import MAX_EXPONENT, PolyRealN, PolyZZbar, xy_to_zzbar, zzbar_to_xy
+from .polynomials import (
+    MAX_EXPONENT, PolyRealN, PolyZZbar, _add_terms, xy_to_zzbar, zzbar_to_xy,
+)
 
 
 class ParseError(ValueError):
@@ -73,18 +75,6 @@ def _parse_fraction(text: str) -> Fraction:
 
 def _raw_const(c: GaussianRational) -> dict:
     return {(): c} if c else {}
-
-
-def _raw_add(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for k, c in b.items():
-        s = out.get(k)
-        s = c if s is None else s + c
-        if s:
-            out[k] = s
-        else:
-            out.pop(k, None)
-    return out
 
 
 def _unit_monomial(a: dict) -> tuple | None:
@@ -184,7 +174,7 @@ class _Parser:
                 rhs = self.term()
                 if tok[1] == "-":
                     rhs = {k: -c for k, c in rhs.items()}
-                value = _raw_add(value, rhs)
+                value = _add_terms(value, rhs)
             else:
                 return value
 

@@ -1,18 +1,30 @@
 """Sparse polynomials with exact Gaussian-rational coefficients.
 
-Two representations share the same storage scheme (a dict from exponent
-tuples to nonzero GaussianRational coefficients):
+One sparse ring is written once, in the private base class _SparsePoly: a
+polynomial in n variables is a dict from length-n exponent tuples to
+nonzero GaussianRational coefficients, and the base defines +, -, *, **,
+terms, degree, equality, hashing and immutability for every n.  Two
+public types interpret the variables:
 
   PolyZZbar -- polynomials in the conjugate pair z, zbar; exponent keys are
                pairs (a, b) meaning z**a * zbar**b.
   PolyRealN -- polynomials in n real variables; exponent keys are length-n
                multi-indices.
 
-Both carry the Wirtinger / Laplace differential operators.  The Laplacian
-of a z-zbar polynomial is 4 * d/dz d/dzbar, which agrees with the sum of
-second partials of the corresponding real-variable polynomial; the two
-pictures are connected by the exact changes of variables xy_to_zzbar and
-zzbar_to_xy (2x = z + zbar, 2iy = z - zbar).
+The two types never mix: a ring operation between them returns
+NotImplemented, so Python raises TypeError, and PolyRealN operands of
+different dimensions raise ValueError.  Only the public constructors
+validate, checking every exponent and coercing every coefficient.  Ring
+operations, derivatives, conjugation and exact division build clean term
+dicts and wrap them with the private same-type constructor _new; a product
+checks for exponent overflow once, from the per-variable maximum exponents
+of its two operands.
+
+Both types carry the Wirtinger / Laplace differential operators.  The
+Laplacian of a z-zbar polynomial is 4 * d/dz d/dzbar, which agrees with
+the sum of second partials of the corresponding real-variable polynomial;
+the two pictures are connected by the exact changes of variables
+xy_to_zzbar and zzbar_to_xy (2x = z + zbar, 2iy = z - zbar).
 
 Conventions:
   * no stored coefficient is zero; the zero polynomial has an empty dict
@@ -25,25 +37,27 @@ Conventions:
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from operator import add
+from typing import Iterator, Mapping, Sequence, Union
 
-from .rational import GaussianRational, ZERO
+from .rational import GaussianRational, ONE, ZERO
 
 MAX_EXPONENT = 2**31 - 1
 
 CoefLike = Union[int, Fraction, GaussianRational]
 
 
-def _coerce_coef(c) -> GaussianRational:
-    return GaussianRational.coerce(c)
-
-
-def _check_exponent(e: int) -> int:
-    if not isinstance(e, int) or e < 0:
-        raise ValueError(f"exponents must be nonnegative integers, got {e!r}")
-    if e > MAX_EXPONENT:
-        raise OverflowError(f"exponent {e} exceeds the 32-bit bound")
-    return e
+def _check_key(key, dim: int) -> tuple:
+    """The exponent tuple of a key from outside, checked."""
+    key = tuple(key)
+    if len(key) != dim:
+        raise ValueError(f"multi-index {key} has length {len(key)}, expected {dim}")
+    for e in key:
+        if type(e) is not int or e < 0:
+            raise ValueError(f"exponents must be nonnegative integers, got {e!r}")
+        if e > MAX_EXPONENT:
+            raise OverflowError(f"exponent {e} exceeds the 32-bit bound")
+    return key
 
 
 def _grlex_key(exps: tuple) -> tuple:
@@ -63,10 +77,18 @@ def _add_terms(a: dict, b: dict) -> dict:
 
 
 def _mul_terms(a: dict, b: dict) -> dict:
+    if not a or not b:
+        return {}
+    # The largest exponent of each variable in the product comes from the
+    # two terms holding the largest exponents in a and b, so checking those
+    # sums covers every pair of terms.
+    top = max(map(add, map(max, zip(*a)), map(max, zip(*b))))
+    if top > MAX_EXPONENT:
+        raise OverflowError(f"exponent {top} exceeds the 32-bit bound")
     out: dict = {}
     for ka, ca in a.items():
         for kb, cb in b.items():
-            k = tuple(_check_exponent(x + y) for x, y in zip(ka, kb))
+            k = tuple(map(add, ka, kb))
             c = ca * cb
             s = out.get(k)
             s = c if s is None else s + c
@@ -106,25 +128,125 @@ def _long_division(p: dict, r: dict) -> dict | None:
     return quot
 
 
-class PolyZZbar:
-    """Sparse polynomial in z and zbar over the Gaussian rationals."""
+class _SparsePoly:
+    """The sparse polynomial ring in _dim variables over the Gaussian rationals.
 
-    __slots__ = ("_terms",)
+    Subclasses fix what the variables mean; operands of different
+    subclasses never combine.
+    """
 
-    def __init__(self, terms: Mapping[tuple[int, int], CoefLike] | None = None):
-        clean: dict[tuple[int, int], GaussianRational] = {}
+    __slots__ = ("_dim", "_terms")
+
+    def __init__(self, dim: int, terms: Mapping[tuple, CoefLike] | None):
+        clean: dict[tuple, GaussianRational] = {}
         if terms:
             for key, c in terms.items():
-                a, b = key
-                _check_exponent(a)
-                _check_exponent(b)
-                coef = _coerce_coef(c)
+                key = _check_key(key, dim)
+                coef = GaussianRational.coerce(c)
                 if coef:
-                    clean[(a, b)] = coef
+                    clean[key] = coef
+        object.__setattr__(self, "_dim", dim)
         object.__setattr__(self, "_terms", clean)
 
+    def _new(self, terms: dict):
+        """Same-type polynomial on a term dict that is already clean.
+
+        The keys must be tuples of _dim valid exponents and the values
+        nonzero GaussianRationals; nothing is checked.
+        """
+        p = object.__new__(type(self))
+        object.__setattr__(p, "_dim", self._dim)
+        object.__setattr__(p, "_terms", terms)
+        return p
+
     def __setattr__(self, name, value):
-        raise AttributeError("PolyZZbar is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _same_ring(self, other) -> bool:
+        if type(other) is not type(self):
+            return False
+        if other._dim != self._dim:
+            raise ValueError(f"dimension mismatch: {self._dim} versus {other._dim}")
+        return True
+
+    # -- inspection ----------------------------------------------------------
+
+    def terms(self) -> Iterator[tuple[tuple, GaussianRational]]:
+        """Terms in graded-lex order (total degree, then exponents, ascending)."""
+        for key in sorted(self._terms, key=_grlex_key):
+            yield key, self._terms[key]
+
+    def degree(self) -> int:
+        if not self._terms:
+            return -1
+        return max(sum(k) for k in self._terms)
+
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    def __bool__(self):
+        return bool(self._terms)
+
+    def __len__(self):
+        return len(self._terms)
+
+    def __eq__(self, other):
+        if type(other) is type(self):
+            return self._dim == other._dim and self._terms == other._terms
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self._dim, frozenset(self._terms.items())))
+
+    # -- ring operations ----------------------------------------------------
+
+    def __add__(self, other):
+        if not self._same_ring(other):
+            return NotImplemented
+        return self._new(_add_terms(self._terms, other._terms))
+
+    def __sub__(self, other):
+        if not self._same_ring(other):
+            return NotImplemented
+        return self._new(
+            _add_terms(self._terms, {k: -c for k, c in other._terms.items()})
+        )
+
+    def __neg__(self):
+        return self._new({k: -c for k, c in self._terms.items()})
+
+    def __mul__(self, other):
+        if self._same_ring(other):
+            return self._new(_mul_terms(self._terms, other._terms))
+        if isinstance(other, _SparsePoly):
+            return NotImplemented
+        c = GaussianRational.coerce(other)
+        if not c:
+            return self._new({})
+        return self._new({k: ck * c for k, ck in self._terms.items()})
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n: int):
+        if not isinstance(n, int) or n < 0:
+            raise ValueError("polynomial power must be a nonnegative integer")
+        result = self._new({(0,) * self._dim: ONE})
+        base = self
+        while n:
+            if n & 1:
+                result = result * base
+            base = base * base if n > 1 else base
+            n >>= 1
+        return result
+
+
+class PolyZZbar(_SparsePoly):
+    """Sparse polynomial in z and zbar over the Gaussian rationals."""
+
+    __slots__ = ()
+
+    def __init__(self, terms: Mapping[tuple[int, int], CoefLike] | None = None):
+        super().__init__(2, terms)
 
     # -- constructors ------------------------------------------------------
 
@@ -150,78 +272,15 @@ class PolyZZbar:
 
     # -- inspection ----------------------------------------------------------
 
-    def terms(self) -> Iterator[tuple[tuple[int, int], GaussianRational]]:
-        """Terms in graded-lex order (total degree, then exponents, ascending)."""
-        for key in sorted(self._terms, key=_grlex_key):
-            yield key, self._terms[key]
-
     def coefficient(self, a: int, b: int) -> GaussianRational:
         return self._terms.get((a, b), ZERO)
-
-    def degree(self) -> int:
-        if not self._terms:
-            return -1
-        return max(a + b for a, b in self._terms)
-
-    def is_zero(self) -> bool:
-        return not self._terms
 
     def is_holomorphic(self) -> bool:
         return all(b == 0 for _, b in self._terms)
 
-    def __bool__(self):
-        return bool(self._terms)
-
-    def __len__(self):
-        return len(self._terms)
-
-    def __eq__(self, other):
-        if isinstance(other, PolyZZbar):
-            return self._terms == other._terms
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(frozenset(self._terms.items()))
-
-    # -- ring operations ----------------------------------------------------
-
-    def __add__(self, other: "PolyZZbar") -> "PolyZZbar":
-        return PolyZZbar(_add_terms(self._terms, other._terms))
-
-    def __sub__(self, other: "PolyZZbar") -> "PolyZZbar":
-        return self + (-other)
-
-    def __neg__(self) -> "PolyZZbar":
-        return PolyZZbar({k: -c for k, c in self._terms.items()})
-
-    def __mul__(self, other) -> "PolyZZbar":
-        if isinstance(other, PolyZZbar):
-            return PolyZZbar(_mul_terms(self._terms, other._terms))
-        c = _coerce_coef(other)
-        return PolyZZbar({k: ck * c for k, ck in self._terms.items()})
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "PolyZZbar":
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("polynomial power must be a nonnegative integer")
-        result = PolyZZbar.constant(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
-
-    def scale(self, c: CoefLike) -> "PolyZZbar":
-        return self * c
-
     def conjugate(self) -> "PolyZZbar":
         """Complex conjugation: swaps z**a zbar**b -> z**b zbar**a."""
-        return PolyZZbar(
-            {(b, a): c.conjugate() for (a, b), c in self._terms.items()}
-        )
+        return self._new({(b, a): c.conjugate() for (a, b), c in self._terms.items()})
 
     # -- differential operators ----------------------------------------------
 
@@ -230,14 +289,14 @@ class PolyZZbar:
         for (a, b), c in self._terms.items():
             if a:
                 out[(a - 1, b)] = c * a
-        return PolyZZbar(out)
+        return self._new(out)
 
     def d_dzbar(self) -> "PolyZZbar":
         out = {}
         for (a, b), c in self._terms.items():
             if b:
                 out[(a, b - 1)] = c * b
-        return PolyZZbar(out)
+        return self._new(out)
 
     def laplacian(self) -> "PolyZZbar":
         return self.d_dz().d_dzbar() * 4
@@ -269,32 +328,15 @@ class PolyZZbar:
         return f"PolyZZbar({format_poly_zzbar(self)!r})"
 
 
-class PolyRealN:
+class PolyRealN(_SparsePoly):
     """Sparse polynomial in n real variables over the Gaussian rationals."""
 
-    __slots__ = ("_dim", "_terms")
+    __slots__ = ()
 
     def __init__(self, dim: int, terms: Mapping[tuple, CoefLike] | None = None):
         if not isinstance(dim, int) or dim < 1:
             raise ValueError(f"dimension must be a positive integer, got {dim!r}")
-        clean: dict[tuple, GaussianRational] = {}
-        if terms:
-            for key, c in terms.items():
-                key = tuple(key)
-                if len(key) != dim:
-                    raise ValueError(
-                        f"multi-index {key} has length {len(key)}, expected {dim}"
-                    )
-                for e in key:
-                    _check_exponent(e)
-                coef = _coerce_coef(c)
-                if coef:
-                    clean[key] = coef
-        object.__setattr__(self, "_dim", dim)
-        object.__setattr__(self, "_terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PolyRealN is immutable")
+        super().__init__(dim, terms)
 
     @property
     def dim(self) -> int:
@@ -325,82 +367,12 @@ class PolyRealN:
 
     # -- inspection ----------------------------------------------------------
 
-    def terms(self) -> Iterator[tuple[tuple, GaussianRational]]:
-        for key in sorted(self._terms, key=_grlex_key):
-            yield key, self._terms[key]
-
     def coefficient(self, alpha: Sequence[int]) -> GaussianRational:
         return self._terms.get(tuple(alpha), ZERO)
 
-    def degree(self) -> int:
-        if not self._terms:
-            return -1
-        return max(sum(k) for k in self._terms)
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __bool__(self):
-        return bool(self._terms)
-
-    def __len__(self):
-        return len(self._terms)
-
-    def __eq__(self, other):
-        if isinstance(other, PolyRealN):
-            return self._dim == other._dim and self._terms == other._terms
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self._dim, frozenset(self._terms.items())))
-
-    def _require_same_dim(self, other: "PolyRealN"):
-        if self._dim != other._dim:
-            raise ValueError(
-                f"dimension mismatch: {self._dim} versus {other._dim}"
-            )
-
-    # -- ring operations ----------------------------------------------------
-
-    def __add__(self, other: "PolyRealN") -> "PolyRealN":
-        self._require_same_dim(other)
-        return PolyRealN(self._dim, _add_terms(self._terms, other._terms))
-
-    def __sub__(self, other: "PolyRealN") -> "PolyRealN":
-        return self + (-other)
-
-    def __neg__(self) -> "PolyRealN":
-        return PolyRealN(self._dim, {k: -c for k, c in self._terms.items()})
-
-    def __mul__(self, other) -> "PolyRealN":
-        if isinstance(other, PolyRealN):
-            self._require_same_dim(other)
-            return PolyRealN(self._dim, _mul_terms(self._terms, other._terms))
-        c = _coerce_coef(other)
-        return PolyRealN(self._dim, {k: ck * c for k, ck in self._terms.items()})
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "PolyRealN":
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("polynomial power must be a nonnegative integer")
-        result = PolyRealN.constant(self._dim, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
-
-    def scale(self, c: CoefLike) -> "PolyRealN":
-        return self * c
-
     def conjugate(self) -> "PolyRealN":
         """Conjugate the coefficients (the variables are real)."""
-        return PolyRealN(
-            self._dim, {k: c.conjugate() for k, c in self._terms.items()}
-        )
+        return self._new({k: c.conjugate() for k, c in self._terms.items()})
 
     # -- differential operators ----------------------------------------------
 
@@ -414,7 +386,7 @@ class PolyRealN:
                 k = list(key)
                 k[axis] = e - 1
                 out[tuple(k)] = c * e
-        return PolyRealN(self._dim, out)
+        return self._new(out)
 
     def laplacian(self) -> "PolyRealN":
         total = PolyRealN.zero(self._dim)
@@ -506,18 +478,14 @@ def divide_exact(p, r):
     None is a normal outcome (membership test for the ideal generated by r),
     not an error.  Both arguments must be of the same polynomial type.
     """
-    if type(p) is not type(r):
+    if not isinstance(p, _SparsePoly) or not p._same_ring(r):
         raise TypeError("divide_exact requires two polynomials of the same type")
     if r.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
     if p.is_zero():
         return p
-    if isinstance(p, PolyRealN):
-        p._require_same_dim(r)
-        quot = _long_division(p._terms, r._terms)
-        return None if quot is None else PolyRealN(p.dim, quot)
     quot = _long_division(p._terms, r._terms)
-    return None if quot is None else PolyZZbar(quot)
+    return None if quot is None else p._new(quot)
 
 
 # -- monomial bases -----------------------------------------------------------
@@ -525,25 +493,17 @@ def divide_exact(p, r):
 
 def monomials_zzbar(max_degree: int) -> list[tuple[int, int]]:
     """Exponent pairs (a, b) with a + b <= max_degree, graded-lex order."""
-    out = []
-    for d in range(max_degree + 1):
-        for a in range(d + 1):
-            out.append((a, d - a))
-    return sorted(out, key=_grlex_key)
+    return monomials_real(2, max_degree)
 
 
 def monomials_real(dim: int, max_degree: int) -> list[tuple]:
     """Multi-indices of length dim with |alpha| <= max_degree, graded-lex order."""
-
-    def homogeneous(n: int, total: int) -> Iterable[tuple]:
-        if n == 1:
-            yield (total,)
-            return
-        for first in range(total + 1):
-            for rest in homogeneous(n - 1, total - first):
-                yield (first,) + rest
-
-    out: list[tuple] = []
-    for d in range(max_degree + 1):
-        out.extend(homogeneous(dim, d))
-    return sorted(out, key=_grlex_key)
+    # by_degree[d] lists the multi-indices of total degree d in the last k
+    # variables, ascending; each pass prepends one more variable.
+    by_degree = [[(d,)] for d in range(max_degree + 1)]
+    for _ in range(dim - 1):
+        by_degree = [
+            [(e,) + rest for e in range(d + 1) for rest in by_degree[d - e]]
+            for d in range(max_degree + 1)
+        ]
+    return [alpha for layer in by_degree for alpha in layer]

@@ -1,0 +1,189 @@
+"""Randomised properties of the sparse polynomial ring, for both types."""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from szegopoly.polynomials import MAX_EXPONENT, PolyRealN, PolyZZbar, monomials_real
+from szegopoly.rational import GaussianRational
+
+small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+coefficients = st.one_of(
+    st.integers(-3, 3),
+    small_rationals,
+    st.builds(GaussianRational, small_rationals, small_rationals),
+)
+
+# (type, number of variables): z/zbar, and real polynomials in 2 and 3 variables
+RINGS = [(PolyZZbar, 2), (PolyRealN, 2), (PolyRealN, 3)]
+
+
+def build(kind, dim, terms):
+    """The polynomial with these terms, through the public constructor."""
+    return kind(terms) if kind is PolyZZbar else kind(dim, terms)
+
+
+@st.composite
+def ring_elements(draw, count, max_degree=3, max_terms=6):
+    kind, dim = draw(st.sampled_from(RINGS))
+    keys = st.sampled_from(monomials_real(dim, max_degree))
+    return kind, dim, [
+        build(kind, dim, draw(st.dictionaries(keys, coefficients, max_size=max_terms)))
+        for _ in range(count)
+    ]
+
+
+def one(kind, dim):
+    return build(kind, dim, {(0,) * dim: 1})
+
+
+@settings(max_examples=150, deadline=None)
+@given(ring_elements(3))
+def test_ring_axioms(ring):
+    kind, dim, (p, q, r) = ring
+    zero = build(kind, dim, {})
+    assert (p + q) + r == p + (q + r)
+    assert p + q == q + p
+    assert p + zero == p
+    assert (p * q) * r == p * (q * r)
+    assert p * q == q * p
+    assert p * (q + r) == p * q + p * r
+    assert p * one(kind, dim) == p
+    assert (p * zero).is_zero()
+
+
+@settings(max_examples=150, deadline=None)
+@given(ring_elements(2))
+def test_negation_and_subtraction(ring):
+    kind, dim, (p, q) = ring
+    assert (p - p).is_zero()
+    assert (p - p).degree() == -1
+    assert -(-p) == p
+    assert p - q == p + (-q)
+    assert (p - q) + q == p
+
+
+@settings(max_examples=150, deadline=None)
+@given(ring_elements(2))
+def test_degree_is_additive(ring):
+    _, _, (p, q) = ring
+    if p and q:
+        assert (p * q).degree() == p.degree() + q.degree()
+    else:
+        assert (p * q).degree() == -1
+
+
+@settings(max_examples=60, deadline=None)
+@given(ring_elements(1, max_degree=2, max_terms=4), st.integers(0, 5))
+def test_power_is_repeated_product(ring, n):
+    kind, dim, (p,) = ring
+    expected = one(kind, dim)
+    for _ in range(n):
+        expected = expected * p
+    assert p**n == expected
+
+
+def _derived(kind, p, q, c):
+    results = [p + q, p - q, -p, p * q, p * c, p**2, p.conjugate(), p.laplacian()]
+    if kind is PolyZZbar:
+        results += [p.d_dz(), p.d_dzbar()]
+    else:
+        results += [p.partial(axis) for axis in range(p.dim)]
+    return results
+
+
+@settings(max_examples=150, deadline=None)
+@given(ring_elements(2), coefficients)
+def test_results_equal_their_terms_through_the_public_constructor(ring, c):
+    kind, dim, (p, q) = ring
+    for result in _derived(kind, p, q, c):
+        assert type(result) is kind
+        terms = dict(result.terms())
+        assert all(terms.values()), "a zero coefficient was stored"
+        assert all(len(key) == dim for key in terms)
+        rebuilt = build(kind, dim, terms)
+        assert rebuilt == result
+        assert hash(rebuilt) == hash(result)
+        assert len(rebuilt) == len(result)
+        assert rebuilt.degree() == result.degree()
+
+
+@settings(max_examples=60, deadline=None)
+@given(ring_elements(2), coefficients)
+def test_polynomials_are_immutable(ring, c):
+    kind, dim, (p, q) = ring
+    before = (dict(p.terms()), dict(q.terms()))
+    for result in [p, *_derived(kind, p, q, c)]:
+        with pytest.raises(AttributeError):
+            result._terms = {}
+        with pytest.raises(AttributeError):
+            result._dim = dim + 1
+        with pytest.raises(AttributeError):
+            result.extra = 1
+    assert (dict(p.terms()), dict(q.terms())) == before
+
+
+# -- exponent overflow: checked once per product -------------------------------------
+
+
+def test_overflow_check_per_product_zzbar():
+    top = PolyZZbar.monomial(MAX_EXPONENT, 0)
+    product = top * PolyZZbar.var_zbar()
+    assert product == PolyZZbar.monomial(MAX_EXPONENT, 1)
+    with pytest.raises(OverflowError):
+        top * PolyZZbar.var_z()
+    with pytest.raises(OverflowError):
+        top * top
+    assert (top * PolyZZbar.zero()).is_zero()
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_overflow_check_per_product_real(dim):
+    for axis in range(dim):
+        alpha = [0] * dim
+        alpha[axis] = MAX_EXPONENT
+        top = PolyRealN.monomial(alpha)
+        for other in range(dim):
+            x = PolyRealN.variable(dim, other)
+            if other == axis:
+                with pytest.raises(OverflowError):
+                    top * x
+            else:
+                beta = list(alpha)
+                beta[other] = 1
+                assert top * x == PolyRealN.monomial(beta)
+
+
+near_limit = st.sampled_from([0, 1, 2, MAX_EXPONENT - 2, MAX_EXPONENT - 1, MAX_EXPONENT])
+
+
+@st.composite
+def sparse_high_degree(draw):
+    kind, dim = draw(st.sampled_from(RINGS))
+    keys = st.tuples(*[near_limit] * dim)
+    return kind, dim, [
+        build(kind, dim, draw(st.dictionaries(keys, coefficients, max_size=4)))
+        for _ in range(2)
+    ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_high_degree())
+def test_product_overflows_exactly_when_some_pair_of_terms_does(ring):
+    kind, dim, (p, q) = ring
+    overflows = any(
+        x + y > MAX_EXPONENT
+        for ka, _ in p.terms()
+        for kb, _ in q.terms()
+        for x, y in zip(ka, kb)
+    )
+    if overflows:
+        with pytest.raises(OverflowError):
+            p * q
+    else:
+        product = p * q
+        expected = {}
+        for ka, ca in p.terms():
+            for kb, cb in q.terms():
+                key = tuple(x + y for x, y in zip(ka, kb))
+                expected[key] = expected.get(key, 0) + ca * cb
+        assert product == build(kind, dim, expected)

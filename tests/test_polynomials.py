@@ -263,3 +263,72 @@ def test_monomials_real_counts():
     assert len(monomials_real(2, 10)) == 66  # C(12,2)
     degrees = [sum(alpha) for alpha in monomials_real(3, 4)]
     assert degrees == sorted(degrees)
+
+
+# -- one ring per type ------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "op",
+    [
+        lambda a, b: a + b,
+        lambda a, b: a - b,
+        lambda a, b: a * b,
+    ],
+    ids=["add", "sub", "mul"],
+)
+def test_mixed_polynomial_types_raise_type_error(op):
+    # Z and X both hold the single key (1, 0); they are still different variables.
+    with pytest.raises(TypeError):
+        op(Z, X)
+    with pytest.raises(TypeError):
+        op(X, Z)
+
+
+@pytest.mark.parametrize("scalar", [1, Fraction(1, 2), GaussianRational(0, 1)])
+def test_adding_a_scalar_raises_type_error(scalar):
+    for p in (Z, X):
+        with pytest.raises(TypeError):
+            p + scalar
+        with pytest.raises(TypeError):
+            scalar + p
+        with pytest.raises(TypeError):
+            p - scalar
+        with pytest.raises(TypeError):
+            scalar - p
+
+
+def test_scalars_still_multiply():
+    assert Z * 2 == 2 * Z == Z + Z
+    assert X * Fraction(1, 2) == Fraction(1, 2) * X
+    assert Z * GaussianRational(0, 1) == PolyZZbar.monomial(1, 0, I)
+    assert (Z * 0).is_zero() and (0 * X).is_zero()
+    assert (X * 0).dim == 2
+
+
+def test_dimension_mismatch_rejected_by_every_ring_operation():
+    X3 = PolyRealN.variable(3, 0)
+    for op in (lambda a, b: a - b, lambda a, b: a * b):
+        with pytest.raises(ValueError):
+            op(X, X3)
+    with pytest.raises(ValueError):
+        divide_exact(X * X, X3)
+
+
+def test_divide_exact_rejects_mixed_types():
+    with pytest.raises(TypeError):
+        divide_exact(Z * Z, X)
+    with pytest.raises(TypeError):
+        divide_exact(X * X, Z)
+
+
+def test_bool_exponents_rejected():
+    with pytest.raises(ValueError):
+        PolyZZbar({(True, 0): 1})
+    with pytest.raises(ValueError):
+        PolyZZbar({(0, False): 1})
+    with pytest.raises(ValueError):
+        PolyRealN(2, {(True, 0): 1})
+    with pytest.raises(ValueError):
+        PolyZZbar.monomial(True, 0)
+    with pytest.raises(ValueError):
+        PolyRealN.monomial((0, 0, True))
