@@ -32,7 +32,6 @@ from .linalg import InternalCheckError
 from .parsing import (
     ParseError,
     format_poly_real,
-    format_poly_zzbar,
     parse_poly_real,
     parse_poly_zzbar,
     poly_real_to_json,
@@ -112,10 +111,7 @@ def _cmd_dirichlet(args) -> int:
     start = time.perf_counter()
     domain = _load_domain(args)
     ellipsoid = domain.to_ellipsoid() if isinstance(domain, Ellipse) else domain
-    try:
-        data = parse_poly_real(_read_poly_source(args), dim=ellipsoid.dim)
-    except ParseError as exc:
-        raise InputError(str(exc)) from exc
+    data = parse_poly_real(_read_poly_source(args), dim=ellipsoid.dim)
     solution = harmonic_extension(ellipsoid, data)
     remainder_ok = divide_exact(data - solution, ellipsoid.defining_poly()) is not None
     checks = {
@@ -139,10 +135,7 @@ def _cmd_dirichlet(args) -> int:
 def _cmd_szego(args) -> int:
     start = time.perf_counter()
     e = _load_ellipse(args)
-    try:
-        f = parse_poly_zzbar(_read_poly_source(args))
-    except ParseError as exc:
-        raise InputError(str(exc)) from exc
+    f = parse_poly_zzbar(_read_poly_source(args))
     decomposition = szego_project(e, f)
     certificate = verify_decomposition(decomposition, e)
     report = {
@@ -164,10 +157,7 @@ def _cmd_verify(args) -> int:
     start = time.perf_counter()
     _require_positive_tol(args.tol)
     e = _load_ellipse(args)
-    try:
-        f = parse_poly_zzbar(_read_poly_source(args))
-    except ParseError as exc:
-        raise InputError(str(exc)) from exc
+    f = parse_poly_zzbar(_read_poly_source(args))
     report_obj = compare_symbolic_numeric(
         e, f, M=args.nodes, basis_degree=args.degree
     )
@@ -195,10 +185,7 @@ def _cmd_experiment(args) -> int:
         _emit(report, args, runtime_s=time.perf_counter() - start)
         return 0
     # harmonic-compare
-    try:
-        p = parse_poly_real(_read_poly_source(args), dim=2)
-    except ParseError as exc:
-        raise InputError(str(exc)) from exc
+    p = parse_poly_real(_read_poly_source(args), dim=2)
     if not is_harmonic(p):
         raise InputError("harmonic-compare requires harmonic input data")
     if not e.is_disc():

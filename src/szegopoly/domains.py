@@ -188,9 +188,6 @@ class Ellipse:
         """Antiholomorphic derivative of the defining polynomial (degree 1)."""
         return self._r_zzbar.d_dzbar()
 
-    def center_zzbar(self) -> GaussianRational:
-        return GaussianRational(self.h, self.k)
-
     def to_json_dict(self) -> dict:
         return {
             "a": str(self.a),

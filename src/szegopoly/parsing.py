@@ -6,8 +6,16 @@ real-variable polynomials use x, y in dimension 2 and x1..xn otherwise.
 Parsing accepts that form plus free-style expressions ("zbar", "x^2 - y^2",
 "(1/2+3/4i)*z^2", "(z+zbar)^2") with +, -, *, ^ and parenthesized grouping.
 Rationals appear as "p" or "p/q"; an imaginary literal is "i", "3i" or
-"3/4i".  The z/zbar and x/y variable families cannot be mixed in one
-expression.  Round-trips through either representation are bit exact.
+"3/4i".  Round-trips through either representation are bit exact.
+
+The ring is chosen from the variable names in the text before any
+arithmetic, so a variable counts even where its exponent or coefficient
+is zero: z/zbar gives PolyZZbar, x/y gives PolyRealN in 2 variables, and
+x1..xn gives PolyRealN in n variables, n the largest index named.  The
+families cannot be mixed in one expression, and text with no variable is
+a PolyZZbar constant.  The parser then builds term dicts of that ring
+with the ring's own +, * and ** (polynomials._add_terms, _mul_terms,
+_pow_terms).  Parentheses nest at most MAX_NESTING deep.
 
 Parse errors carry the 1-based column of the offending token.
 """
@@ -19,7 +27,8 @@ from fractions import Fraction
 
 from .rational import GaussianRational, ONE
 from .polynomials import (
-    MAX_EXPONENT, PolyRealN, PolyZZbar, _add_terms, xy_to_zzbar, zzbar_to_xy,
+    MAX_EXPONENT, PolyRealN, PolyZZbar, _add_terms, _mul_terms, _pow_terms,
+    xy_to_zzbar, zzbar_to_xy,
 )
 
 
@@ -37,27 +46,20 @@ _TOKEN_RE = re.compile(
     r"|(?P<number>\d+(?:/\d+)?)"
     r"|(?P<name>[a-hj-zA-Z][a-zA-Z0-9]*)"
     r"|(?P<op>[-+*^()])"
+    r"|(?P<bad>\S)"
     r")"
 )
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """(kind, text, start) per token, ending with an ("end", "", len(text)) token."""
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None or m.end() == pos:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            bad_pos = len(text) - len(stripped)
-            raise ParseError(f"unexpected character {stripped[0]!r}", bad_pos)
-        for kind in ("imag", "number", "name", "op"):
-            value = m.group(kind)
-            if value is not None:
-                tokens.append((kind, value, m.start(kind)))
-                break
-        pos = m.end()
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m.group(kind)!r}", m.start(kind))
+        tokens.append((kind, m.group(kind), m.start(kind)))
+    tokens.append(("end", "", len(text)))
     return tokens
 
 
@@ -68,153 +70,120 @@ def _parse_fraction(text: str) -> Fraction:
     return Fraction(int(text))
 
 
-# Raw polynomials: dict from sorted ((var, exp), ...) tuples to coefficients.
-# The parser works in this representation and converts at the end, once the
-# variable family (z/zbar versus x/y/xk) is known.
+_REAL_VAR_RE = re.compile(r"^x([1-9][0-9]*)$")
 
 
-def _raw_const(c: GaussianRational) -> dict:
-    return {(): c} if c else {}
+def _pick_ring(tokens: list[tuple[str, str, int]]):
+    """The ring of the variable names in the tokens, whatever their exponents.
+
+    Returns the zero polynomial of that ring and the exponent key of each
+    variable name.  Text without variables is read as z/zbar constants.
+    """
+    names: dict[str, int] = {}
+    for kind, value, pos in tokens:
+        if kind == "name":
+            names.setdefault(value, pos)
+    numbered = {n: int(m.group(1)) - 1 for n in names if (m := _REAL_VAR_RE.match(n))}
+    unknown = names.keys() - {"z", "zbar", "x", "y"} - numbered.keys()
+    if unknown:
+        bad = min(unknown)
+        raise ParseError(f"unknown variable {bad!r}", names[bad])
+    planar = names.keys() & {"x", "y"}
+    if names.keys() & {"z", "zbar"} and (planar or numbered):
+        raise ParseError("cannot mix z/zbar with real variables", 0)
+    if planar and numbered:
+        raise ParseError("cannot mix x/y with numbered variables", 0)
+    if numbered:
+        zero, axes = PolyRealN.zero(max(numbered.values()) + 1), numbered
+    elif planar:
+        zero, axes = PolyRealN.zero(2), {"x": 0, "y": 1}
+    else:
+        zero, axes = PolyZZbar.zero(), {"z": 0, "zbar": 1}
+    dim = zero._dim
+    return zero, {n: tuple(int(k == axis) for k in range(dim)) for n, axis in axes.items()}
 
 
-def _unit_monomial(a: dict) -> tuple | None:
-    """The key of a single-term polynomial with coefficient 1, else None."""
-    if len(a) == 1:
-        ((key, c),) = a.items()
-        if c == ONE:
-            return key
-    return None
-
-
-def _raw_shift(a: dict, key: tuple) -> dict:
-    """a times the unit monomial key: exponent addition only, no coefficients."""
-    out: dict = {}
-    for ka, ca in a.items():
-        exps = dict(ka)
-        for var, e in key:
-            exps[var] = exps.get(var, 0) + e
-        out[tuple(sorted(exps.items()))] = ca
-    return out
-
-
-def _raw_mul(a: dict, b: dict) -> dict:
-    key = _unit_monomial(b)
-    if key is not None:
-        return _raw_shift(a, key)
-    key = _unit_monomial(a)
-    if key is not None:
-        return _raw_shift(b, key)
-    out: dict = {}
-    for ka, ca in a.items():
-        for kb, cb in b.items():
-            exps = dict(ka)
-            for var, e in kb:
-                exps[var] = exps.get(var, 0) + e
-            k = tuple(sorted(exps.items()))
-            c = ca * cb
-            s = out.get(k)
-            s = c if s is None else s + c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-    return out
-
-
-def _raw_pow(a: dict, n: int) -> dict:
-    key = _unit_monomial(a)
-    if key is not None and n:
-        return {tuple((var, e * n) for var, e in key): ONE}
-    result = _raw_const(ONE)
-    base = a
-    while n:
-        if n & 1:
-            result = _raw_mul(result, base)
-        n >>= 1
-        if n:
-            base = _raw_mul(base, base)
-    return result
+# Bound on nested parentheses; deeper text is rejected instead of running
+# the recursive descent out of stack.
+MAX_NESTING = 100
 
 
 class _Parser:
+    """Recursive descent over the tokens, building term dicts of one ring.
+
+    Only op tokens have the text "+", "-", "*", "^", "(" or ")", so the
+    grammar tests the current token's text alone.
+    """
+
     def __init__(self, text: str):
-        self.text = text
         self.tokens = _tokenize(text)
         self.index = 0
-
-    def peek(self):
-        if self.index < len(self.tokens):
-            return self.tokens[self.index]
-        return None
+        self.tok = self.tokens[0]
+        self.depth = 0
+        self.zero, self.keys = _pick_ring(self.tokens)
+        self.dim = self.zero._dim
 
     def advance(self):
-        tok = self.peek()
         self.index += 1
-        return tok
+        self.tok = self.tokens[self.index]
 
     def error(self, message: str) -> ParseError:
-        tok = self.peek()
-        pos = tok[2] if tok else len(self.text)
-        return ParseError(message, pos)
+        return ParseError(message, self.tok[2])
 
-    def parse(self) -> dict:
-        if not self.tokens:
+    def parse(self):
+        if self.tok[0] == "end":
             raise ParseError("empty polynomial", 0)
-        value = self.expr()
-        if self.peek() is not None:
-            raise self.error(f"unexpected token {self.peek()[1]!r}")
-        return value
+        try:
+            terms = self.expr()
+        except OverflowError as exc:  # a product of powers past the 32-bit bound
+            raise ParseError(str(exc), 0) from None
+        if self.tok[0] != "end":
+            raise self.error(f"unexpected token {self.tok[1]!r}")
+        return self.zero._new(terms)
 
     def expr(self) -> dict:
         value = self.term()
-        while True:
-            tok = self.peek()
-            if tok and tok[0] == "op" and tok[1] in "+-":
-                self.advance()
-                rhs = self.term()
-                if tok[1] == "-":
-                    rhs = {k: -c for k, c in rhs.items()}
-                value = _add_terms(value, rhs)
-            else:
-                return value
+        while self.tok[1] in ("+", "-"):
+            negate = self.tok[1] == "-"
+            self.advance()
+            rhs = self.term()
+            if negate:
+                rhs = {k: -c for k, c in rhs.items()}
+            value = _add_terms(value, rhs)
+        return value
 
     def term(self) -> dict:
         value = self.factor()
-        while True:
-            tok = self.peek()
-            if tok and tok[0] == "op" and tok[1] == "*":
-                self.advance()
-                value = _raw_mul(value, self.factor())
-            else:
-                return value
+        while self.tok[1] == "*":
+            self.advance()
+            value = _mul_terms(value, self.factor())
+        return value
 
     def factor(self) -> dict:
-        tok = self.peek()
-        if tok and tok[0] == "op" and tok[1] in "+-":
+        # Leading signs are read in a loop, so any number of them is fine.
+        negate = False
+        while self.tok[1] in ("+", "-"):
+            negate ^= self.tok[1] == "-"
             self.advance()
-            value = self.factor()
-            if tok[1] == "-":
-                value = {k: -c for k, c in value.items()}
-            return value
         value = self.primary()
-        tok = self.peek()
-        if tok and tok[0] == "op" and tok[1] == "^":
+        if self.tok[1] == "^":
             self.advance()
-            exp_tok = self.peek()
-            if exp_tok is None or exp_tok[0] != "number" or "/" in exp_tok[1]:
+            kind, text, _ = self.tok
+            if kind != "number" or "/" in text:
                 raise self.error("expected a nonnegative integer exponent after '^'")
-            n = int(exp_tok[1])
+            n = int(text)
             if n > MAX_EXPONENT:
                 raise self.error(f"exponent {n} exceeds the 32-bit bound")
             self.advance()
-            value = _raw_pow(value, n)
+            value = _pow_terms(value, n, self.dim)
+        if negate:
+            value = {k: -c for k, c in value.items()}
         return value
 
     def primary(self) -> dict:
-        tok = self.peek()
-        if tok is None:
+        kind, text, _ = self.tok
+        if kind == "end":
             raise self.error("unexpected end of input")
-        kind, text, _ = tok
         if kind in ("number", "imag"):
             digits = text[:-1] if kind == "imag" else text
             try:
@@ -222,85 +191,32 @@ class _Parser:
             except ZeroDivisionError:
                 raise self.error(f"zero denominator in {text!r}") from None
             self.advance()
-            if kind == "imag":
-                return _raw_const(GaussianRational(0, mag))
-            return _raw_const(GaussianRational(mag))
+            c = GaussianRational(0, mag) if kind == "imag" else GaussianRational(mag)
+            return {(0,) * self.dim: c} if c else {}
         if kind == "name":
             self.advance()
-            return {((text, 1),): GaussianRational(1)}
-        if kind == "op" and text == "(":
+            return {self.keys[text]: ONE}
+        if text == "(":
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise self.error(f"parentheses nested deeper than {MAX_NESTING}")
             self.advance()
             value = self.expr()
-            tok = self.peek()
-            if tok is None or tok[1] != ")":
+            if self.tok[1] != ")":
                 raise self.error("expected ')'")
             self.advance()
+            self.depth -= 1
             return value
         raise self.error(f"unexpected token {text!r}")
-
-
-_REAL_VAR_RE = re.compile(r"^x([1-9][0-9]*)$")
-
-
-def _classify_vars(raw: dict, text: str):
-    names = sorted({var for key in raw for var, _ in key})
-    zset = {n for n in names if n in ("z", "zbar")}
-    xyset = {n for n in names if n in ("x", "y")}
-    xnset = {n for n in names if _REAL_VAR_RE.match(n)}
-    unknown = set(names) - zset - xyset - xnset
-    if unknown:
-        bad = sorted(unknown)[0]
-        raise ParseError(f"unknown variable {bad!r}", text.find(bad))
-    if zset and (xyset or xnset):
-        raise ParseError("cannot mix z/zbar with real variables", 0)
-    if xyset and xnset:
-        raise ParseError("cannot mix x/y with numbered variables", 0)
-    if zset:
-        return "zzbar", None
-    if xnset:
-        dim = max(int(_REAL_VAR_RE.match(n).group(1)) for n in xnset)
-        return "real", dim
-    if xyset:
-        return "real", 2
-    return "constant", None
-
-
-def _raw_to_zzbar(raw: dict) -> PolyZZbar:
-    terms = {}
-    for key, c in raw.items():
-        exps = dict(key)
-        terms[(exps.get("z", 0), exps.get("zbar", 0))] = c
-    return PolyZZbar(terms)
-
-
-def _raw_to_real(raw: dict, dim: int) -> PolyRealN:
-    terms = {}
-    for key, c in raw.items():
-        alpha = [0] * dim
-        for var, e in key:
-            if var == "x":
-                alpha[0] = e
-            elif var == "y":
-                alpha[1] = e
-            else:
-                alpha[int(_REAL_VAR_RE.match(var).group(1)) - 1] = e
-        terms[tuple(alpha)] = c
-    return PolyRealN(dim, terms)
 
 
 def parse_polynomial(text: str):
     """Parse text into a PolyZZbar or PolyRealN depending on its variables.
 
-    Pure constants come back as PolyZZbar.
+    The ring is chosen from the variable names the text contains, whatever
+    their exponents and coefficients.  Pure constants come back as PolyZZbar.
     """
-    raw = _Parser(text).parse()
-    kind, dim = _classify_vars(raw, text)
-    try:
-        if kind == "real":
-            return _raw_to_real(raw, dim)
-        return _raw_to_zzbar(raw)
-    except OverflowError as exc:  # a product of powers past the 32-bit bound
-        raise ParseError(str(exc), 0) from None
+    return _Parser(text).parse()
 
 
 def parse_poly_zzbar(text: str) -> PolyZZbar:

@@ -18,7 +18,9 @@ validate, checking every exponent and coercing every coefficient.  Ring
 operations, derivatives, conjugation and exact division build clean term
 dicts and wrap them with the private same-type constructor _new; a product
 checks for exponent overflow once, from the per-variable maximum exponents
-of its two operands.
+of its two operands.  The term-dict functions _add_terms, _mul_terms and
+_pow_terms are the ring arithmetic itself; the text parser builds its
+values with them too.
 
 Both types carry the Wirtinger / Laplace differential operators.  The
 Laplacian of a z-zbar polynomial is 4 * d/dz d/dzbar, which agrees with
@@ -97,6 +99,28 @@ def _mul_terms(a: dict, b: dict) -> dict:
             else:
                 out.pop(k, None)
     return out
+
+
+def _pow_terms(terms: dict, n: int, dim: int) -> dict:
+    """The terms of p**n for p in dim variables, by repeated squaring.
+
+    A single term is powered directly: its exponents times n, and its
+    coefficient to the n-th power.
+    """
+    if len(terms) == 1 and n:
+        ((key, c),) = terms.items()
+        top = max(key) * n
+        if top > MAX_EXPONENT:
+            raise OverflowError(f"exponent {top} exceeds the 32-bit bound")
+        return {tuple(e * n for e in key): c**n}
+    result = {(0,) * dim: ONE}
+    while n:
+        if n & 1:
+            result = _mul_terms(result, terms)
+        n >>= 1
+        if n:
+            terms = _mul_terms(terms, terms)
+    return result
 
 
 def _long_division(p: dict, r: dict) -> dict | None:
@@ -230,14 +254,7 @@ class _SparsePoly:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("polynomial power must be a nonnegative integer")
-        result = self._new({(0,) * self._dim: ONE})
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        return self._new(_pow_terms(self._terms, n, self._dim))
 
 
 class PolyZZbar(_SparsePoly):

@@ -74,13 +74,10 @@ class GaussianRational:
     @staticmethod
     def coerce(value) -> "GaussianRational":
         """Accept ints, Fractions and GaussianRationals interchangeably."""
-        if isinstance(value, GaussianRational):
-            return value
-        if isinstance(value, int):
-            return _make(int(value), 0, 1)
-        if isinstance(value, Fraction):
-            return _make(value.numerator, 0, value.denominator)
-        raise TypeError(f"cannot interpret {value!r} as a Gaussian rational")
+        g = _operand(value)
+        if g is None:
+            raise TypeError(f"cannot interpret {value!r} as a Gaussian rational")
+        return g
 
     @property
     def re(self) -> Fraction:
@@ -94,22 +91,29 @@ class GaussianRational:
 
     def __add__(self, other):
         if type(other) is not GaussianRational:
-            other = GaussianRational.coerce(other)
+            other = _operand(other)
+            if other is None:
+                return NotImplemented
         return _sum(self._a, self._b, self._d, other._a, other._b, other._d)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if type(other) is not GaussianRational:
-            other = GaussianRational.coerce(other)
+            other = _operand(other)
+            if other is None:
+                return NotImplemented
         return _sum(self._a, self._b, self._d, -other._a, -other._b, other._d)
 
     def __rsub__(self, other):
-        return GaussianRational.coerce(other) - self
+        other = _operand(other)
+        return NotImplemented if other is None else other - self
 
     def __mul__(self, other):
         if type(other) is not GaussianRational:
-            other = GaussianRational.coerce(other)
+            other = _operand(other)
+            if other is None:
+                return NotImplemented
         a1, b1, d1 = self._a, self._b, self._d
         a2, b2, d2 = other._a, other._b, other._d
         if not b2:
@@ -122,7 +126,9 @@ class GaussianRational:
 
     def __truediv__(self, other):
         if type(other) is not GaussianRational:
-            other = GaussianRational.coerce(other)
+            other = _operand(other)
+            if other is None:
+                return NotImplemented
         a2, b2, d2 = other._a, other._b, other._d
         if not b2:
             if not a2:
@@ -139,7 +145,8 @@ class GaussianRational:
         )
 
     def __rtruediv__(self, other):
-        return GaussianRational.coerce(other) / self
+        other = _operand(other)
+        return NotImplemented if other is None else other / self
 
     def __neg__(self):
         return _make(-self._a, -self._b, self._d)
@@ -235,6 +242,21 @@ def _make(a: int, b: int, d: int) -> GaussianRational:
     g._b = b
     g._d = d
     return g
+
+
+def _operand(value) -> GaussianRational | None:
+    """value as a GaussianRational, or None for a type the field does not take.
+
+    The operators return NotImplemented on None, so Python can try the
+    other operand's reflected method.
+    """
+    if isinstance(value, GaussianRational):
+        return value
+    if isinstance(value, int):
+        return _make(int(value), 0, 1)
+    if isinstance(value, Fraction):
+        return _make(value.numerator, 0, value.denominator)
+    return None
 
 
 def _reduce(a: int, b: int, d: int) -> GaussianRational:

@@ -26,9 +26,9 @@ from dataclasses import dataclass, field
 
 from .dirichlet import harmonic_extension_zzbar
 from .domains import Ellipse
-from .linalg import ExactFactorization, InternalCheckError, factor_exact, solve_exact
+from .linalg import ExactFactorization, InternalCheckError, factor_exact
 from .lru import LRUCache
-from .polynomials import PolyZZbar, monomials_zzbar
+from .polynomials import PolyZZbar, divide_exact, monomials_zzbar
 from .rational import GaussianRational, ZERO
 
 
@@ -66,16 +66,15 @@ class SzegoDecomposition:
 COLUMN_CACHE_SIZE = 64
 
 
-def _system_matrix(e: Ellipse, N: int, *, with_A: bool) -> list[list[GaussianRational]]:
+def _system_matrix(e: Ellipse, N: int) -> list[list[GaussianRational]]:
     """Row-major matrix of the block system on monomials_zzbar(N).
 
-    Columns, in order: the h block z^k (k <= N); when with_A, the p block
-    A(z^a zbar^b) over monomials_zzbar(N); the q block r * z^a zbar^b over
+    Columns, in order: the h block z^k (k <= N); the p block A(z^a zbar^b)
+    over monomials_zzbar(N); the q block r * z^a zbar^b over
     monomials_zzbar(N - 2).
     """
     columns = [PolyZZbar.monomial(k, 0) for k in range(N + 1)]
-    if with_A:
-        columns += [operator_A(e, PolyZZbar.monomial(a, b)) for a, b in monomials_zzbar(N)]
+    columns += [operator_A(e, PolyZZbar.monomial(a, b)) for a, b in monomials_zzbar(N)]
     if N >= 2:
         r = e.defining_poly_zzbar()
         columns += [r * PolyZZbar.monomial(a, b) for a, b in monomials_zzbar(N - 2)]
@@ -134,7 +133,7 @@ def szego_project(
 
     system = _column_cache.get((e, N))
     if system is None:
-        system = _SzegoSystem(_system_matrix(e, N, with_A=True))
+        system = _SzegoSystem(_system_matrix(e, N))
         _column_cache[(e, N)] = system
     rhs = [f.coefficient(a, b) for a, b in monomials_zzbar(N)]
     solution = system.factor(pivot).solve(rhs)
@@ -162,12 +161,13 @@ def szego_project(
 def kernel_membership(e: Ellipse, p: PolyZZbar) -> bool:
     """Whether p = g + r*q for some holomorphic g and polynomial q.
 
-    Those p are exactly the ones the operator A annihilates; decided by one
-    exact linear solve.
+    Those p are exactly the ones the operator A annihilates.  If p = g + r*q,
+    then p = g + A(0) + r*q is a decomposition of p, and h is unique, so the
+    projection of p is g and r divides p - g; conversely the quotient is a
+    q.  The projection reuses the cached (ellipse, N) system.
     """
-    N = max(p.degree(), 0)
-    rhs = [p.coefficient(a, b) for a, b in monomials_zzbar(N)]
-    return solve_exact(_system_matrix(e, N, with_A=False), rhs) is not None
+    h = szego_project(e, p).projection
+    return divide_exact(p - h, e.defining_poly_zzbar()) is not None
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from szegopoly.cli import main
 from szegopoly.parsing import (
+    MAX_NESTING,
     ParseError,
     format_poly_real,
     format_poly_zzbar,
@@ -17,7 +20,7 @@ from szegopoly.parsing import (
     poly_zzbar_from_json,
     poly_zzbar_to_json,
 )
-from szegopoly.polynomials import PolyRealN, PolyZZbar, xy_to_zzbar
+from szegopoly.polynomials import PolyRealN, PolyZZbar, monomials_real, xy_to_zzbar
 from szegopoly.rational import GaussianRational
 from szegopoly.sampling import random_poly_real, random_poly_zzbar
 
@@ -103,16 +106,6 @@ def test_fractional_exponent_rejected():
         parse_polynomial("z^(1/2)")
 
 
-def test_text_round_trip_random():
-    rng = random.Random(21)
-    for _ in range(100):
-        p = random_poly_zzbar(rng, 6)
-        assert parse_poly_zzbar(format_poly_zzbar(p)) == p
-    for _ in range(50):
-        q = random_poly_real(rng, rng.choice([2, 3, 4]), 4)
-        assert parse_poly_real(format_poly_real(q)) == q
-
-
 def test_zero_round_trip():
     assert format_poly_zzbar(PolyZZbar.zero()) == "0"
     assert parse_poly_zzbar("0") == PolyZZbar.zero()
@@ -144,3 +137,116 @@ def test_term_order_is_graded_lex():
     assert text.index("z^0*zbar^0") < text.index("z^0*zbar^1")
     assert text.index("z^0*zbar^1") < text.index("z^1*zbar^1")
     assert text.index("z^1*zbar^1") < text.index("z^2*zbar^0")
+
+
+# -- the ring comes from the variable names, not from the surviving terms ------
+
+
+@pytest.mark.parametrize("text", ["w^0", "0*w", "z + w - w"])
+def test_unknown_variable_rejected_whatever_its_exponent(text):
+    with pytest.raises(ParseError, match="unknown variable 'w'"):
+        parse_polynomial(text)
+
+
+def test_unknown_variable_reported_at_its_token():
+    # "b" also occurs inside "zbar", at column 2
+    with pytest.raises(ParseError, match="column 8: unknown variable 'b'"):
+        parse_polynomial("zbar + b")
+
+
+@pytest.mark.parametrize("text", ["x - x + z", "z^0 + x", "0*zbar + x1"])
+def test_families_cannot_mix_even_when_terms_cancel(text):
+    with pytest.raises(ParseError, match="cannot mix"):
+        parse_polynomial(text)
+
+
+def test_dimension_counts_variables_with_zero_exponent():
+    p = parse_polynomial("x3^0 + x1")
+    assert p == PolyRealN(3, {(0, 0, 0): 1, (1, 0, 0): 1})
+    assert parse_polynomial("0*x") == PolyRealN.zero(2)
+    assert parse_polynomial("2*i - i") == PolyZZbar.constant(GaussianRational(0, 1))
+
+
+def test_overflow_inside_the_parse_is_a_parse_error():
+    with pytest.raises(ParseError, match="32-bit"):
+        parse_polynomial("(z^2000000000)^2")
+    with pytest.raises(ParseError, match="32-bit"):
+        parse_polynomial("(x1^2000000000 + x2)^2")
+
+
+# -- nesting bound ----------------------------------------------------------------
+
+
+def test_nesting_up_to_the_bound_parses():
+    text = "(" * MAX_NESTING + "z" + ")" * MAX_NESTING
+    assert parse_poly_zzbar(text) == Z
+
+
+@pytest.mark.parametrize("depth", [MAX_NESTING + 1, 400, 5000])
+def test_nesting_past_the_bound_is_a_parse_error(depth):
+    text = "(" * depth + "z" + ")" * depth
+    with pytest.raises(ParseError, match=f"column {MAX_NESTING + 1}: parentheses nested"):
+        parse_polynomial(text)
+
+
+def test_many_unary_signs_parse():
+    assert parse_poly_zzbar("-" * 3000 + "z") == Z
+    assert parse_poly_zzbar("-" * 3001 + "z^2") == -(Z**2)
+    assert parse_poly_zzbar("+-" * 2000 + "zbar") == ZB
+
+
+def test_cli_reports_deep_nesting_in_one_line(capsys):
+    text = "(" * 400 + "z" + ")" * 400
+    code = main(["szego", "--ellipse", "2,1", "--poly", text])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.splitlines() == [
+        f"error: parse error at column {MAX_NESTING + 1}: "
+        f"parentheses nested deeper than {MAX_NESTING}"
+    ]
+
+
+# -- properties -------------------------------------------------------------------
+
+small_rationals = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+coefficients = st.builds(GaussianRational, small_rationals, small_rationals)
+
+
+@st.composite
+def real_polys(draw):
+    dim = draw(st.integers(1, 4))
+    keys = st.sampled_from(monomials_real(dim, 4))
+    return PolyRealN(dim, draw(st.dictionaries(keys, coefficients, max_size=8)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.dictionaries(st.sampled_from(monomials_real(2, 6)), coefficients, max_size=10))
+def test_text_round_trip_zzbar(terms):
+    p = PolyZZbar(terms)
+    assert parse_poly_zzbar(format_poly_zzbar(p)) == p
+
+
+@settings(max_examples=150, deadline=None)
+@given(real_polys())
+def test_text_round_trip_real(p):
+    text = format_poly_real(p)
+    assert parse_poly_real(text, dim=p.dim) == p
+    if p:  # every term names every variable, so the text carries the dimension
+        assert parse_poly_real(text) == p
+
+
+# Tokens joined by spaces, so digits never merge into an exponent above 9.
+FUZZ_TOKENS = [
+    "z", "zbar", "x", "y", "x1", "x2", "x3", "w", "i", "3i", "1/2i", "0",
+    "1", "2", "9", "1/2", "1/0", "+", "-", "*", "^", "(", ")", "/", "#",
+]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.sampled_from(FUZZ_TOKENS), max_size=12))
+def test_parser_returns_a_polynomial_or_raises_parse_error(tokens):
+    try:
+        value = parse_polynomial(" ".join(tokens))
+    except ParseError:
+        return
+    assert isinstance(value, (PolyZZbar, PolyRealN))

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from szegopoly.polynomials import PolyRealN, PolyZZbar
 from szegopoly.rational import GaussianRational, I, ONE, ZERO
 
 
@@ -115,6 +116,34 @@ def test_mixed_int_fraction_operands():
     assert c + Fraction(1, 2) == GaussianRational(Fraction(3, 2), 1)
     assert 1 - c == GaussianRational(0, -1)
     assert 2 / GaussianRational(0, 2) == GaussianRational(0, -1)
+
+
+def test_scalar_times_polynomial_both_ways():
+    i = GaussianRational(0, 1)
+    z = PolyZZbar.var_z()
+    x = PolyRealN.variable(3, 0)
+    assert i * z == z * i == PolyZZbar.monomial(1, 0, i)
+    assert i * x == x * i == PolyRealN.monomial((1, 0, 0), i)
+
+
+@pytest.mark.parametrize("op", [
+    lambda g, p: g + p, lambda g, p: p + g, lambda g, p: g - p,
+    lambda g, p: p - g, lambda g, p: g / p,
+])
+def test_scalar_plus_polynomial_still_raises(op):
+    with pytest.raises(TypeError):
+        op(GaussianRational(1, 1), PolyZZbar.var_z())
+
+
+@pytest.mark.parametrize("bad", [0.5, 1j, "1", None])
+def test_unknown_operands_raise_type_error(bad):
+    g = GaussianRational(1, 1)
+    for op in (
+        lambda: g + bad, lambda: bad + g, lambda: g - bad, lambda: bad - g,
+        lambda: g * bad, lambda: bad * g, lambda: g / bad, lambda: bad / g,
+    ):
+        with pytest.raises(TypeError):
+            op()
 
 
 @pytest.mark.parametrize("bad", [0.1, 1.0, 1j, "1", "1/2", None])

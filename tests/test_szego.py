@@ -4,11 +4,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import szegopoly
 from szegopoly import dirichlet, szego
 from szegopoly.domains import Ellipse
-from szegopoly.polynomials import PolyZZbar
+from szegopoly.linalg import solve_exact
+from szegopoly.polynomials import PolyZZbar, monomials_zzbar
 from szegopoly.rational import GaussianRational
 from szegopoly.sampling import (
     random_coefficient,
@@ -93,6 +95,38 @@ def test_kernel_matches_operator_vanishing():
     for _ in range(25):
         f = random_poly_zzbar(rng, rng.randint(1, 6))
         assert kernel_membership(E21, f) == operator_A(E21, f).is_zero()
+
+
+def _direct_membership(e, p):
+    """Tests-only reference: solve p = g + r*q on the coefficients of p."""
+    N = max(p.degree(), 0)
+    r = e.defining_poly_zzbar()
+    columns = [PolyZZbar.monomial(k, 0) for k in range(N + 1)]
+    columns += [r * PolyZZbar.monomial(a, b) for a, b in monomials_zzbar(N - 2)]
+    rows = monomials_zzbar(N)
+    matrix = [[col.coefficient(a, b) for col in columns] for a, b in rows]
+    return solve_exact(matrix, [p.coefficient(a, b) for a, b in rows]) is not None
+
+
+KERNEL_ELLIPSES = [
+    E21,
+    Ellipse(2, 1, Fraction(1, 3), Fraction(-1, 2)),
+    Ellipse(1, 1, Fraction(1, 2), -1),
+    Ellipse(Fraction(7, 3), Fraction(1, 5), -2, 3),
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(KERNEL_ELLIPSES), st.integers(0, 2**32), st.booleans())
+def test_kernel_membership_matches_direct_solve(e, seed, member):
+    rng = random.Random(seed)
+    if member:
+        p = random_holomorphic(rng, 5) + e.defining_poly_zzbar() * random_poly_zzbar(rng, 3)
+    else:
+        p = random_poly_zzbar(rng, rng.randint(0, 5))
+    expected = _direct_membership(e, p)
+    assert kernel_membership(e, p) == expected
+    assert expected or not member
 
 
 # -- projection -------------------------------------------------------------------
