@@ -12,16 +12,21 @@ One builder assembles that Fischer matrix for both polynomial types: on an
 n-dimensional Ellipsoid it acts on real monomials x^alpha, on a planar
 Ellipse it acts natively on z^a zbar^b with Lap = 4 d/dz d/dzbar, so the
 Szego machinery never leaves z/zbar.  Both bases are graded, and in either
-the map is block triangular: the degree-d image of a degree-d monomial
-comes only from the top homogeneous part of r.  The determinant is
-certified exactly as the product of the diagonal (homogeneous) blocks, and
-elimination on the assembled matrix stays cheap because sub-block entries
-vanish.  Systems are cached per (domain, m), in a bounded LRU table.
+the map is block upper triangular: the image of a degree-d monomial has
+degree <= d, and its degree-d part comes only from the top homogeneous
+part of r.  So each degree is one contiguous range of the basis, the
+determinant is certified exactly as the product of the diagonal
+(homogeneous) blocks, and a solve is graded back-substitution: from the
+top degree down, solve the diagonal block on the current right-hand side,
+then subtract the solved columns from the rows of lower degree.  Harmonic
+input (Lap p = 0) is returned as it is, with no system at all, since its
+q is zero.  Systems are cached per (domain, m), in a bounded LRU table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 from .domains import Ellipse, Ellipsoid
 from .linalg import InternalCheckError, det_exact, solve_exact
@@ -32,10 +37,17 @@ from .rational import GaussianRational, ONE, ZERO
 
 @dataclass(frozen=True)
 class FischerSystem:
-    """Exact matrix of q -> Lap(r*q) on the monomial basis of degree <= m."""
+    """Exact matrix of q -> Lap(r*q) on the monomial basis of degree <= m.
+
+    basis_order is graded, so blocks[d] is the [start, stop) range of the
+    degree-d monomials.  The matrix is block upper triangular on those
+    ranges, and determinant is the product of the determinants of its
+    diagonal blocks.
+    """
 
     degree_bound: int
     basis_order: tuple[tuple[int, ...], ...]
+    blocks: tuple[tuple[int, int], ...]
     matrix: tuple[tuple[GaussianRational, ...], ...]
     determinant: GaussianRational
 
@@ -69,6 +81,10 @@ def fischer_system(domain: Ellipse | Ellipsoid, m: int) -> FischerSystem:
     else:
         r = domain.defining_poly()
         basis = monomials_real(domain.dim, m)
+    # There are comb(d + n, n) monomials of degree <= d in n variables.
+    n = len(basis[0])
+    bounds = [0] + [comb(d + n, n) for d in range(m + 1)]
+    blocks = tuple(zip(bounds, bounds[1:]))
     index = {alpha: i for i, alpha in enumerate(basis)}
     size = len(basis)
     columns = []
@@ -87,26 +103,30 @@ def fischer_system(domain: Ellipse | Ellipsoid, m: int) -> FischerSystem:
         tuple(columns[j][i] for j in range(size)) for i in range(size)
     )
 
-    det = _block_determinant(m, basis, index, matrix)
+    det = _block_determinant(blocks, matrix)
     if not det:
         raise InternalCheckError(
             "singular Fischer system on a positive definite ellipsoid"
         )
     system = FischerSystem(
-        degree_bound=m, basis_order=tuple(basis), matrix=matrix, determinant=det
+        degree_bound=m,
+        basis_order=tuple(basis),
+        blocks=blocks,
+        matrix=matrix,
+        determinant=det,
     )
     _fischer_cache[(domain, m)] = system
     return system
 
 
-def _block_determinant(m, basis, index, matrix) -> GaussianRational:
-    # Block triangular in the graded basis: det = product over degrees d of
-    # the determinant of the homogeneous block (rows and columns of degree d).
-    det = GaussianRational(1)
-    for d in range(m + 1):
-        block_idx = [index[alpha] for alpha in basis if sum(alpha) == d]
-        block = [[matrix[i][j] for j in block_idx] for i in block_idx]
-        det = det * det_exact(block)
+def _diagonal_block(matrix, start: int, stop: int):
+    return [row[start:stop] for row in matrix[start:stop]]
+
+
+def _block_determinant(blocks, matrix) -> GaussianRational:
+    det = ONE
+    for start, stop in blocks:
+        det = det * det_exact(_diagonal_block(matrix, start, stop))
         if not det:
             break
     return det
@@ -114,16 +134,30 @@ def _block_determinant(m, basis, index, matrix) -> GaussianRational:
 
 def _extend(domain: Ellipse | Ellipsoid, r, p):
     """p - r*q with Lap(r*q) = Lap(p), solved on the domain's Fischer system."""
-    if p.degree() <= 1:
+    g = p.laplacian()
+    if not g:
         return p
     system = fischer_system(domain, p.degree() - 2)
-    g = dict(p.laplacian().terms())
-    rhs = [g.get(alpha, ZERO) for alpha in system.basis_order]
-    solution = solve_exact(system.matrix, rhs)
-    if solution is None:
-        raise InternalCheckError("certified-invertible Fischer system failed to solve")
-    q = r._new({alpha: c for alpha, c in zip(system.basis_order, solution) if c})
-    return p - r * q
+    basis, matrix = system.basis_order, system.matrix
+    b = [g._terms.get(alpha, ZERO) for alpha in basis]
+    q = {}
+    for start, stop in reversed(system.blocks):
+        rhs = b[start:stop]
+        if not any(rhs):
+            continue  # the block is invertible, so its unknowns are zero
+        solution = solve_exact(_diagonal_block(matrix, start, stop), rhs)
+        if solution is None:
+            raise InternalCheckError(
+                "certified-invertible Fischer block failed to solve"
+            )
+        for j, c in zip(range(start, stop), solution):
+            if c:
+                q[basis[j]] = c
+                for i in range(start):
+                    a = matrix[i][j]
+                    if a:
+                        b[i] = b[i] - a * c
+    return p - r * r._new(q)
 
 
 def harmonic_extension(e: Ellipsoid, p: PolyRealN) -> PolyRealN:
@@ -134,8 +168,6 @@ def harmonic_extension(e: Ellipsoid, p: PolyRealN) -> PolyRealN:
     """
     if p.dim != e.dim:
         raise ValueError(f"polynomial dimension {p.dim} != domain dimension {e.dim}")
-    if p.degree() <= 1:
-        return p
     return _extend(e, e.defining_poly(), p)
 
 

@@ -2,7 +2,9 @@
 
 Canonical text emission writes every term with explicit exponents, for
 example "(-3/8+0i)*z^1*zbar^0", joined by " + ", in graded-lex term order;
-real-variable polynomials use x, y in dimension 2 and x1..xn otherwise.
+real-variable polynomials use x, y in dimension 2 and x1..xn otherwise,
+and a zero real polynomial is written as a zero constant term
+("(0+0i)*x1^0*x2^0*x3^0"), so its text keeps the dimension.
 Parsing accepts that form plus free-style expressions ("zbar", "x^2 - y^2",
 "(1/2+3/4i)*z^2", "(z+zbar)^2") with +, -, *, ^ and parenthesized grouping.
 Rationals appear as "p" or "p/q"; an imaginary literal is "i", "3i" or
@@ -25,7 +27,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .rational import GaussianRational, ONE
+from .rational import GaussianRational, ONE, ZERO
 from .polynomials import (
     MAX_EXPONENT, PolyRealN, PolyZZbar, _add_terms, _mul_terms, _pow_terms,
     xy_to_zzbar, zzbar_to_xy,
@@ -281,11 +283,11 @@ def _real_var_names(dim: int) -> list[str]:
 
 
 def format_poly_real(p: PolyRealN) -> str:
-    if p.is_zero():
-        return "0"
+    # A zero is written as a zero constant term, which still names every
+    # variable and so keeps the dimension.
     names = _real_var_names(p.dim)
     parts = []
-    for alpha, c in p.terms():
+    for alpha, c in list(p.terms()) or [((0,) * p.dim, ZERO)]:
         vars_part = "*".join(f"{n}^{e}" for n, e in zip(names, alpha))
         parts.append(f"{format_coefficient(c)}*{vars_part}")
     return " + ".join(parts)

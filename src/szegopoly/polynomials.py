@@ -316,7 +316,12 @@ class PolyZZbar(_SparsePoly):
         return self._new(out)
 
     def laplacian(self) -> "PolyZZbar":
-        return self.d_dz().d_dzbar() * 4
+        """4 d/dz d/dzbar: c z^a zbar^b -> 4ab c z^(a-1) zbar^(b-1)."""
+        return self._new({
+            (a - 1, b - 1): c * (4 * a * b)
+            for (a, b), c in self._terms.items()
+            if a and b
+        })
 
     # -- evaluation ------------------------------------------------------------
 
@@ -406,10 +411,16 @@ class PolyRealN(_SparsePoly):
         return self._new(out)
 
     def laplacian(self) -> "PolyRealN":
-        total = PolyRealN.zero(self._dim)
-        for axis in range(self._dim):
-            total = total + self.partial(axis).partial(axis)
-        return total
+        """Sum of the second partials, in one pass over terms and axes."""
+        out: dict = {}
+        for key, c in self._terms.items():
+            for axis, e in enumerate(key):
+                if e > 1:
+                    k = key[:axis] + (e - 2,) + key[axis + 1 :]
+                    t = c * (e * (e - 1))
+                    s = out.get(k)
+                    out[k] = t if s is None else s + t
+        return self._new({k: c for k, c in out.items() if c})
 
     # -- evaluation ------------------------------------------------------------
 

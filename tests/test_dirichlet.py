@@ -1,11 +1,14 @@
 """Ellipsoid domains, Fischer systems, exact Dirichlet solutions."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import szegopoly
+from szegopoly import dirichlet
 from szegopoly.dirichlet import (
     fischer_system,
     harmonic_extension,
@@ -13,16 +16,22 @@ from szegopoly.dirichlet import (
     is_harmonic,
 )
 from szegopoly.domains import Ellipse, Ellipsoid
+from szegopoly.linalg import det_exact, solve_exact
 from szegopoly.polynomials import (
     PolyRealN,
     PolyZZbar,
     divide_exact,
+    monomials_real,
     monomials_zzbar,
     xy_to_zzbar,
     zzbar_to_xy,
 )
-from szegopoly.rational import GaussianRational
-from szegopoly.sampling import random_ellipsoid, random_poly_real
+from szegopoly.rational import GaussianRational, ZERO
+from szegopoly.sampling import (
+    random_ellipsoid,
+    random_harmonic_xy,
+    random_holomorphic,
+)
 
 X = PolyRealN.variable(2, 0)
 Y = PolyRealN.variable(2, 1)
@@ -173,40 +182,6 @@ def test_ellipse_x_squared():
     assert u == expected
 
 
-def test_extension_exactness_random():
-    rng = random.Random(32)
-    for _ in range(10):
-        dim = rng.choice([2, 3])
-        e = random_ellipsoid(rng, dim)
-        p = random_poly_real(rng, dim, rng.randint(0, 8))
-        u = harmonic_extension(e, p)
-        assert u.laplacian().is_zero()
-        assert u.degree() <= p.degree()
-        assert divide_exact(p - u, e.defining_poly()) is not None
-
-
-def test_extension_is_linear():
-    rng = random.Random(33)
-    e = random_ellipsoid(rng, 2)
-    for _ in range(10):
-        p = random_poly_real(rng, 2, 6)
-        q = random_poly_real(rng, 2, 6)
-        alpha = GaussianRational(Fraction(2, 3), Fraction(-1, 2))
-        beta = GaussianRational(Fraction(1, 5))
-        lhs = harmonic_extension(e, p * alpha + q * beta)
-        rhs = harmonic_extension(e, p) * alpha + harmonic_extension(e, q) * beta
-        assert lhs == rhs
-
-
-def test_extension_idempotent():
-    rng = random.Random(34)
-    e = random_ellipsoid(rng, 3)
-    for _ in range(5):
-        p = random_poly_real(rng, 3, 6)
-        u = harmonic_extension(e, p)
-        assert harmonic_extension(e, u) == u
-
-
 def test_dimension_mismatch_rejected():
     with pytest.raises(ValueError):
         harmonic_extension(unit_ball(3), X)
@@ -291,3 +266,166 @@ def test_fischer_system_on_ellipse_uses_zzbar_basis():
     assert fischer_system(e, 3) is fs
     assert fischer_system(e.to_ellipsoid(), 3) is not fs
 
+
+
+# -- graded back-substitution against dense oracles -----------------------------------
+
+ellipsoids = st.builds(
+    random_ellipsoid, st.randoms(use_true_random=False), st.sampled_from([2, 3])
+)
+
+
+@st.composite
+def real_polys(draw, dim, max_degree):
+    degree = draw(st.integers(0, max_degree))
+    keys = draw(
+        st.lists(st.sampled_from(monomials_real(dim, degree)), unique=True, max_size=12)
+    )
+    return PolyRealN(dim, {key: draw(coefficients) for key in keys})
+
+
+@st.composite
+def ellipsoids_and_polys(draw, max_degree, count=1):
+    e = draw(ellipsoids)
+    return e, *(draw(real_polys(e.dim, max_degree)) for _ in range(count))
+
+
+def dense_extension(domain, r, p):
+    """Tests-only oracle: q from one dense solve of the whole Fischer matrix."""
+    if p.degree() < 2:
+        return p
+    fs = fischer_system(domain, p.degree() - 2)
+    g = dict(p.laplacian().terms())
+    x = solve_exact(fs.matrix, [g.get(alpha, ZERO) for alpha in fs.basis_order])
+    terms = dict(zip(fs.basis_order, x))
+    q = PolyZZbar(terms) if isinstance(p, PolyZZbar) else PolyRealN(p.dim, terms)
+    return p - r * q
+
+
+@settings(max_examples=25, deadline=None)
+@given(ellipses, zzbar_polys(max_degree=7))
+def test_zzbar_extension_matches_dense_solve(e, p):
+    expected = dense_extension(e, e.defining_poly_zzbar(), p)
+    assert harmonic_extension_zzbar(e, p) == expected
+
+
+@settings(max_examples=25, deadline=None)
+@given(ellipsoids_and_polys(max_degree=7))
+def test_real_extension_matches_dense_solve(case):
+    e, p = case
+    assert harmonic_extension(e, p) == dense_extension(e, e.defining_poly(), p)
+
+
+@pytest.mark.parametrize("m", range(6))
+@pytest.mark.parametrize(
+    "domain",
+    [
+        Ellipse(2, 1, Fraction(1, 3), Fraction(-1, 2)),
+        random_ellipsoid(random.Random(35), 2),
+        random_ellipsoid(random.Random(36), 3),
+    ],
+    ids=["ellipse", "ellipsoid2", "ellipsoid3"],
+)
+def test_block_determinant_is_the_dense_determinant(domain, m):
+    fs = fischer_system(domain, m)
+    assert fs.determinant == det_exact(fs.matrix)
+    assert len(fs.blocks) == m + 1
+    assert fs.blocks[0][0] == 0 and fs.blocks[-1][1] == fs.size
+    for d, (start, stop) in enumerate(fs.blocks):
+        assert [sum(alpha) for alpha in fs.basis_order[start:stop]] == [d] * (stop - start)
+        # nothing of degree d reaches the rows of higher degree
+        assert all(not c for row in fs.matrix[stop:] for c in row[start:stop])
+
+
+@settings(max_examples=30, deadline=None)
+@given(ellipses, st.randoms(use_true_random=False))
+def test_harmonic_input_is_returned_without_a_system(e, rng):
+    f = random_holomorphic(rng, 8) + random_holomorphic(rng, 8).conjugate()
+    u = random_harmonic_xy(rng, 8)
+    x1, x2, x3 = (PolyRealN.variable(3, axis) for axis in range(3))
+    w = x1 * x2 * x3 + x1 * x1 - x3 * x3
+    szegopoly.clear_caches()
+    assert harmonic_extension_zzbar(e, f) == f
+    assert harmonic_extension(e.to_ellipsoid(), u) == u
+    assert harmonic_extension(unit_ball(3), w) == w
+    assert len(dirichlet._fischer_cache) == 0
+
+
+def _sympy_extension(e: Ellipsoid, p: PolyRealN) -> PolyRealN:
+    """Tests-only oracle: solve Lap(r*q) = Lap(p) for the coefficients of q
+    in sympy Rationals, with r written out from Q and the center."""
+    sympy = pytest.importorskip("sympy")
+    xs = sympy.symbols(f"x0:{e.dim}")
+
+    def rational(value):
+        return sympy.Rational(value.numerator, value.denominator)
+
+    def monomial(alpha):
+        return sympy.Mul(*(x**k for x, k in zip(xs, alpha)))
+
+    def laplacian(expr):
+        return sum(sympy.diff(expr, x, 2) for x in xs)
+
+    data = sum(
+        (rational(c.re) + sympy.I * rational(c.im)) * monomial(alpha)
+        for alpha, c in p.terms()
+    )
+    shifted = [x - rational(c) for x, c in zip(xs, e.center)]
+    r = sum(
+        rational(e.Q[i][j]) * shifted[i] * shifted[j]
+        for i in range(e.dim)
+        for j in range(e.dim)
+    ) - 1
+    alphas = [
+        alpha
+        for alpha in itertools.product(range(p.degree() - 1), repeat=e.dim)
+        if sum(alpha) <= p.degree() - 2
+    ]
+    unknowns = sympy.symbols(f"c0:{len(alphas)}")
+    q = sum((c * monomial(alpha) for c, alpha in zip(unknowns, alphas)), sympy.Integer(0))
+    residual = sympy.expand(laplacian(r * q) - laplacian(data))
+    if alphas:
+        (solution,) = sympy.solve(sympy.Poly(residual, *xs).coeffs(), unknowns, dict=True)
+        q = q.subs(solution)
+    u = sympy.Poly(sympy.expand(data - r * q), *xs)
+    terms = {}
+    for alpha, c in u.terms():
+        re, im = c.as_real_imag()
+        terms[alpha] = GaussianRational(
+            Fraction(int(re.p), int(re.q)), Fraction(int(im.p), int(im.q))
+        )
+    return PolyRealN(e.dim, terms)
+
+
+@settings(max_examples=20, deadline=None)
+@given(ellipsoids_and_polys(max_degree=4))
+def test_extension_matches_sympy(case):
+    e, p = case
+    assert harmonic_extension(e, p) == _sympy_extension(e, p)
+
+
+@settings(max_examples=30, deadline=None)
+@given(ellipsoids_and_polys(max_degree=8))
+def test_extension_exactness_random(case):
+    e, p = case
+    u = harmonic_extension(e, p)
+    assert u.laplacian().is_zero()
+    assert u.degree() <= p.degree()
+    assert divide_exact(p - u, e.defining_poly()) is not None
+
+
+@settings(max_examples=25, deadline=None)
+@given(ellipsoids_and_polys(max_degree=6, count=2), coefficients, coefficients)
+def test_extension_is_linear(case, alpha, beta):
+    e, p, q = case
+    lhs = harmonic_extension(e, p * alpha + q * beta)
+    rhs = harmonic_extension(e, p) * alpha + harmonic_extension(e, q) * beta
+    assert lhs == rhs
+
+
+@settings(max_examples=25, deadline=None)
+@given(ellipsoids_and_polys(max_degree=6))
+def test_extension_idempotent(case):
+    e, p = case
+    u = harmonic_extension(e, p)
+    assert harmonic_extension(e, u) == u

@@ -32,6 +32,8 @@ def test_canonical_form_example():
     p = PolyZZbar({(1, 0): Fraction(-3, 8)})
     assert format_poly_zzbar(p) == "(-3/8+0i)*z^1*zbar^0"
     assert parse_poly_zzbar("(-3/8+0i)*z^1*zbar^0") == p
+    q = PolyRealN.monomial((1, 0, 2), Fraction(1, 2))
+    assert format_poly_real(q) == "(1/2+0i)*x1^1*x2^0*x3^2"
 
 
 def test_simple_expressions():
@@ -109,7 +111,10 @@ def test_fractional_exponent_rejected():
 def test_zero_round_trip():
     assert format_poly_zzbar(PolyZZbar.zero()) == "0"
     assert parse_poly_zzbar("0") == PolyZZbar.zero()
-    assert format_poly_real(PolyRealN.zero(3)) == "0"
+    assert format_poly_real(PolyRealN.zero(3)) == "(0+0i)*x1^0*x2^0*x3^0"
+    for dim in (1, 2, 3, 4):
+        zero = PolyRealN.zero(dim)
+        assert parse_poly_real(format_poly_real(zero)) == zero
 
 
 def test_json_round_trip_random():
@@ -231,8 +236,7 @@ def test_text_round_trip_zzbar(terms):
 def test_text_round_trip_real(p):
     text = format_poly_real(p)
     assert parse_poly_real(text, dim=p.dim) == p
-    if p:  # every term names every variable, so the text carries the dimension
-        assert parse_poly_real(text) == p
+    assert parse_poly_real(text) == p
 
 
 # Tokens joined by spaces, so digits never merge into an exponent above 9.

@@ -3,7 +3,14 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from szegopoly.polynomials import MAX_EXPONENT, PolyRealN, PolyZZbar, monomials_real
+from szegopoly.polynomials import (
+    MAX_EXPONENT,
+    PolyRealN,
+    PolyZZbar,
+    monomials_real,
+    xy_to_zzbar,
+    zzbar_to_xy,
+)
 from szegopoly.rational import GaussianRational
 
 small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
@@ -120,6 +127,28 @@ def test_polynomials_are_immutable(ring, c):
         with pytest.raises(AttributeError):
             result.extra = 1
     assert (dict(p.terms()), dict(q.terms())) == before
+
+
+def _sum_of_second_partials(p):
+    total = PolyRealN.zero(p.dim)
+    for axis in range(p.dim):
+        total = total + p.partial(axis).partial(axis)
+    return total
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([(PolyZZbar, 2), *((PolyRealN, n) for n in range(1, 5))]), st.data())
+def test_laplacian_equals_its_definitions(ring, data):
+    kind, dim = ring
+    keys = st.sampled_from(monomials_real(dim, 4))
+    p = build(kind, dim, data.draw(st.dictionaries(keys, coefficients, max_size=8)))
+    if kind is PolyZZbar:
+        assert p.laplacian() == p.d_dz().d_dzbar() * 4
+        assert p.laplacian() == xy_to_zzbar(_sum_of_second_partials(zzbar_to_xy(p)))
+    else:
+        assert p.laplacian() == _sum_of_second_partials(p)
+        if dim == 2:
+            assert p.laplacian() == zzbar_to_xy(xy_to_zzbar(p).d_dz().d_dzbar() * 4)
 
 
 # -- exponent overflow: checked once per product -------------------------------------
