@@ -13,6 +13,13 @@ phi_k(z) = ((z - center)/s)^k with s = max(a, b); raw monomials on an
 eccentric ellipse become catastrophically ill-conditioned past degree ~15,
 so the Vandermonde system is solved by SVD-backed least squares and the
 condition number is estimated and reported.
+
+Nodes, weights and bases do not depend on the data: each boundary grid
+(per ellipse, M and weighting), each area rule (per ellipse and order) and
+each Vandermonde basis (per node array and degree) is built once and kept
+in the bounded _quadrature_cache, which szegopoly.clear_caches() empties.
+The shared arrays are read-only; only the data values and the least-squares
+fit are computed per call.
 """
 
 from __future__ import annotations
@@ -26,16 +33,34 @@ import numpy as np
 
 from .dirichlet import is_harmonic
 from .domains import Ellipse
+from .lru import LRUCache
 from .polynomials import PolyRealN, PolyZZbar, xy_to_zzbar
 from .rational import ONE, ZERO, GaussianRational
 from .szego import szego_project
 
 CONDITION_WARN_THRESHOLD = 1e10
 
+# Bound on the entries of _quadrature_cache.  A cross-check on one ellipse
+# keeps four: its weighted grid, its area rule and the basis on each; 16
+# entries hold four such ellipses (the crosscheck workload cycles through
+# three), and the bound caps what a long run of fresh sizes can pin.
+QUADRATURE_CACHE_SIZE = 16
 
-@dataclass
+_quadrature_cache: LRUCache = LRUCache(QUADRATURE_CACHE_SIZE)
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
+@dataclass(frozen=True)
 class BoundaryGrid:
-    """Trapezoid nodes on the ellipse boundary with weights and tangents."""
+    """Trapezoid nodes on the ellipse boundary with weights and tangents.
+
+    The arrays are read-only copies, so a grid (and the basis memoised on
+    its nodes) cannot change after construction.
+    """
 
     ellipse: Ellipse
     M: int
@@ -46,14 +71,26 @@ class BoundaryGrid:
     omega: np.ndarray    # boundary weight values (1/|dbar r|, or 1)
     tangent: np.ndarray  # unit tangents i * dbar_r / |dbar_r|
 
+    def __post_init__(self):
+        for name in ("t", "z", "ds", "omega", "tangent"):
+            object.__setattr__(self, name, _read_only(np.array(getattr(self, name))))
+
     def perimeter(self) -> float:
         return float(np.sum(self.ds))
 
 
 def boundary_grid(e: Ellipse, M: int, weighted: bool = True) -> BoundaryGrid:
-    """Build the M-node boundary grid; M must be even and at least 16."""
+    """The M-node boundary grid; M must be even and at least 16.
+
+    Memoised per (e, M, weighted): repeated calls return the same read-only
+    grid.
+    """
     if M < 16 or M % 2 != 0:
         raise ValueError(f"node count must be even and >= 16, got {M}")
+    key = ("grid", e, M, weighted)
+    cached = _quadrature_cache.get(key)
+    if cached is not None:
+        return cached
     a, b = float(e.a), float(e.b)
     h, k = float(e.h), float(e.k)
     t = 2.0 * np.pi * np.arange(M) / M
@@ -67,10 +104,12 @@ def boundary_grid(e: Ellipse, M: int, weighted: bool = True) -> BoundaryGrid:
     grad_norm = np.abs(dbar_r)
     omega = 1.0 / grad_norm if weighted else np.ones(M)
     tangent = 1j * dbar_r / grad_norm
-    return BoundaryGrid(
+    grid = BoundaryGrid(
         ellipse=e, M=M, weighted=weighted, t=t, z=z, ds=ds, omega=omega,
         tangent=tangent,
     )
+    _quadrature_cache[key] = grid
+    return grid
 
 
 def inner_product(fvals: np.ndarray, gvals: np.ndarray, grid: BoundaryGrid) -> complex:
@@ -131,10 +170,21 @@ class NumericalProjection:
 
 
 def _basis_matrix(z: np.ndarray, e: Ellipse, degree: int) -> tuple[np.ndarray, complex, float]:
+    """Read-only Vandermonde matrix of phi_0..phi_degree on the read-only
+    nodes z, with the basis center and scale.
+
+    Memoised per node array: the key holds id(z) and the entry holds z, so
+    no other array can take that id while the entry lives.
+    """
+    key = ("basis", id(z), e, degree)
+    cached = _quadrature_cache.get(key)
+    if cached is not None:
+        return cached[1]
     center = complex(float(e.h), float(e.k))
     scale = float(max(e.a, e.b))
     w = (z - center) / scale
-    V = np.vander(w, degree + 1, increasing=True)
+    V = _read_only(np.vander(w, degree + 1, increasing=True))
+    _quadrature_cache[key] = (z, (V, center, scale))
     return V, center, scale
 
 
@@ -183,7 +233,15 @@ def area_quadrature(e: Ellipse, quad_order: int) -> tuple[np.ndarray, np.ndarray
 
     Elliptic-polar coordinates x = h + a*rho*cos(theta), y = k + b*rho*sin(theta)
     with area element a*b*rho drho dtheta; rho on [0, 1], theta on [0, 2*pi].
+    Memoised per (e, quad_order): repeated calls return the same read-only
+    arrays.
     """
+    if quad_order < 1:
+        raise ValueError(f"quadrature order must be positive, got {quad_order}")
+    key = ("area", e, quad_order)
+    cached = _quadrature_cache.get(key)
+    if cached is not None:
+        return cached
     nodes, weights = np.polynomial.legendre.leggauss(quad_order)
     rho = 0.5 * (nodes + 1.0)
     w_rho = 0.5 * weights
@@ -194,13 +252,15 @@ def area_quadrature(e: Ellipse, quad_order: int) -> tuple[np.ndarray, np.ndarray
     R, T = np.meshgrid(rho, theta, indexing="ij")
     z = (h + a * R * np.cos(T)) + 1j * (k + b * R * np.sin(T))
     W = a * b * R * np.outer(w_rho, w_theta)
-    return z.ravel(), W.ravel()
+    rule = (_read_only(z.ravel()), _read_only(W.ravel()))
+    _quadrature_cache[key] = rule
+    return rule
 
 
-def numerical_bergman(
-    e: Ellipse, f, basis_degree: int, quad_order: int = 48
-) -> NumericalProjection:
-    """Project f onto holomorphic polynomials in the area inner product."""
+def _require_quad_order(f, basis_degree: int, quad_order: int) -> None:
+    """Reject a negative basis degree, or an area rule of lower order than
+    the basis and data degrees need; a coarser rule misreads a correct
+    projection as far from orthogonal."""
     if basis_degree < 0:
         raise ValueError("basis degree must be nonnegative")
     f_degree = f.degree() if isinstance(f, (PolyZZbar, PolyRealN)) else 0
@@ -210,6 +270,13 @@ def numerical_bergman(
             f"quadrature order {quad_order} too low; need >= {min_order} "
             f"for basis degree {basis_degree} and data degree {f_degree}"
         )
+
+
+def numerical_bergman(
+    e: Ellipse, f, basis_degree: int, quad_order: int = 48
+) -> NumericalProjection:
+    """Project f onto holomorphic polynomials in the area inner product."""
+    _require_quad_order(f, basis_degree, quad_order)
     z, w = area_quadrature(e, quad_order)
     fvals = poly_values(f, z)
     V, center, scale = _basis_matrix(z, e, basis_degree)
@@ -224,6 +291,7 @@ def bergman_residual_orthogonality(
     e: Ellipse, f, proj: NumericalProjection, quad_order: int = 48
 ) -> float:
     """Max |<f - proj, phi_k>| over the basis, in the area inner product."""
+    _require_quad_order(f, proj.basis_degree(), quad_order)
     z, w = area_quadrature(e, quad_order)
     resid = poly_values(f, z) - proj.evaluate(z)
     V, _, _ = _basis_matrix(z, e, proj.basis_degree())

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from datetime import datetime, timezone
@@ -149,8 +150,9 @@ def _cmd_szego(args) -> int:
 
 
 def _require_positive_tol(tol) -> None:
-    if tol is not None and tol <= 0:
-        raise InputError(f"tolerance must be positive, got {tol}")
+    # nan fails every comparison and inf passes every check; neither is a tolerance.
+    if tol is not None and not (math.isfinite(tol) and tol > 0):
+        raise InputError(f"tolerance must be finite and positive, got {tol}")
 
 
 def _cmd_verify(args) -> int:

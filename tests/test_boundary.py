@@ -1,13 +1,18 @@
 """Numerical harness: grids, inner products, projections, experiments."""
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+import szegopoly
+from szegopoly import boundary
 from szegopoly.boundary import (
+    area_quadrature,
     bergman_residual_orthogonality,
     boundary_grid,
     compare_symbolic_numeric,
@@ -221,14 +226,25 @@ def test_bergman_zbar_squared_on_eccentric():
 def test_bergman_quadrature_order_guard():
     with pytest.raises(ValueError):
         numerical_bergman(E21, ZB, basis_degree=12, quad_order=16)
+    # A correct projection read through too coarse a rule looks far from
+    # orthogonal (0.70 at order 12), so the check shares numerical_bergman's
+    # minimum order: 2 * (8 + 3) + 4 = 26 here.
+    f = ZB**3 + Z * ZB
+    proj = numerical_bergman(E21, f, 8)
+    assert bergman_residual_orthogonality(E21, f, proj) < 1e-13
+    for order in (12, 6, 0):
+        with pytest.raises(ValueError, match="quadrature order"):
+            bergman_residual_orthogonality(E21, f, proj, quad_order=order)
+        with pytest.raises(ValueError, match="quadrature order"):
+            numerical_bergman(E21, f, 8, quad_order=order)
 
 
-def test_bergman_random_residual_orthogonality():
-    rng = random.Random(62)
-    for _ in range(3):
-        p = random_poly_zzbar(rng, 4)
-        proj = numerical_bergman(E21, p, 8)
-        assert bergman_residual_orthogonality(E21, p, proj) < 1e-6
+@settings(max_examples=5, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_bergman_random_residual_orthogonality(rng):
+    p = random_poly_zzbar(rng, 4)
+    proj = numerical_bergman(E21, p, 8)
+    assert bergman_residual_orthogonality(E21, p, proj) < 1e-6
 
 
 # -- experiments ------------------------------------------------------------------------
@@ -284,27 +300,23 @@ def test_harmonic_compare_input_validation():
         harmonic_szego_bergman_check(DISC, x * x)
 
 
-def test_vanishing_ideal_elements_vanish_on_boundary():
+@settings(max_examples=10, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(2, 6))
+def test_vanishing_ideal_elements_vanish_on_boundary(rng, degree):
     # The r*q part of random decompositions must evaluate to ~0 on the
     # boundary: 64 sample points, 1e-12 relative to the coefficient scale.
     from szegopoly.szego import szego_project
 
-    rng = random.Random(63)
     grid = boundary_grid(E21, 64)
-    r = E21.defining_poly_zzbar()
-    checked = 0
-    while checked < 10:
-        f = random_poly_zzbar(rng, rng.randint(2, 6))
-        v = r * szego_project(E21, f).cofactor
-        if v.is_zero():
-            continue
-        checked += 1
-        values = poly_values(v, grid.z)
-        # relative to the term-magnitude bound sum |c| |z|^(a+b) per node
-        magnitude = sum(
-            abs(complex(c)) * np.abs(grid.z) ** (a + b) for (a, b), c in v.terms()
-        )
-        assert np.max(np.abs(values) / np.maximum(magnitude, 1.0)) <= 1e-12
+    f = random_poly_zzbar(rng, degree)
+    v = E21.defining_poly_zzbar() * szego_project(E21, f).cofactor
+    assume(not v.is_zero())
+    values = poly_values(v, grid.z)
+    # relative to the term-magnitude bound sum |c| |z|^(a+b) per node
+    magnitude = sum(
+        abs(complex(c)) * np.abs(grid.z) ** (a + b) for (a, b), c in v.terms()
+    )
+    assert np.max(np.abs(values) / np.maximum(magnitude, 1.0)) <= 1e-12
 
 
 # -- symbolic/numeric cross-validation -------------------------------------------------
@@ -319,13 +331,13 @@ def test_compare_symbolic_numeric_zbar():
     assert rep.max_coeff_deviation < 1e-8
 
 
-def test_compare_symbolic_numeric_shifted_ellipse():
+@settings(max_examples=5, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_compare_symbolic_numeric_shifted_ellipse(rng):
     e = Ellipse(2, 1, Fraction(1, 2), Fraction(-1, 3))
-    rng = random.Random(77)
-    for _ in range(5):
-        f = random_poly_zzbar(rng, 5, coefficient=unit_box_coefficient)
-        rep = compare_symbolic_numeric(e, f)
-        assert rep.max_coeff_deviation < 1e-8
+    f = random_poly_zzbar(rng, 5, coefficient=unit_box_coefficient)
+    rep = compare_symbolic_numeric(e, f)
+    assert rep.max_coeff_deviation < 1e-8
 
 
 def test_scaled_basis_conversion_round_trip():
@@ -337,3 +349,138 @@ def test_scaled_basis_conversion_round_trip():
     center = complex(0.5, -1 / 3)
     via_basis = np.polynomial.polynomial.polyval((zs - center) / 2.0, coeffs)
     assert np.max(np.abs(direct - via_basis)) < 1e-12
+
+
+# -- memoised grids, area rules and bases ------------------------------------------
+
+SHIFTED = Ellipse(2, 1, Fraction(1, 3), Fraction(-1, 2))
+F_MIXED = ZB**3 + Z * ZB
+
+
+def _cold_and_warm(call):
+    """The result of a call on empty memo tables, then of the same call again."""
+    szegopoly.clear_caches()
+    return call(), call()
+
+
+def _assert_same_projection(a, b):
+    assert np.array_equal(a.coefficients, b.coefficients)
+    assert (a.center, a.scale) == (b.center, b.scale)
+    assert a.residual_norm == b.residual_norm
+    assert a.condition_estimate == b.condition_estimate
+    assert a.warning == b.warning
+
+
+@pytest.mark.parametrize("e", [E21, SHIFTED], ids=["centred", "shifted"])
+def test_warm_calls_bit_identical_to_cold(e):
+    cold, warm = _cold_and_warm(lambda: compare_symbolic_numeric(e, F_MIXED))
+    assert np.array_equal(cold.symbolic_coefficients, warm.symbolic_coefficients)
+    assert cold.max_coeff_deviation == warm.max_coeff_deviation
+    _assert_same_projection(cold.numeric, warm.numeric)
+
+    cold, warm = _cold_and_warm(lambda: numerical_bergman(e, F_MIXED, 8))
+    _assert_same_projection(cold, warm)
+
+    cold, warm = _cold_and_warm(
+        lambda: bergman_residual_orthogonality(e, F_MIXED, numerical_bergman(e, F_MIXED, 8))
+    )
+    assert cold == warm
+
+    cold, warm = _cold_and_warm(lambda: szbar_constancy_experiment(e))
+    _assert_same_projection(cold.projection, warm.projection)
+    assert cold.deviation_from_constant == warm.deviation_from_constant
+    assert cold.deviation_from_span_1_z == warm.deviation_from_span_1_z
+
+
+@pytest.mark.parametrize(
+    "disc", [DISC, Ellipse(1, 1, Fraction(1, 2), 0)], ids=["centred", "shifted"]
+)
+def test_warm_harmonic_compare_bit_identical_to_cold(disc):
+    x = PolyRealN.variable(2, 0)
+    y = PolyRealN.variable(2, 1)
+    cold, warm = _cold_and_warm(lambda: harmonic_szego_bergman_check(disc, x * x - y * y))
+    _assert_same_projection(cold.szego, warm.szego)
+    _assert_same_projection(cold.bergman, warm.bergman)
+    assert cold.max_coeff_deviation == warm.max_coeff_deviation
+
+
+def test_memoised_results_are_read_only():
+    grid = boundary_grid(E21, 64)
+    z, w = area_quadrature(E21, 8)
+    V, _, _ = boundary._basis_matrix(grid.z, E21, 4)
+    for array in (grid.t, grid.z, grid.ds, grid.omega, grid.tangent, z, w, V):
+        with pytest.raises(ValueError):
+            array[0] = 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        grid.M = 32
+    assert boundary_grid(E21, 64) is grid
+    assert area_quadrature(E21, 8)[0] is z
+
+
+def test_hand_built_grid_copies_its_arrays():
+    grid = boundary_grid(E21, 64)
+    nodes = np.array(grid.z)
+    hand_built = dataclasses.replace(grid, z=nodes)
+    nodes[:] = 0
+    assert np.array_equal(hand_built.z, grid.z)
+    with pytest.raises(ValueError):
+        hand_built.z[0] = 0
+
+
+def test_clear_caches_empties_quadrature_table():
+    numerical_bergman(E21, ZB, 6)
+    numerical_szego(boundary_grid(E21, 64), ZB, 8)
+    assert len(boundary._quadrature_cache) > 0
+    szegopoly.clear_caches()
+    assert len(boundary._quadrature_cache) == 0
+
+
+def test_quadrature_table_evicts_least_recently_used(monkeypatch):
+    szegopoly.clear_caches()
+    monkeypatch.setattr(boundary._quadrature_cache, "maxsize", 2)
+    first = boundary_grid(E21, 64)
+    second = boundary_grid(DISC, 64)
+    assert boundary_grid(E21, 64) is first  # now the most recently used
+    boundary_grid(SHIFTED, 64)  # evicts DISC, the least recently used
+    assert len(boundary._quadrature_cache) == 2
+    assert boundary_grid(E21, 64) is first
+    assert boundary_grid(DISC, 64) is not second
+    szegopoly.clear_caches()
+
+
+def test_hand_built_grid_gets_its_own_basis():
+    grid = boundary_grid(E21, 64)
+    # same ellipse and M, nodes turned by half a step along the boundary
+    t = grid.t + np.pi / 64
+    other = dataclasses.replace(grid, t=t, z=2 * np.cos(t) + 1j * np.sin(t))
+    f = ZB * Z + ZB**3
+    on_grid = numerical_szego(grid, f, 8)
+    on_other = numerical_szego(other, f, 8)
+    V_other, center, scale = boundary._basis_matrix(other.z, E21, 8)
+    assert np.array_equal(V_other, np.vander((other.z - center) / scale, 9, increasing=True))
+    assert not np.array_equal(V_other, boundary._basis_matrix(grid.z, E21, 8)[0])
+    assert not np.array_equal(on_other.coefficients, on_grid.coefficients)
+    szegopoly.clear_caches()
+    _assert_same_projection(numerical_szego(other, f, 8), on_other)
+
+
+def test_validation_runs_before_lookup_when_warm():
+    grid = boundary_grid(DISC, 16)
+    proj = numerical_bergman(E21, ZB, 6)
+    numerical_szego(grid, ZB, 3)
+    entries = list(boundary._quadrature_cache)
+    for bad_M in (8, 17, 0):
+        with pytest.raises(ValueError):
+            boundary_grid(DISC, bad_M)
+    for bad_degree in (-1, 4):
+        with pytest.raises(ValueError):
+            numerical_szego(grid, ZB, bad_degree)
+    with pytest.raises(ValueError):
+        numerical_bergman(E21, ZB, -1)
+    with pytest.raises(ValueError):
+        numerical_bergman(E21, ZB, 6, quad_order=16)
+    with pytest.raises(ValueError):
+        bergman_residual_orthogonality(E21, ZB, proj, quad_order=16)
+    with pytest.raises(ValueError):
+        area_quadrature(E21, 0)
+    assert list(boundary._quadrature_cache) == entries

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import szegopoly
 from szegopoly.cli import main
 from szegopoly.parsing import parse_poly_real, parse_poly_zzbar
 from szegopoly.polynomials import PolyRealN, PolyZZbar
@@ -127,12 +128,31 @@ def test_missing_poly_exit_code(capsys):
     assert code == 2
 
 
-def test_nonpositive_tolerance_rejected(capsys):
-    code, _, err = run_cli(
-        capsys, "verify", "--ellipse", "2,1,0,0", "--poly", "z", "--tol", "-1"
-    )
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("verify", "--ellipse", "2,1,0,0", "--poly", "z*zbar"),
+        ("experiment", "harmonic-compare", "--ellipse", "1,1,0,0", "--poly", "x"),
+    ],
+    ids=["verify", "harmonic-compare"],
+)
+def test_tolerance_must_be_finite_and_positive(capsys, command, tol):
+    code, out, err = run_cli(capsys, *command, "--tol", tol)
     assert code == 2
-    assert "tolerance" in err
+    assert out == ""
+    assert "tolerance must be finite and positive" in err
+
+
+def test_verify_json_repeats_byte_for_byte(capsys):
+    # the first run builds the quadrature grid and basis, the second reuses them
+    szegopoly.clear_caches()
+    argv = ("verify", "--ellipse", "2,1,1/3,-1/2", "--poly", "z^2*zbar+(1/2+1i)*zbar^3",
+            "--no-timestamp", "--format", "json")
+    cold = run_cli(capsys, *argv)
+    warm = run_cli(capsys, *argv)
+    assert cold[0] == 0
+    assert cold == warm
 
 
 def test_bad_nodes_rejected(capsys):
