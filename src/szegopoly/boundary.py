@@ -257,7 +257,7 @@ def area_quadrature(e: Ellipse, quad_order: int) -> tuple[np.ndarray, np.ndarray
     return rule
 
 
-def _require_quad_order(f, basis_degree: int, quad_order: int) -> None:
+def require_quad_order(f, basis_degree: int, quad_order: int) -> None:
     """Reject a negative basis degree, or an area rule of lower order than
     the basis and data degrees need; a coarser rule misreads a correct
     projection as far from orthogonal."""
@@ -276,7 +276,7 @@ def numerical_bergman(
     e: Ellipse, f, basis_degree: int, quad_order: int = 48
 ) -> NumericalProjection:
     """Project f onto holomorphic polynomials in the area inner product."""
-    _require_quad_order(f, basis_degree, quad_order)
+    require_quad_order(f, basis_degree, quad_order)
     z, w = area_quadrature(e, quad_order)
     fvals = poly_values(f, z)
     V, center, scale = _basis_matrix(z, e, basis_degree)
@@ -291,7 +291,7 @@ def bergman_residual_orthogonality(
     e: Ellipse, f, proj: NumericalProjection, quad_order: int = 48
 ) -> float:
     """Max |<f - proj, phi_k>| over the basis, in the area inner product."""
-    _require_quad_order(f, proj.basis_degree(), quad_order)
+    require_quad_order(f, proj.basis_degree(), quad_order)
     z, w = area_quadrature(e, quad_order)
     resid = poly_values(f, z) - proj.evaluate(z)
     V, _, _ = _basis_matrix(z, e, proj.basis_degree())

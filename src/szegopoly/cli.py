@@ -7,8 +7,10 @@ Subcommands:
   experiment  numerical experiments (szbar constancy, harmonic compare)
   suite       the full acceptance suite with a pass/fail summary
 
-Exit codes: 0 all checks passed, 1 a check failed, 2 bad input (parse
-errors carry the offending column).
+Exit codes: 0 all checks passed, 1 a check failed or the library failed
+(an error message, never a traceback), 2 bad input (parse errors carry the
+offending column).  Every argument is validated before the library runs,
+so a ValueError from inside the library is a failure, not bad input.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .boundary import (
     compare_symbolic_numeric,
     harmonic_szego_bergman_check,
     matched_disc_floor,
+    require_quad_order,
     szbar_constancy_experiment,
 )
 from .dirichlet import harmonic_extension, is_harmonic
@@ -43,6 +46,10 @@ from .szego import szego_project, verify_decomposition
 
 class InputError(ValueError):
     """Bad command-line input (exit code 2)."""
+
+
+# Area rule order of the Bergman side of harmonic-compare.
+HARMONIC_COMPARE_QUAD_ORDER = 48
 
 
 def _read_poly_source(args) -> str:
@@ -155,11 +162,30 @@ def _require_positive_tol(tol) -> None:
         raise InputError(f"tolerance must be finite and positive, got {tol}")
 
 
+def _require_grid_args(args) -> None:
+    """--nodes and --degree as the boundary least-squares fit needs them."""
+    if args.nodes < 16 or args.nodes % 2:
+        raise InputError(f"--nodes must be even and >= 16, got {args.nodes}")
+    if not 0 <= args.degree < args.nodes // 4:
+        raise InputError(
+            f"--degree must be >= 0 and below nodes/4 = {args.nodes // 4}, "
+            f"got {args.degree}"
+        )
+
+
 def _cmd_verify(args) -> int:
     start = time.perf_counter()
     _require_positive_tol(args.tol)
+    _require_grid_args(args)
     e = _load_ellipse(args)
     f = parse_poly_zzbar(_read_poly_source(args))
+    # deg h <= deg f, so the projection is computed here only when it may
+    # not fit the basis; the cross-check reuses its cached system.
+    if (
+        f.degree() > args.degree
+        and szego_project(e, f).projection.degree() > args.degree
+    ):
+        raise InputError(f"--degree {args.degree} is below the degree of the projection")
     report_obj = compare_symbolic_numeric(
         e, f, M=args.nodes, basis_degree=args.degree
     )
@@ -177,6 +203,7 @@ def _cmd_verify(args) -> int:
 def _cmd_experiment(args) -> int:
     start = time.perf_counter()
     _require_positive_tol(args.tol)
+    _require_grid_args(args)
     e = _load_ellipse(args)
     if args.kind == "szbar":
         rep = szbar_constancy_experiment(e, M=args.nodes, basis_degree=args.degree)
@@ -192,7 +219,14 @@ def _cmd_experiment(args) -> int:
         raise InputError("harmonic-compare requires harmonic input data")
     if not e.is_disc():
         raise InputError("harmonic-compare requires a disc (a = b)")
-    rep = harmonic_szego_bergman_check(e, p, basis_degree=args.degree, M=args.nodes)
+    try:
+        require_quad_order(p, args.degree, HARMONIC_COMPARE_QUAD_ORDER)
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
+    rep = harmonic_szego_bergman_check(
+        e, p, basis_degree=args.degree, M=args.nodes,
+        quad_order=HARMONIC_COMPARE_QUAD_ORDER,
+    )
     report = rep.to_json_dict()
     passed = True
     if args.tol is not None:
@@ -285,15 +319,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
+    except (InputError, ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ParseError as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1
     except InternalCheckError as exc:
         print(f"internal check failed: {exc}", file=sys.stderr)
         return 1

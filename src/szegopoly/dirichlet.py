@@ -20,7 +20,10 @@ determinant is certified exactly as the product of the diagonal
 top degree down, solve the diagonal block on the current right-hand side,
 then subtract the solved columns from the rows of lower degree.  Harmonic
 input (Lap p = 0) is returned as it is, with no system at all, since its
-q is zero.  Systems are cached per (domain, m), in a bounded LRU table.
+q is zero.  A row of the inverse matrix is the same walk on the transpose,
+which is block lower triangular: forward substitution from the row's
+degree up (fischer_inverse_row; the Szego A-columns need only a few such
+rows).  Systems are cached per (domain, m), in a bounded LRU table.
 """
 
 from __future__ import annotations
@@ -158,6 +161,42 @@ def _extend(domain: Ellipse | Ellipsoid, r, p):
                     if a:
                         b[i] = b[i] - a * c
     return p - r * r._new(q)
+
+
+def fischer_inverse_row(
+    system: FischerSystem, alpha: tuple[int, ...]
+) -> list[GaussianRational]:
+    """Row alpha of the inverse Fischer matrix, indexed like basis_order.
+
+    The row y solves matrix^T y = e_alpha.  The transpose is block lower
+    triangular on the same ranges, so y is zero below degree |alpha| and
+    the rest is forward substitution from that degree up: solve each
+    transposed diagonal block on the current right-hand side, then
+    subtract the solved entries from the rows of higher degree.
+    """
+    basis, matrix, size = system.basis_order, system.matrix, system.size
+    b = [ZERO] * size
+    b[basis.index(alpha)] = ONE
+    y = [ZERO] * size
+    for start, stop in system.blocks[sum(alpha):]:
+        rhs = b[start:stop]
+        if not any(rhs):
+            continue  # the block is invertible, so its entries are zero
+        block = [[matrix[k][i] for k in range(start, stop)] for i in range(start, stop)]
+        solution = solve_exact(block, rhs)
+        if solution is None:
+            raise InternalCheckError(
+                "certified-invertible Fischer block failed to solve"
+            )
+        for k, c in zip(range(start, stop), solution):
+            if c:
+                y[k] = c
+                row = matrix[k]
+                for i in range(stop, size):
+                    a = row[i]
+                    if a:
+                        b[i] = b[i] - a * c
+    return y
 
 
 def harmonic_extension(e: Ellipsoid, p: PolyRealN) -> PolyRealN:

@@ -126,6 +126,29 @@ class Ellipse:
         if self.a <= 0 or self.b <= 0:
             raise ValueError("semi-axes must be positive")
 
+    # An Ellipse is part of the key of every cache lookup, and hashing or
+    # comparing four Fractions costs microseconds.  Both go through the
+    # fields' integer numerators and denominators, read once per instance;
+    # Fractions are reduced, so equal ellipses have equal integers.
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._ints == other._ints
+
+    def __hash__(self):
+        return self._hash
+
+    @cached_property
+    def _ints(self) -> tuple[int, ...]:
+        return tuple(
+            n for v in (self.a, self.b, self.h, self.k)
+            for n in (v.numerator, v.denominator)
+        )
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash(self._ints)
+
     @staticmethod
     def from_string(text: str) -> "Ellipse":
         """Parse 'a,b[,h,k]' with rational entries, e.g. '2,1,0,0' or '3/2,1'."""

@@ -9,7 +9,8 @@ class LRUCache(OrderedDict):
     """Memo table that keeps at most maxsize entries.
 
     get() and assignment mark a key as most recently used; an assignment
-    that overflows the bound drops the least recently used entry.
+    that overflows the bound drops the least recently used entry.  A hit
+    in get() is one lookup and one move, a miss one lookup.
     """
 
     def __init__(self, maxsize: int):
@@ -17,10 +18,12 @@ class LRUCache(OrderedDict):
         self.maxsize = maxsize
 
     def get(self, key, default=None):
-        if key not in self:
+        try:
+            value = self[key]
+        except KeyError:
             return default
         self.move_to_end(key)
-        return self[key]
+        return value
 
     def __setitem__(self, key, value):
         super().__setitem__(key, value)

@@ -18,13 +18,30 @@ coefficient blocks (h, p, q) and solves it exactly; h is unique even
 though (p, q) are not, and verify_decomposition re-checks every claim.
 The system depends only on (ellipse, N), so it is factored once and each
 projection replays that factorisation on its own right-hand side.
+
+The p block holds A(m) for every monomial m = z^a zbar^b of degree <= N,
+and all of it comes from one Fischer system F (the matrix of
+q -> Lap(r*q) on degree <= N - 2), without extending each m on its own.
+If b = 0, m is holomorphic and A(m) = 0.  If a = 0, m is harmonic, E m = m
+and A(m) = b * (d r) * zbar^(b-1).  Otherwise Lap m = 4ab z^(a-1) zbar^(b-1),
+so E m = m - 4ab * r * F^-1 e_beta with beta = (a-1, b-1); F is graded
+block triangular, so its leading blocks are the Fischer systems of lower
+degree and this one F serves every m.  E m is harmonic, so it has no
+mixed z zbar terms, and m has no pure zbar terms, hence
+
+    dbar E m = -4ab * sum_{k>=1} k [r * F^-1 e_beta]_(0,k) zbar^(k-1),
+    [r q]_(0,k) = r_00 q_(0,k) + r_01 q_(0,k-1) + r_02 q_(0,k-2).
+
+Only the pure zbar entries q_(0,j), j <= N - 2, are read: rows (0, j) of
+F^-1, one transposed solve each.  operator_A itself still extends its
+input, so verify_decomposition checks A(preimage) on a separate path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .dirichlet import harmonic_extension_zzbar
+from .dirichlet import fischer_inverse_row, fischer_system, harmonic_extension_zzbar
 from .domains import Ellipse
 from .linalg import ExactFactorization, InternalCheckError, factor_exact
 from .lru import LRUCache
@@ -66,15 +83,54 @@ class SzegoDecomposition:
 COLUMN_CACHE_SIZE = 64
 
 
+def _a_columns(e: Ellipse, N: int) -> list[PolyZZbar]:
+    """A(z^a zbar^b) for every (a, b) in monomials_zzbar(N); see _system_matrix."""
+    d_r = e.d_r()
+    dbar_rows, index = [], {}  # stay empty for N < 2: no monomial has a, b >= 1
+    if N >= 2:
+        system = fischer_system(e, N - 2)
+        rows = [fischer_inverse_row(system, (0, j)) for j in range(N - 1)]
+        r = e.defining_poly_zzbar()
+        # dbar_rows[k - 1][i] = k * [r * F^-1 e_i]_(0,k), for i over the basis.
+        for k in range(1, N + 1):
+            acc = [ZERO] * system.size
+            for t in range(3):
+                c = r.coefficient(0, t)
+                if c and 0 <= k - t <= N - 2:
+                    acc = [x + c * y if y else x for x, y in zip(acc, rows[k - t])]
+            dbar_rows.append([x * k for x in acc])
+        index = {beta: i for i, beta in enumerate(system.basis_order)}
+    columns = []
+    for a, b in monomials_zzbar(N):
+        if b == 0:
+            columns.append(PolyZZbar.zero())
+        elif a == 0:
+            columns.append(d_r * PolyZZbar.monomial(0, b - 1, b))
+        else:
+            i = index[(a - 1, b - 1)]
+            scale = -4 * a * b
+            dbar = {(0, k): row[i] * scale for k, row in enumerate(dbar_rows)}
+            columns.append(d_r * PolyZZbar(dbar))
+    return columns
+
+
 def _system_matrix(e: Ellipse, N: int) -> list[list[GaussianRational]]:
     """Row-major matrix of the block system on monomials_zzbar(N).
 
     Columns, in order: the h block z^k (k <= N); the p block A(z^a zbar^b)
     over monomials_zzbar(N); the q block r * z^a zbar^b over
-    monomials_zzbar(N - 2).
+    monomials_zzbar(N - 2).  The p block equals operator_A on each monomial
+    entry for entry, but comes from the one Fischer system F of degree
+    N - 2 (the module docstring derives it): A(z^a) = 0,
+    A(zbar^b) = b * (d r) * zbar^(b-1), and for a, b >= 1
+
+        A(z^a zbar^b) = -4ab * (d r) * sum_{k>=1} k [r * F^-1 e_(a-1,b-1)]_(0,k) zbar^(k-1),
+
+    which reads only rows (0, j), j <= N - 2, of F^-1: N - 1 transposed
+    solves instead of one harmonic extension per monomial.
     """
     columns = [PolyZZbar.monomial(k, 0) for k in range(N + 1)]
-    columns += [operator_A(e, PolyZZbar.monomial(a, b)) for a, b in monomials_zzbar(N)]
+    columns += _a_columns(e, N)
     if N >= 2:
         r = e.defining_poly_zzbar()
         columns += [r * PolyZZbar.monomial(a, b) for a, b in monomials_zzbar(N - 2)]

@@ -162,6 +162,45 @@ def test_bad_nodes_rejected(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("verify", "--poly", "z", "--nodes", "0"), "--nodes"),
+        (("verify", "--poly", "z", "--nodes", "64", "--degree", "16"), "--degree"),
+        (("verify", "--poly", "z", "--degree", "-1"), "--degree"),
+        (("verify", "--poly", "z^14"), "degree of the projection"),
+        (("experiment", "szbar", "--nodes", "0"), "--nodes"),
+        (("experiment", "harmonic-compare", "--poly", "x", "--degree", "22"),
+         "quadrature order"),
+    ],
+    ids=["nodes-0", "degree-too-large", "degree-negative", "projection-too-high",
+         "szbar-nodes-0", "quadrature-too-coarse"],
+)
+def test_bad_numeric_arguments_are_bad_input(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv, "--ellipse", "1,1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and message in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_projection_below_basis_degree_passes_although_input_is_above():
+    # |z|^14 = 1 on the unit circle, so deg f = 14 > 12 but deg h = 0
+    assert main(["verify", "--ellipse", "1,1", "--poly", "z^7*zbar^7",
+                 "--no-timestamp"]) == 0
+
+
+def test_library_value_error_exits_1_without_traceback(capsys, monkeypatch):
+    def failing(*args, **kwargs):
+        raise ValueError("solver fault")
+
+    monkeypatch.setattr(szegopoly.cli, "szego_project", failing)
+    code, out, err = run_cli(capsys, "szego", "--ellipse", "2,1", "--poly", "zbar")
+    assert code == 1
+    assert out == ""
+    assert err == "error: solver fault\n"
+
+
 def test_nonharmonic_data_rejected(capsys):
     code, _, err = run_cli(
         capsys, "experiment", "harmonic-compare", "--ellipse", "1,1,0,0",

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 import szegopoly
 from szegopoly import dirichlet
 from szegopoly.dirichlet import (
+    fischer_inverse_row,
     fischer_system,
     harmonic_extension,
     harmonic_extension_zzbar,
@@ -335,6 +336,30 @@ def test_block_determinant_is_the_dense_determinant(domain, m):
         assert [sum(alpha) for alpha in fs.basis_order[start:stop]] == [d] * (stop - start)
         # nothing of degree d reaches the rows of higher degree
         assert all(not c for row in fs.matrix[stop:] for c in row[start:stop])
+
+
+@pytest.mark.parametrize("m", range(5))
+@pytest.mark.parametrize(
+    "domain",
+    [
+        Ellipse(2, 1, Fraction(1, 3), Fraction(-1, 2)),
+        Ellipse(1, 1),
+        random_ellipsoid(random.Random(37), 2),
+        random_ellipsoid(random.Random(38), 3),
+    ],
+    ids=["ellipse", "disc", "ellipsoid2", "ellipsoid3"],
+)
+def test_inverse_row_times_matrix_is_the_unit_row(domain, m):
+    fs = fischer_system(domain, m)
+    for target, alpha in enumerate(fs.basis_order):
+        y = fischer_inverse_row(fs, alpha)
+        product = [
+            sum((y[k] * fs.matrix[k][i] for k in range(fs.size)), start=ZERO)
+            for i in range(fs.size)
+        ]
+        assert product == [GaussianRational(int(i == target)) for i in range(fs.size)]
+        # the transpose is block lower triangular: nothing below degree |alpha|
+        assert not any(y[: fs.blocks[sum(alpha)][0]])
 
 
 @settings(max_examples=30, deadline=None)

@@ -68,6 +68,32 @@ def test_operator_output_structure():
         assert factor.conjugate().is_holomorphic()
 
 
+small_rationals = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+semi_axes = st.fractions(min_value=Fraction(1, 3), max_value=4, max_denominator=3)
+
+
+@st.composite
+def ellipses(draw):
+    """A disc, a centred ellipse or a shifted one, with rational parameters."""
+    a = draw(semi_axes)
+    kind = draw(st.sampled_from(["disc", "centred", "shifted"]))
+    b = a if kind == "disc" else draw(semi_axes)
+    if kind == "centred":
+        return Ellipse(a, b)
+    return Ellipse(a, b, draw(small_rationals), draw(small_rationals))
+
+
+@settings(max_examples=30, deadline=None)
+@given(ellipses(), st.integers(0, 7))
+def test_system_matrix_p_block_is_operator_A_on_each_monomial(e, N):
+    szegopoly.clear_caches()
+    matrix = szego._system_matrix(e, N)
+    rows = monomials_zzbar(N)
+    for j, (a, b) in enumerate(monomials_zzbar(N), start=N + 1):
+        column = PolyZZbar({key: row[j] for key, row in zip(rows, matrix)})
+        assert column == operator_A(e, PolyZZbar.monomial(a, b))
+
+
 # -- kernel -----------------------------------------------------------------------
 
 def test_kernel_contains_holomorphic():
@@ -293,7 +319,8 @@ def test_clear_caches_empties_every_cache_and_projection_refills_them():
     again = szego_project(e, f)
     assert again == first
     assert (e, 3) in szego._column_cache
-    assert {(e, 0), (e, 1)} <= set(dirichlet._fischer_cache)
+    # the p block of degree N reads one Fischer system, of degree N - 2
+    assert set(dirichlet._fischer_cache) == {(e, 1)}
 
 
 @pytest.mark.parametrize(
