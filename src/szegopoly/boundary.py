@@ -229,12 +229,15 @@ def numerical_szego(grid: BoundaryGrid, f, basis_degree: int) -> NumericalProjec
 
 
 def area_quadrature(e: Ellipse, quad_order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Tensor Gauss-Legendre nodes and weights for integrals over the ellipse.
+    """Tensor-product nodes and weights for integrals over the ellipse.
 
     Elliptic-polar coordinates x = h + a*rho*cos(theta), y = k + b*rho*sin(theta)
     with area element a*b*rho drho dtheta; rho on [0, 1], theta on [0, 2*pi].
-    Memoised per (e, quad_order): repeated calls return the same read-only
-    arrays.
+    rho takes quad_order Gauss-Legendre nodes.  theta is periodic, so it takes
+    the trapezoid rule theta_k = 2*pi*k/quad_order, which is exact for
+    trigonometric polynomials of degree < quad_order; Gauss-Legendre in theta
+    is not, and fits at different orders would disagree.  Memoised per
+    (e, quad_order): repeated calls return the same read-only arrays.
     """
     if quad_order < 1:
         raise ValueError(f"quadrature order must be positive, got {quad_order}")
@@ -245,8 +248,8 @@ def area_quadrature(e: Ellipse, quad_order: int) -> tuple[np.ndarray, np.ndarray
     nodes, weights = np.polynomial.legendre.leggauss(quad_order)
     rho = 0.5 * (nodes + 1.0)
     w_rho = 0.5 * weights
-    theta = np.pi * (nodes + 1.0)
-    w_theta = np.pi * weights
+    theta = 2.0 * np.pi * np.arange(quad_order) / quad_order
+    w_theta = np.full(quad_order, 2.0 * np.pi / quad_order)
     a, b = float(e.a), float(e.b)
     h, k = float(e.h), float(e.k)
     R, T = np.meshgrid(rho, theta, indexing="ij")
@@ -259,8 +262,10 @@ def area_quadrature(e: Ellipse, quad_order: int) -> tuple[np.ndarray, np.ndarray
 
 def require_quad_order(f, basis_degree: int, quad_order: int) -> None:
     """Reject a negative basis degree, or an area rule of lower order than
-    the basis and data degrees need; a coarser rule misreads a correct
-    projection as far from orthogonal."""
+    the basis and data degrees need.  From this order on, area_quadrature
+    integrates every product in the fit and in the orthogonality check
+    exactly, so fits and checks at any two such orders agree to rounding;
+    a coarser rule misreads a correct projection as far from orthogonal."""
     if basis_degree < 0:
         raise ValueError("basis degree must be nonnegative")
     f_degree = f.degree() if isinstance(f, (PolyZZbar, PolyRealN)) else 0

@@ -14,16 +14,20 @@ Ellipse it acts natively on z^a zbar^b with Lap = 4 d/dz d/dzbar, so the
 Szego machinery never leaves z/zbar.  Both bases are graded, and in either
 the map is block upper triangular: the image of a degree-d monomial has
 degree <= d, and its degree-d part comes only from the top homogeneous
-part of r.  So each degree is one contiguous range of the basis, the
-determinant is certified exactly as the product of the diagonal
-(homogeneous) blocks, and a solve is graded back-substitution: from the
-top degree down, solve the diagonal block on the current right-hand side,
-then subtract the solved columns from the rows of lower degree.  Harmonic
-input (Lap p = 0) is returned as it is, with no system at all, since its
-q is zero.  A row of the inverse matrix is the same walk on the transpose,
+part of r.  So each degree is one contiguous range of the basis, and the
+system is stored as its dense diagonal (homogeneous) blocks plus, for each
+column, the few entries in rows of lower degree, which come from the
+linear and constant parts of r (at most three per column in the plane).
+The determinant is certified exactly as the product of the diagonal
+blocks, and a solve is graded back-substitution: from the top degree
+down, solve the diagonal block on the current right-hand side, then push
+each solved unknown through its column's sparse entries.  Harmonic input
+(Lap p = 0) is returned as it is, with no system at all, since its q is
+zero.  A row of the inverse matrix is the same walk on the transpose,
 which is block lower triangular: forward substitution from the row's
-degree up (fischer_inverse_row; the Szego A-columns need only a few such
-rows).  Systems are cached per (domain, m), in a bounded LRU table.
+degree up, each right-hand side pulled from the sparse columns
+(fischer_inverse_row; the Szego A-columns need only a few such rows).
+Systems are cached per (domain, m), in a bounded LRU table.
 """
 
 from __future__ import annotations
@@ -40,18 +44,20 @@ from .rational import GaussianRational, ONE, ZERO
 
 @dataclass(frozen=True)
 class FischerSystem:
-    """Exact matrix of q -> Lap(r*q) on the monomial basis of degree <= m.
+    """Exact matrix F of q -> Lap(r*q) on the monomial basis of degree <= m.
 
     basis_order is graded, so blocks[d] is the [start, stop) range of the
-    degree-d monomials.  The matrix is block upper triangular on those
-    ranges, and determinant is the product of the determinants of its
-    diagonal blocks.
+    degree-d monomials.  F is block upper triangular on those ranges, and
+    it is kept in two parts: diagonal[d] is the dense degree-d block,
+    diagonal[d][i - start][j - start] = F[i][j], and columns[j] holds only
+    the entries of column j in rows of lower degree, as {i: F[i][j]}.
+    determinant is the product of the determinants of the diagonal blocks.
     """
 
-    degree_bound: int
     basis_order: tuple[tuple[int, ...], ...]
     blocks: tuple[tuple[int, int], ...]
-    matrix: tuple[tuple[GaussianRational, ...], ...]
+    diagonal: tuple[tuple[tuple[GaussianRational, ...], ...], ...]
+    columns: tuple[dict[int, GaussianRational], ...]
     determinant: GaussianRational
 
     @property
@@ -89,50 +95,45 @@ def fischer_system(domain: Ellipse | Ellipsoid, m: int) -> FischerSystem:
     bounds = [0] + [comb(d + n, n) for d in range(m + 1)]
     blocks = tuple(zip(bounds, bounds[1:]))
     index = {alpha: i for i, alpha in enumerate(basis)}
-    size = len(basis)
-    columns = []
-    for alpha in basis:
-        image = (r * r._new({alpha: ONE})).laplacian()
-        col = [ZERO] * size
-        for key, c in image.terms():
-            if sum(key) > sum(alpha):
-                raise InternalCheckError(
-                    "Fischer image raised the degree; defining polynomial "
-                    "is not degree two"
-                )
-            col[index[key]] = c
-        columns.append(col)
-    matrix = tuple(
-        tuple(columns[j][i] for j in range(size)) for i in range(size)
-    )
-
-    det = _block_determinant(blocks, matrix)
+    diagonal, columns, det = [], [], ONE
+    for start, stop in blocks:
+        block = [[ZERO] * (stop - start) for _ in range(start, stop)]
+        for j in range(start, stop):
+            column = {}
+            for key, c in (r * r._new({basis[j]: ONE})).laplacian()._terms.items():
+                i = index.get(key, stop)
+                if i >= stop:
+                    raise InternalCheckError(
+                        "Fischer image raised the degree; defining polynomial "
+                        "is not degree two"
+                    )
+                if i >= start:
+                    block[i - start][j - start] = c
+                else:
+                    column[i] = c
+            columns.append(column)
+        diagonal.append(tuple(map(tuple, block)))
+        det = det * det_exact(diagonal[-1])
     if not det:
         raise InternalCheckError(
             "singular Fischer system on a positive definite ellipsoid"
         )
     system = FischerSystem(
-        degree_bound=m,
         basis_order=tuple(basis),
         blocks=blocks,
-        matrix=matrix,
+        diagonal=tuple(diagonal),
+        columns=tuple(columns),
         determinant=det,
     )
     _fischer_cache[(domain, m)] = system
     return system
 
 
-def _diagonal_block(matrix, start: int, stop: int):
-    return [row[start:stop] for row in matrix[start:stop]]
-
-
-def _block_determinant(blocks, matrix) -> GaussianRational:
-    det = ONE
-    for start, stop in blocks:
-        det = det * det_exact(_diagonal_block(matrix, start, stop))
-        if not det:
-            break
-    return det
+def _solve_block(block, rhs) -> list[GaussianRational]:
+    solution = solve_exact(block, rhs)
+    if solution is None:
+        raise InternalCheckError("certified-invertible Fischer block failed to solve")
+    return solution
 
 
 def _extend(domain: Ellipse | Ellipsoid, r, p):
@@ -141,25 +142,18 @@ def _extend(domain: Ellipse | Ellipsoid, r, p):
     if not g:
         return p
     system = fischer_system(domain, p.degree() - 2)
-    basis, matrix = system.basis_order, system.matrix
+    basis = system.basis_order
     b = [g._terms.get(alpha, ZERO) for alpha in basis]
     q = {}
-    for start, stop in reversed(system.blocks):
+    for (start, stop), block in zip(reversed(system.blocks), reversed(system.diagonal)):
         rhs = b[start:stop]
         if not any(rhs):
             continue  # the block is invertible, so its unknowns are zero
-        solution = solve_exact(_diagonal_block(matrix, start, stop), rhs)
-        if solution is None:
-            raise InternalCheckError(
-                "certified-invertible Fischer block failed to solve"
-            )
-        for j, c in zip(range(start, stop), solution):
+        for j, c in zip(range(start, stop), _solve_block(block, rhs)):
             if c:
                 q[basis[j]] = c
-                for i in range(start):
-                    a = matrix[i][j]
-                    if a:
-                        b[i] = b[i] - a * c
+                for i, a in system.columns[j].items():
+                    b[i] = b[i] - a * c
     return p - r * r._new(q)
 
 
@@ -168,34 +162,26 @@ def fischer_inverse_row(
 ) -> list[GaussianRational]:
     """Row alpha of the inverse Fischer matrix, indexed like basis_order.
 
-    The row y solves matrix^T y = e_alpha.  The transpose is block lower
+    The row y solves F^T y = e_alpha.  The transpose is block lower
     triangular on the same ranges, so y is zero below degree |alpha| and
-    the rest is forward substitution from that degree up: solve each
-    transposed diagonal block on the current right-hand side, then
-    subtract the solved entries from the rows of higher degree.
+    the rest is forward substitution from that degree up: entry i of the
+    right-hand side is [i == alpha] - sum F[k][i] y[k] over the sparse
+    column i, whose rows k are all of lower degree and already solved,
+    and each transposed diagonal block is solved on it.
     """
-    basis, matrix, size = system.basis_order, system.matrix, system.size
-    b = [ZERO] * size
-    b[basis.index(alpha)] = ONE
-    y = [ZERO] * size
-    for start, stop in system.blocks[sum(alpha):]:
-        rhs = b[start:stop]
-        if not any(rhs):
-            continue  # the block is invertible, so its entries are zero
-        block = [[matrix[k][i] for k in range(start, stop)] for i in range(start, stop)]
-        solution = solve_exact(block, rhs)
-        if solution is None:
-            raise InternalCheckError(
-                "certified-invertible Fischer block failed to solve"
-            )
-        for k, c in zip(range(start, stop), solution):
-            if c:
-                y[k] = c
-                row = matrix[k]
-                for i in range(stop, size):
-                    a = row[i]
-                    if a:
-                        b[i] = b[i] - a * c
+    target = system.basis_order.index(alpha)
+    y = [ZERO] * system.size
+    d = sum(alpha)
+    for (start, stop), block in zip(system.blocks[d:], system.diagonal[d:]):
+        rhs = []
+        for i in range(start, stop):
+            acc = ONE if i == target else ZERO
+            for k, a in system.columns[i].items():
+                if y[k]:
+                    acc = acc - a * y[k]
+            rhs.append(acc)
+        if any(rhs):  # else the block is invertible, so its entries are zero
+            y[start:stop] = _solve_block(list(zip(*block)), rhs)
     return y
 
 

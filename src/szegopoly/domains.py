@@ -20,7 +20,7 @@ from functools import cached_property
 
 from .linalg import det_exact
 from .polynomials import PolyRealN, PolyZZbar
-from .rational import GaussianRational
+from .rational import GaussianRational, rational_from_json
 
 
 def _frac(value) -> Fraction:
@@ -29,6 +29,12 @@ def _frac(value) -> Fraction:
             "domain parameters must be exact rationals (int, Fraction or string)"
         )
     return Fraction(value)
+
+
+def _json_list(value, name: str) -> list[Fraction]:
+    if not isinstance(value, list):
+        raise ValueError(f"{name} must be a list, got {value!r}")
+    return [rational_from_json(v, f"{name} entry") for v in value]
 
 
 @dataclass(frozen=True)
@@ -88,22 +94,26 @@ class Ellipsoid:
 
     @staticmethod
     def from_json_dict(obj: dict) -> "Ellipsoid":
+        """Read the to_json_dict form, or the planar {"a", "b"[, "h", "k"]} form.
+
+        dim must be an int, and every other number an int or a rational
+        string: like the constructors, this rejects floats.  Any malformed
+        value raises ValueError.
+        """
+        if not isinstance(obj, dict):
+            raise ValueError("ellipsoid JSON must be an object")
         if {"a", "b"} <= obj.keys():
-            ellipse = Ellipse(
-                a=Fraction(obj["a"]),
-                b=Fraction(obj["b"]),
-                h=Fraction(obj.get("h", 0)),
-                k=Fraction(obj.get("k", 0)),
-            )
-            return ellipse.to_ellipsoid()
-        dim = int(obj["dim"])
-        flat = [Fraction(v) for v in obj["Q"]]
+            a, b, h, k = (rational_from_json(obj.get(name, 0), name) for name in "abhk")
+            return Ellipse(a, b, h, k).to_ellipsoid()
+        dim = obj["dim"]
+        flat, center = _json_list(obj["Q"], "Q"), _json_list(obj["center"], "center")
+        if type(dim) is not int:
+            raise ValueError(f"dim must be an integer, got {dim!r}")
         if len(flat) != dim * dim:
             raise ValueError(
                 f"Q has {len(flat)} entries, expected {dim * dim} (row-major)"
             )
         Q = tuple(tuple(flat[i * dim + j] for j in range(dim)) for i in range(dim))
-        center = tuple(Fraction(v) for v in obj["center"])
         return Ellipsoid(dim=dim, Q=Q, center=center)
 
     @staticmethod

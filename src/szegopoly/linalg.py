@@ -41,11 +41,7 @@ def _pick_pivot(rows, col, start, strategy):
     ]
     if not candidates:
         return None
-    if strategy == "small":
-        return min(candidates)[1]
-    if strategy == "large":
-        return max(candidates)[1]
-    raise ValueError(f"unknown pivot strategy {strategy!r}")
+    return (min if strategy == "small" else max)(candidates)[1]
 
 
 class _Step(NamedTuple):
@@ -114,6 +110,8 @@ class ExactFactorization:
 
 def factor_exact(matrix: Matrix, *, pivot: str = "small") -> ExactFactorization:
     """Eliminate matrix once and record the steps; it may be rectangular."""
+    if pivot not in ("small", "large"):
+        raise ValueError(f"unknown pivot strategy {pivot!r}")
     m = len(matrix)
     n = len(matrix[0]) if m else 0
     work = [list(row) for row in matrix]

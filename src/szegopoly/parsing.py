@@ -27,7 +27,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .rational import GaussianRational, ONE, ZERO
+from .rational import GaussianRational, ONE, ZERO, rational_from_json
 from .polynomials import (
     MAX_EXPONENT, PolyRealN, PolyZZbar, _add_terms, _mul_terms, _pow_terms,
     xy_to_zzbar, zzbar_to_xy,
@@ -305,14 +305,21 @@ def poly_zzbar_to_json(p: PolyZZbar) -> list[dict]:
     return [{"a": a, "b": b, **_coefficient_json(c)} for (a, b), c in p.terms()]
 
 
+def _coefficient_from_json(item: dict) -> GaussianRational:
+    return GaussianRational(
+        rational_from_json(item["re"], "re"), rational_from_json(item["im"], "im")
+    )
+
+
 def poly_zzbar_from_json(items: list[dict]) -> PolyZZbar:
     terms = {}
     for item in items:
-        key = (int(item["a"]), int(item["b"]))
-        coef = GaussianRational(Fraction(item["re"]), Fraction(item["im"]))
+        # Exponents and dim pass unconverted: the constructors reject any
+        # that is not an int, where int() would read 1.9 or true as 1.
+        key = (item["a"], item["b"])
         if key in terms:
             raise ValueError(f"duplicate exponent pair {key} in JSON polynomial")
-        terms[key] = coef
+        terms[key] = _coefficient_from_json(item)
     return PolyZZbar(terms)
 
 
@@ -326,11 +333,10 @@ def poly_real_to_json(p: PolyRealN) -> dict:
 
 
 def poly_real_from_json(obj: dict) -> PolyRealN:
-    dim = int(obj["dim"])
     terms = {}
     for item in obj["terms"]:
-        key = tuple(int(e) for e in item["alpha"])
+        key = tuple(item["alpha"])
         if key in terms:
             raise ValueError(f"duplicate multi-index {key} in JSON polynomial")
-        terms[key] = GaussianRational(Fraction(item["re"]), Fraction(item["im"]))
-    return PolyRealN(dim, terms)
+        terms[key] = _coefficient_from_json(item)
+    return PolyRealN(obj["dim"], terms)

@@ -356,7 +356,7 @@ class PolyRealN(_SparsePoly):
     __slots__ = ()
 
     def __init__(self, dim: int, terms: Mapping[tuple, CoefLike] | None = None):
-        if not isinstance(dim, int) or dim < 1:
+        if type(dim) is not int or dim < 1:
             raise ValueError(f"dimension must be a positive integer, got {dim!r}")
         super().__init__(dim, terms)
 

@@ -51,6 +51,21 @@ def _ratio_bits(n: int, d: int) -> int:
     return (n // g).bit_length() + (d // g).bit_length()
 
 
+def rational_from_json(value, name: str) -> Fraction:
+    """An exact rational read from JSON: an int or a rational string.
+
+    A float holds a binary fraction, not the decimal it was written as, and
+    JSON's true and false arrive as ints; all of them raise ValueError, as
+    does a malformed string or a zero denominator.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise ValueError(f"{name} must be an integer or a rational string, got {value!r}")
+    try:
+        return Fraction(value)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"bad {name} {value!r}: {exc}") from exc
+
+
 class GaussianRational:
     """A complex number (a + b*i)/d held as a reduced integer triple."""
 

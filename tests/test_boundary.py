@@ -239,6 +239,15 @@ def test_bergman_quadrature_order_guard():
             numerical_bergman(E21, f, 8, quad_order=order)
 
 
+def test_bergman_fit_at_the_minimum_order_checks_at_a_finer_one():
+    # From the minimum order on, the area rule is exact on every product, so
+    # a fit at order 26 reads as orthogonal at order 48 too.
+    f = ZB**3 + Z * ZB
+    proj = numerical_bergman(E21, f, 8, quad_order=26)
+    assert bergman_residual_orthogonality(E21, f, proj, quad_order=48) < 1e-12
+    assert bergman_residual_orthogonality(E21, f, proj, quad_order=30) < 1e-12
+
+
 @settings(max_examples=5, deadline=None)
 @given(st.randoms(use_true_random=False))
 def test_bergman_random_residual_orthogonality(rng):

@@ -63,6 +63,42 @@ def test_dirichlet_with_ellipsoid_file(capsys, tmp_path):
     assert solution == PolyRealN.constant(3, 1)
 
 
+@pytest.mark.parametrize(
+    "description",
+    [
+        [1, 2],
+        "x",
+        {"dim": 2, "Q": 5, "center": [0, 0]},
+        {"dim": 2, "Q": [1, 0, 0, 1], "center": "12"},
+        {"a": 2, "b": 1, "h": [1]},
+        {"dim": 2.7, "Q": [1, 0, 0, 1], "center": [0, 0]},
+        {"dim": True, "Q": [1], "center": [0]},
+        {"dim": 2, "Q": [0.1, 0, 0, 1], "center": [0, 0]},
+        {"a": 2, "b": 1, "k": 0.5},
+        {"a": True, "b": 1},
+        {"a": "1/0", "b": 1},
+    ],
+)
+def test_malformed_ellipsoid_file_is_bad_input(capsys, tmp_path, description):
+    desc = tmp_path / "bad.json"
+    desc.write_text(json.dumps(description))
+    code, out, err = run_cli(
+        capsys, "dirichlet", "--ellipsoid", str(desc), "--poly", "x^2"
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot load ellipsoid: ")
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_ellipsoid_file_takes_ints_and_rational_strings(capsys, tmp_path):
+    desc = tmp_path / "disc.json"
+    desc.write_text(json.dumps({"a": "3/2", "b": 1, "h": "0.5", "k": -2}))
+    code, report, _ = run_json(capsys, "dirichlet", "--ellipsoid", str(desc), "--poly", "x")
+    assert code == 0
+    assert report["domain"]["center"] == ["1/2", "-2"]
+
+
 def test_verify_command(capsys):
     code, report, _ = run_json(
         capsys, "verify", "--ellipse", "2,1,0,0", "--poly", "zbar",

@@ -129,10 +129,22 @@ def test_centered_ellipse_zzbar_coefficients():
 
 # -- Fischer systems --------------------------------------------------------------
 
+def dense_matrix(fs):
+    """Tests-only: the whole Fischer matrix, rebuilt from the stored blocks and columns."""
+    matrix = [[ZERO] * fs.size for _ in range(fs.size)]
+    for (start, stop), block in zip(fs.blocks, fs.diagonal):
+        for i, row in enumerate(block, start):
+            matrix[i][start:stop] = row
+    for j, column in enumerate(fs.columns):
+        for i, c in column.items():
+            matrix[i][j] = c
+    return matrix
+
+
 def test_fischer_unit_disc_degree_zero():
     fs = fischer_system(unit_disc(), 0)
     assert fs.size == 1
-    assert fs.matrix[0][0] == GaussianRational(4)
+    assert dense_matrix(fs)[0][0] == GaussianRational(4)
     assert fs.determinant == GaussianRational(4)
 
 
@@ -140,18 +152,19 @@ def test_fischer_unit_disc_degree_one():
     fs = fischer_system(unit_disc(), 1)
     assert fs.size == 3
     assert fs.basis_order == ((0, 0), (0, 1), (1, 0))
+    matrix = dense_matrix(fs)
     # Lap(r*x) = 8x and Lap(r*y) = 8y on the unit disc
     for j, alpha in enumerate(fs.basis_order):
-        col = [fs.matrix[i][j] for i in range(3)]
+        col = [matrix[i][j] for i in range(3)]
         image = (unit_disc().defining_poly() * PolyRealN.monomial(alpha)).laplacian()
         assert col == [image.coefficient(beta) for beta in fs.basis_order]
-    assert fs.matrix[1][1] == GaussianRational(8)
-    assert fs.matrix[2][2] == GaussianRational(8)
+    assert matrix[1][1] == GaussianRational(8)
+    assert matrix[2][2] == GaussianRational(8)
 
 
 def test_fischer_unit_ball_3d():
     fs = fischer_system(unit_ball(3), 0)
-    assert fs.matrix[0][0] == GaussianRational(6)  # Lap(|x|^2 - 1) = 2n
+    assert dense_matrix(fs)[0][0] == GaussianRational(6)  # Lap(|x|^2 - 1) = 2n
 
 
 def test_fischer_determinant_nonzero_up_to_degree_ten():
@@ -258,9 +271,10 @@ def test_fischer_system_on_ellipse_uses_zzbar_basis():
     assert fs.determinant
     # column j is the image Lap(r * z^a zbar^b) of the j-th basis monomial
     r = e.defining_poly_zzbar()
+    matrix = dense_matrix(fs)
     for j, (a, b) in enumerate(fs.basis_order):
         image = (r * PolyZZbar.monomial(a, b)).laplacian()
-        assert [fs.matrix[i][j] for i in range(fs.size)] == [
+        assert [matrix[i][j] for i in range(fs.size)] == [
             image.coefficient(*key) for key in fs.basis_order
         ]
     # one cache, keyed by the domain: the x/y system is a separate entry
@@ -297,7 +311,7 @@ def dense_extension(domain, r, p):
         return p
     fs = fischer_system(domain, p.degree() - 2)
     g = dict(p.laplacian().terms())
-    x = solve_exact(fs.matrix, [g.get(alpha, ZERO) for alpha in fs.basis_order])
+    x = solve_exact(dense_matrix(fs), [g.get(alpha, ZERO) for alpha in fs.basis_order])
     terms = dict(zip(fs.basis_order, x))
     q = PolyZZbar(terms) if isinstance(p, PolyZZbar) else PolyRealN(p.dim, terms)
     return p - r * q
@@ -329,13 +343,15 @@ def test_real_extension_matches_dense_solve(case):
 )
 def test_block_determinant_is_the_dense_determinant(domain, m):
     fs = fischer_system(domain, m)
-    assert fs.determinant == det_exact(fs.matrix)
+    assert fs.determinant == det_exact(dense_matrix(fs))
     assert len(fs.blocks) == m + 1
     assert fs.blocks[0][0] == 0 and fs.blocks[-1][1] == fs.size
     for d, (start, stop) in enumerate(fs.blocks):
         assert [sum(alpha) for alpha in fs.basis_order[start:stop]] == [d] * (stop - start)
-        # nothing of degree d reaches the rows of higher degree
-        assert all(not c for row in fs.matrix[stop:] for c in row[start:stop])
+        # the sparse columns of degree d hold only rows of lower degree, and
+        # only nonzero entries
+        for column in fs.columns[start:stop]:
+            assert all(i < start and c for i, c in column.items())
 
 
 @pytest.mark.parametrize("m", range(5))
@@ -351,10 +367,11 @@ def test_block_determinant_is_the_dense_determinant(domain, m):
 )
 def test_inverse_row_times_matrix_is_the_unit_row(domain, m):
     fs = fischer_system(domain, m)
+    matrix = dense_matrix(fs)
     for target, alpha in enumerate(fs.basis_order):
         y = fischer_inverse_row(fs, alpha)
         product = [
-            sum((y[k] * fs.matrix[k][i] for k in range(fs.size)), start=ZERO)
+            sum((y[k] * matrix[k][i] for k in range(fs.size)), start=ZERO)
             for i in range(fs.size)
         ]
         assert product == [GaussianRational(int(i == target)) for i in range(fs.size)]

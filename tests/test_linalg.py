@@ -62,6 +62,13 @@ def test_zero_rows_ignored():
 def test_unknown_pivot_strategy():
     with pytest.raises(ValueError):
         solve_exact([[gr(1)]], [gr(1)], pivot="median")
+    # checked before any column is searched for a pivot
+    with pytest.raises(ValueError):
+        factor_exact([[ZERO]], pivot="median")
+    with pytest.raises(ValueError):
+        solve_exact([[ZERO]], [ZERO], pivot="bogus")
+    with pytest.raises(ValueError):
+        factor_exact([], pivot="bogus")
 
 
 def test_det_examples():

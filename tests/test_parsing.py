@@ -1,6 +1,5 @@
 """Polynomial text/JSON round trips and parse errors."""
 
-import random
 from fractions import Fraction
 
 import pytest
@@ -22,7 +21,6 @@ from szegopoly.parsing import (
 )
 from szegopoly.polynomials import PolyRealN, PolyZZbar, monomials_real, xy_to_zzbar
 from szegopoly.rational import GaussianRational
-from szegopoly.sampling import random_poly_real, random_poly_zzbar
 
 Z = PolyZZbar.var_z()
 ZB = PolyZZbar.var_zbar()
@@ -117,16 +115,6 @@ def test_zero_round_trip():
         assert parse_poly_real(format_poly_real(zero)) == zero
 
 
-def test_json_round_trip_random():
-    rng = random.Random(22)
-    for _ in range(100):
-        p = random_poly_zzbar(rng, 6)
-        assert poly_zzbar_from_json(poly_zzbar_to_json(p)) == p
-    for _ in range(50):
-        q = random_poly_real(rng, rng.choice([2, 3]), 5)
-        assert poly_real_from_json(poly_real_to_json(q)) == q
-
-
 def test_json_rejects_duplicates():
     items = [
         {"a": 1, "b": 0, "re": "1", "im": "0"},
@@ -134,6 +122,39 @@ def test_json_rejects_duplicates():
     ]
     with pytest.raises(ValueError):
         poly_zzbar_from_json(items)
+
+
+@pytest.mark.parametrize(
+    "item",
+    [
+        {"a": 1.9, "b": 0, "re": "1", "im": "0"},
+        {"a": True, "b": 0, "re": "1", "im": "0"},
+        {"a": 1, "b": "2", "re": "1", "im": "0"},
+        {"a": 1, "b": 0, "re": 0.1, "im": "0"},
+        {"a": 1, "b": 0, "re": "1", "im": 0.5},
+        {"a": 1, "b": 0, "re": True, "im": "0"},
+        {"a": 1, "b": 0, "re": "1/0", "im": "0"},
+    ],
+)
+def test_json_rejects_inexact_values(item):
+    with pytest.raises(ValueError):
+        poly_zzbar_from_json([item])
+    term = {"alpha": [item["a"], item["b"]], "re": item["re"], "im": item["im"]}
+    with pytest.raises(ValueError):
+        poly_real_from_json({"dim": 2, "terms": [term]})
+
+
+@pytest.mark.parametrize("dim, alpha", [(2.5, [1, 0]), ("2", [1, 0]), (True, [1])])
+def test_json_rejects_a_dimension_that_is_not_an_int(dim, alpha):
+    with pytest.raises(ValueError):
+        poly_real_from_json({"dim": dim, "terms": [{"alpha": alpha, "re": "1", "im": "0"}]})
+
+
+def test_json_reads_ints_and_rational_strings():
+    p = poly_real_from_json(
+        {"dim": 2, "terms": [{"alpha": [1, 0], "re": 3, "im": "-1/2"}]}
+    )
+    assert p == PolyRealN.monomial((1, 0), GaussianRational(3, Fraction(-1, 2)))
 
 
 def test_term_order_is_graded_lex():
@@ -222,6 +243,17 @@ def real_polys(draw):
     dim = draw(st.integers(1, 4))
     keys = st.sampled_from(monomials_real(dim, 4))
     return PolyRealN(dim, draw(st.dictionaries(keys, coefficients, max_size=8)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.dictionaries(st.sampled_from(monomials_real(2, 6)), coefficients, max_size=14),
+    real_polys(),
+)
+def test_json_round_trip_random(terms, q):
+    p = PolyZZbar(terms)
+    assert poly_zzbar_from_json(poly_zzbar_to_json(p)) == p
+    assert poly_real_from_json(poly_real_to_json(q)) == q
 
 
 @settings(max_examples=150, deadline=None)

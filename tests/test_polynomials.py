@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from szegopoly.polynomials import (
     MAX_EXPONENT,
@@ -144,16 +145,21 @@ def test_evaluate_real_poly():
     assert p.evaluate((3.0, 2.0)) == pytest.approx(5.0)
 
 
-def test_ring_axioms_random_triples():
-    rng = random.Random(12)
-    for _ in range(100):
-        p = random_poly_zzbar(rng, 6)
-        q = random_poly_zzbar(rng, 6)
-        r = random_poly_zzbar(rng, 6)
-        assert (p + q) + r == p + (q + r)
-        assert (p * q) * r == p * (q * r)
-        assert p * (q + r) == p * q + p * r
-        assert p * q == q * p
+small_rationals = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+zzbar_polys = st.dictionaries(
+    st.sampled_from(monomials_zzbar(6)),
+    st.builds(GaussianRational, small_rationals, small_rationals),
+    max_size=14,
+).map(PolyZZbar)
+
+
+@settings(max_examples=100, deadline=None)
+@given(zzbar_polys, zzbar_polys, zzbar_polys)
+def test_ring_axioms_random_triples(p, q, r):
+    assert (p + q) + r == p + (q + r)
+    assert (p * q) * r == p * (q * r)
+    assert p * (q + r) == p * q + p * r
+    assert p * q == q * p
 
 
 def test_no_zero_divisors_degree_additive():
