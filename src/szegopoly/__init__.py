@@ -35,6 +35,7 @@ from .parsing import (
 )
 from .linalg import (
     ExactFactorization,
+    GradedSystem,
     InternalCheckError,
     det_exact,
     factor_exact,
@@ -42,7 +43,6 @@ from .linalg import (
 )
 from .domains import Ellipse, Ellipsoid
 from .dirichlet import (
-    FischerSystem,
     fischer_system,
     harmonic_extension,
     harmonic_extension_zzbar,
@@ -80,8 +80,8 @@ __version__ = "0.1.0"
 
 
 def clear_caches() -> None:
-    """Empty the package's memo tables: the exact Fischer systems and
-    factored Szego systems, and the float quadrature grids, area rules and
+    """Empty the package's memo tables: the exact Fischer and Szego
+    systems, and the float quadrature grids, area rules and
     Vandermonde bases.
 
     Each Ellipse also memoises its z/zbar defining polynomial; that memo
@@ -112,13 +112,13 @@ __all__ = [
     "poly_zzbar_from_json",
     "poly_zzbar_to_json",
     "ExactFactorization",
+    "GradedSystem",
     "InternalCheckError",
     "det_exact",
     "factor_exact",
     "solve_exact",
     "Ellipse",
     "Ellipsoid",
-    "FischerSystem",
     "fischer_system",
     "harmonic_extension",
     "harmonic_extension_zzbar",

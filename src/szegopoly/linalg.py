@@ -14,14 +14,18 @@ right-hand side does exactly the arithmetic a one-shot solve would, and a
 system used for many right-hand sides is eliminated only once.
 solve_exact and det_exact are one-shot uses of the same factorisation.
 
-Zero multipliers are skipped, so block-structured systems (such as the
-Fischer matrices, which are block triangular in the graded basis) cost
-little more than their diagonal blocks.
+A GradedSystem is a square matrix that is block upper triangular in a
+graded monomial basis, such as the Fischer and Szego systems: it keeps
+its dense diagonal degree blocks and, per column, the few entries in rows
+of lower degree.  Its determinant is the product of the block
+determinants, and a solve is graded back-substitution, one solve_exact
+call per diagonal block from the top degree down.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .rational import GaussianRational, ZERO, ONE
 
@@ -164,3 +168,100 @@ def solve_exact(
 def det_exact(matrix: Matrix) -> GaussianRational:
     """Exact determinant of a square matrix of GaussianRationals."""
     return factor_exact(matrix).determinant
+
+
+@dataclass(frozen=True)
+class GradedSystem:
+    """A square matrix M, block upper triangular on graded index ranges.
+
+    basis_order lists the row keys (exponent tuples) by total degree, and
+    blocks[d] is the [start, stop) range of the keys of degree d; unknown j
+    has the degree of row j, and its column reaches no row of higher
+    degree.  M is kept in two parts: diagonal[d] is the dense degree-d
+    block, diagonal[d][i - start][j - start] = M[i][j], and columns[j] holds
+    only the entries of column j in rows of lower degree, as {i: M[i][j]}.
+    determinant is the product of the determinants of the diagonal blocks,
+    each checked nonzero when the system is built (graded_system).
+    """
+
+    basis_order: tuple[tuple[int, ...], ...]
+    blocks: tuple[tuple[int, int], ...]
+    diagonal: tuple[tuple[tuple[GaussianRational, ...], ...], ...]
+    columns: tuple[dict[int, GaussianRational], ...]
+    determinant: GaussianRational
+
+    @property
+    def size(self) -> int:
+        return len(self.basis_order)
+
+    def solve(
+        self, rhs: Sequence[GaussianRational], *, pivot: str = "small"
+    ) -> list[GaussianRational]:
+        """The unique x with M @ x = rhs, by graded back-substitution.
+
+        From the top degree down: solve the diagonal block on the current
+        right-hand side (one solve_exact call with the given pivot rule),
+        then push each solved unknown through its column's sparse entries.
+        A block whose right-hand side is zero has zero unknowns.
+        """
+        b = list(rhs)
+        x = [ZERO] * self.size
+        for (start, stop), block in zip(reversed(self.blocks), reversed(self.diagonal)):
+            part = b[start:stop]
+            if not any(part):
+                continue
+            solution = solve_exact(block, part, pivot=pivot)
+            if solution is None:
+                raise InternalCheckError("certified-invertible diagonal block failed to solve")
+            x[start:stop] = solution
+            for j, c in zip(range(start, stop), solution):
+                if c:
+                    for i, a in self.columns[j].items():
+                        b[i] = b[i] - a * c
+        return x
+
+
+def graded_system(
+    basis: Sequence[tuple[int, ...]], images: Iterable[Mapping[tuple, GaussianRational]]
+) -> GradedSystem:
+    """Build and certify the GradedSystem whose column j is images[j].
+
+    basis is graded (ascending total degree), and images[j] maps row keys
+    to the nonzero entries of column j.  InternalCheckError if a column
+    reaches a row of higher degree than its own or a diagonal block is
+    singular.
+    """
+    size = len(basis)
+    degrees = [sum(key) for key in basis]
+    starts = [i for i in range(size) if i == 0 or degrees[i] != degrees[i - 1]]
+    blocks = tuple(zip(starts, starts[1:] + [size]))
+    index = {key: i for i, key in enumerate(basis)}
+    images = iter(images)
+    diagonal, columns, det = [], [], ONE
+    for start, stop in blocks:
+        block = [[ZERO] * (stop - start) for _ in range(start, stop)]
+        for j in range(start, stop):
+            column = {}
+            for key, c in next(images).items():
+                i = index.get(key, size)
+                if i >= stop:
+                    raise InternalCheckError(
+                        f"column {j} reaches a row of higher degree than its own"
+                    )
+                if i >= start:
+                    block[i - start][j - start] = c
+                else:
+                    column[i] = c
+            columns.append(column)
+        diagonal.append(tuple(map(tuple, block)))
+        block_det = det_exact(diagonal[-1])
+        if not block_det:
+            raise InternalCheckError(f"singular diagonal block of degree {degrees[start]}")
+        det = det * block_det
+    return GradedSystem(
+        basis_order=tuple(basis),
+        blocks=blocks,
+        diagonal=tuple(diagonal),
+        columns=tuple(columns),
+        determinant=det,
+    )

@@ -320,7 +320,10 @@ def poly_zzbar_from_json(items: list[dict]) -> PolyZZbar:
         if key in terms:
             raise ValueError(f"duplicate exponent pair {key} in JSON polynomial")
         terms[key] = _coefficient_from_json(item)
-    return PolyZZbar(terms)
+    try:
+        return PolyZZbar(terms)
+    except OverflowError as exc:  # an exponent past the 32-bit bound is bad input
+        raise ValueError(str(exc)) from None
 
 
 def poly_real_to_json(p: PolyRealN) -> dict:
@@ -339,4 +342,7 @@ def poly_real_from_json(obj: dict) -> PolyRealN:
         if key in terms:
             raise ValueError(f"duplicate multi-index {key} in JSON polynomial")
         terms[key] = _coefficient_from_json(item)
-    return PolyRealN(obj["dim"], terms)
+    try:
+        return PolyRealN(obj["dim"], terms)
+    except OverflowError as exc:  # an exponent past the 32-bit bound is bad input
+        raise ValueError(str(exc)) from None

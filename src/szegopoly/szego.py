@@ -7,46 +7,43 @@ polynomial of the ellipse.  For that weight, the composite operator
 
 (E = harmonic extension, d/dbar = Wirtinger derivatives) maps polynomials
 of degree <= N to polynomials of degree <= N whose boundary values lie in
-the orthogonal complement of the weighted Hardy space.  Every polynomial f
-therefore splits exactly as
+the orthogonal complement of the weighted Hardy space.  E p is harmonic,
+so it is a holomorphic part plus an antiholomorphic part of degree
+<= deg p, and A kills the holomorphic part: on degree <= N the image of A
+is spanned by A(zbar^k) = k * (d r) * zbar^(k-1), k = 1..N, which needs no
+extension.  Every polynomial f of degree <= N therefore splits as
 
-    f = h + A(p) + r*q
+    f = h + sum_k c_k A(zbar^k) + r*q,    deg q <= N - 2,
 
-with h holomorphic of degree <= deg f; h is the weighted Szego projection
-of f.  The solver assembles the finite linear system over the unknown
-coefficient blocks (h, p, q) and solves it exactly; h is unique even
-though (p, q) are not, and verify_decomposition re-checks every claim.
-The system depends only on (ellipse, N), so it is factored once and each
-projection replays that factorisation on its own right-hand side.
+with h holomorphic of degree <= N; h is the weighted Szego projection of f.
 
-The p block holds A(m) for every monomial m = z^a zbar^b of degree <= N,
-and all of it comes from one Fischer system F (the matrix of
-q -> Lap(r*q) on degree <= N - 2), without extending each m on its own.
-If b = 0, m is holomorphic and A(m) = 0.  If a = 0, m is harmonic, E m = m
-and A(m) = b * (d r) * zbar^(b-1).  Otherwise Lap m = 4ab z^(a-1) zbar^(b-1),
-so E m = m - 4ab * r * F^-1 e_beta with beta = (a-1, b-1); F is graded
-block triangular, so its leading blocks are the Fischer systems of lower
-degree and this one F serves every m.  E m is harmonic, so it has no
-mixed z zbar terms, and m has no pure zbar terms, hence
-
-    dbar E m = -4ab * sum_{k>=1} k [r * F^-1 e_beta]_(0,k) zbar^(k-1),
-    [r q]_(0,k) = r_00 q_(0,k) + r_01 q_(0,k-1) + r_02 q_(0,k-2).
-
-Only the pure zbar entries q_(0,j), j <= N - 2, are read: rows (0, j) of
-F^-1, one transposed solve each.  operator_A itself still extends its
-input, so verify_decomposition checks A(preimage) on a separate path.
+The split is unique.  If h + A(g) + r*q = 0 with g = sum_k c_k zbar^k,
+then h = -A(g) on the boundary, and the image of A is orthogonal to the
+weighted Hardy space, so <h, h>_w = 0 and h = 0.  Then
+A(g) = (d r) * dbar g = -r*q vanishes on the boundary, where d r != 0, so
+the antiholomorphic polynomial dbar g vanishes on that infinite set and is
+zero: every c_k = 0, and then q = 0.
+So the linear system for (h, c, q) is square and injective, with
+(N+1)(N+2)/2 unknowns.  Its degree-d unknowns (z^d, c_d, and q on the
+monomials of degree d - 2) have columns of degree d, so in the graded basis
+it is block upper triangular with one (d+1)x(d+1) diagonal block per
+degree: the same linalg.GradedSystem as the Fischer systems, solved by
+the same graded back-substitution.  The builder checks every block's
+determinant nonzero, so the exact determinant certifies uniqueness.  The
+system depends only on (ellipse, N) and is cached per pair.
+verify_decomposition re-checks every claim, with operator_A extending the
+preimage on its own path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .dirichlet import fischer_inverse_row, fischer_system, harmonic_extension_zzbar
+from .dirichlet import harmonic_extension_zzbar
 from .domains import Ellipse
-from .linalg import ExactFactorization, InternalCheckError, factor_exact
+from .linalg import GradedSystem, graded_system
 from .lru import LRUCache
-from .polynomials import PolyZZbar, divide_exact, monomials_zzbar
-from .rational import GaussianRational, ZERO
+from .polynomials import PolyZZbar, monomials_zzbar
 
 
 def operator_A(e: Ellipse, p: PolyZZbar) -> PolyZZbar:
@@ -83,84 +80,40 @@ class SzegoDecomposition:
 COLUMN_CACHE_SIZE = 64
 
 
-def _a_columns(e: Ellipse, N: int) -> list[PolyZZbar]:
-    """A(z^a zbar^b) for every (a, b) in monomials_zzbar(N); see _system_matrix."""
-    d_r = e.d_r()
-    dbar_rows, index = [], {}  # stay empty for N < 2: no monomial has a, b >= 1
-    if N >= 2:
-        system = fischer_system(e, N - 2)
-        rows = [fischer_inverse_row(system, (0, j)) for j in range(N - 1)]
-        r = e.defining_poly_zzbar()
-        # dbar_rows[k - 1][i] = k * [r * F^-1 e_i]_(0,k), for i over the basis.
-        for k in range(1, N + 1):
-            acc = [ZERO] * system.size
-            for t in range(3):
-                c = r.coefficient(0, t)
-                if c and 0 <= k - t <= N - 2:
-                    acc = [x + c * y if y else x for x, y in zip(acc, rows[k - t])]
-            dbar_rows.append([x * k for x in acc])
-        index = {beta: i for i, beta in enumerate(system.basis_order)}
-    columns = []
-    for a, b in monomials_zzbar(N):
-        if b == 0:
-            columns.append(PolyZZbar.zero())
-        elif a == 0:
-            columns.append(d_r * PolyZZbar.monomial(0, b - 1, b))
-        else:
-            i = index[(a - 1, b - 1)]
-            scale = -4 * a * b
-            dbar = {(0, k): row[i] * scale for k, row in enumerate(dbar_rows)}
-            columns.append(d_r * PolyZZbar(dbar))
-    return columns
+def _unknowns(N: int):
+    """The unknowns of the degree-N system in column order, as (part, key).
 
-
-def _system_matrix(e: Ellipse, N: int) -> list[list[GaussianRational]]:
-    """Row-major matrix of the block system on monomials_zzbar(N).
-
-    Columns, in order: the h block z^k (k <= N); the p block A(z^a zbar^b)
-    over monomials_zzbar(N); the q block r * z^a zbar^b over
-    monomials_zzbar(N - 2).  The p block equals operator_A on each monomial
-    entry for entry, but comes from the one Fischer system F of degree
-    N - 2 (the module docstring derives it): A(z^a) = 0,
-    A(zbar^b) = b * (d r) * zbar^(b-1), and for a, b >= 1
-
-        A(z^a zbar^b) = -4ab * (d r) * sum_{k>=1} k [r * F^-1 e_(a-1,b-1)]_(0,k) zbar^(k-1),
-
-    which reads only rows (0, j), j <= N - 2, of F^-1: N - 1 transposed
-    solves instead of one harmonic extension per monomial.
+    Part 0 is the coefficient of z^d in h, part 1 is c_d, the coefficient
+    of zbar^d in the preimage, and part 2 is the coefficient of
+    m = z^a zbar^b in q; the degree-d unknowns come in that order, with q's
+    in the graded-lex order of monomials_zzbar.
     """
-    columns = [PolyZZbar.monomial(k, 0) for k in range(N + 1)]
-    columns += _a_columns(e, N)
-    if N >= 2:
-        r = e.defining_poly_zzbar()
-        columns += [r * PolyZZbar.monomial(a, b) for a, b in monomials_zzbar(N - 2)]
-    row_index = {key: i for i, key in enumerate(monomials_zzbar(N))}
-    matrix = [[ZERO] * len(columns) for _ in row_index]
-    for j, poly in enumerate(columns):
-        for key, c in poly.terms():
-            matrix[row_index[key]][j] = c
-    return matrix
+    for d in range(N + 1):
+        yield 0, (d, 0)
+        if d:
+            yield 1, (0, d)
+        for a in range(d - 1):
+            yield 2, (a, d - 2 - a)
 
 
-class _SzegoSystem:
-    """The decomposition matrix of one (ellipse, N), with its exact
-    factorisation for each pivot strategy, made on first use."""
+def _square_system(e: Ellipse, N: int) -> GradedSystem:
+    """The square system of f = h + sum_k c_k A(zbar^k) + r*q on the rows
+    monomials_zzbar(N): the column of an unknown is z^d, A(zbar^d) or r*m."""
+    d_r, r = e.d_r(), e.defining_poly_zzbar()
 
-    def __init__(self, matrix: list[list[GaussianRational]]):
-        self.matrix = matrix
-        self.factors: dict[str, ExactFactorization] = {}
+    def column(part, key):
+        if part == 0:
+            return PolyZZbar.monomial(*key)
+        if part == 1:  # A(zbar^k) = k * (d r) * zbar^(k-1)
+            return d_r * PolyZZbar.monomial(0, key[1] - 1, key[1])
+        return r * PolyZZbar.monomial(*key)
 
-    def factor(self, pivot: str) -> ExactFactorization:
-        factorization = self.factors.get(pivot)
-        if factorization is None:
-            factorization = factor_exact(self.matrix, pivot=pivot)
-            self.factors[pivot] = factorization
-        return factorization
+    images = (column(part, key)._terms for part, key in _unknowns(N))
+    return graded_system(monomials_zzbar(N), images)
 
 
-# The decomposition system depends only on (ellipse, N), so projections on
-# one ellipse eliminate it once per pivot strategy and then only replay the
-# recorded elimination on each right-hand side.
+# The system depends only on (ellipse, N), so projections on one ellipse
+# build and certify it once.
 _column_cache: LRUCache = LRUCache(COLUMN_CACHE_SIZE)
 
 
@@ -189,41 +142,26 @@ def szego_project(
 
     system = _column_cache.get((e, N))
     if system is None:
-        system = _SzegoSystem(_system_matrix(e, N))
+        system = _square_system(e, N)
         _column_cache[(e, N)] = system
-    rhs = [f.coefficient(a, b) for a, b in monomials_zzbar(N)]
-    solution = system.factor(pivot).solve(rhs)
-    if solution is None:
-        raise InternalCheckError(
-            "Szego decomposition system is inconsistent; the operator "
-            "A should reach every residue class"
-        )
-
-    n_h = N + 1
-    p_monos = monomials_zzbar(N)
-    n_p = len(p_monos)
-    q_monos = monomials_zzbar(N - 2) if N >= 2 else []
-
-    h = PolyZZbar({(k, 0): solution[k] for k in range(n_h)})
-    p = PolyZZbar(
-        {key: c for key, c in zip(p_monos, solution[n_h : n_h + n_p]) if c}
-    )
-    q = PolyZZbar(
-        {key: c for key, c in zip(q_monos, solution[n_h + n_p :]) if c}
-    )
+    rhs = [f.coefficient(a, b) for a, b in system.basis_order]
+    parts = ({}, {}, {})
+    for (part, key), c in zip(_unknowns(N), system.solve(rhs, pivot=pivot)):
+        if c:
+            parts[part][key] = c
+    h, p, q = map(PolyZZbar, parts)
     return SzegoDecomposition(input=f, projection=h, preimage=p, cofactor=q, N=N)
 
 
 def kernel_membership(e: Ellipse, p: PolyZZbar) -> bool:
     """Whether p = g + r*q for some holomorphic g and polynomial q.
 
-    Those p are exactly the ones the operator A annihilates.  If p = g + r*q,
-    then p = g + A(0) + r*q is a decomposition of p, and h is unique, so the
-    projection of p is g and r divides p - g; conversely the quotient is a
-    q.  The projection reuses the cached (ellipse, N) system.
+    Those p are exactly the ones the operator A annihilates.  If
+    p = g + r*q, then (g, 0, q) solves the decomposition system of p, which
+    is injective, so every c_k of the projection is zero; conversely, zero
+    c_k leave p = h + r*q.  The projection reuses the cached system.
     """
-    h = szego_project(e, p).projection
-    return divide_exact(p - h, e.defining_poly_zzbar()) is not None
+    return szego_project(e, p).preimage.is_zero()
 
 
 @dataclass(frozen=True)

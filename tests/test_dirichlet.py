@@ -3,14 +3,14 @@
 import itertools
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import szegopoly
-from szegopoly import dirichlet
+from szegopoly import dirichlet, szego
 from szegopoly.dirichlet import (
-    fischer_inverse_row,
     fischer_system,
     harmonic_extension,
     harmonic_extension_zzbar,
@@ -130,7 +130,8 @@ def test_centered_ellipse_zzbar_coefficients():
 # -- Fischer systems --------------------------------------------------------------
 
 def dense_matrix(fs):
-    """Tests-only: the whole Fischer matrix, rebuilt from the stored blocks and columns."""
+    """Tests-only: the whole matrix of a graded system, rebuilt from its
+    stored blocks and columns."""
     matrix = [[ZERO] * fs.size for _ in range(fs.size)]
     for (start, stop), block in zip(fs.blocks, fs.diagonal):
         for i, row in enumerate(block, start):
@@ -333,50 +334,26 @@ def test_real_extension_matches_dense_solve(case):
 
 @pytest.mark.parametrize("m", range(6))
 @pytest.mark.parametrize(
-    "domain",
+    "build",
     [
-        Ellipse(2, 1, Fraction(1, 3), Fraction(-1, 2)),
-        random_ellipsoid(random.Random(35), 2),
-        random_ellipsoid(random.Random(36), 3),
+        partial(fischer_system, Ellipse(2, 1, Fraction(1, 3), Fraction(-1, 2))),
+        partial(fischer_system, random_ellipsoid(random.Random(35), 2)),
+        partial(fischer_system, random_ellipsoid(random.Random(36), 3)),
+        partial(szego._square_system, Ellipse(2, 1, Fraction(1, 3), Fraction(-1, 2))),
     ],
-    ids=["ellipse", "ellipsoid2", "ellipsoid3"],
+    ids=["ellipse", "ellipsoid2", "ellipsoid3", "szego"],
 )
-def test_block_determinant_is_the_dense_determinant(domain, m):
-    fs = fischer_system(domain, m)
-    assert fs.determinant == det_exact(dense_matrix(fs))
-    assert len(fs.blocks) == m + 1
-    assert fs.blocks[0][0] == 0 and fs.blocks[-1][1] == fs.size
-    for d, (start, stop) in enumerate(fs.blocks):
-        assert [sum(alpha) for alpha in fs.basis_order[start:stop]] == [d] * (stop - start)
+def test_block_determinant_is_the_dense_determinant(build, m):
+    system = build(m)
+    assert system.determinant == det_exact(dense_matrix(system))
+    assert len(system.blocks) == m + 1
+    assert system.blocks[0][0] == 0 and system.blocks[-1][1] == system.size
+    for d, (start, stop) in enumerate(system.blocks):
+        assert [sum(alpha) for alpha in system.basis_order[start:stop]] == [d] * (stop - start)
         # the sparse columns of degree d hold only rows of lower degree, and
         # only nonzero entries
-        for column in fs.columns[start:stop]:
+        for column in system.columns[start:stop]:
             assert all(i < start and c for i, c in column.items())
-
-
-@pytest.mark.parametrize("m", range(5))
-@pytest.mark.parametrize(
-    "domain",
-    [
-        Ellipse(2, 1, Fraction(1, 3), Fraction(-1, 2)),
-        Ellipse(1, 1),
-        random_ellipsoid(random.Random(37), 2),
-        random_ellipsoid(random.Random(38), 3),
-    ],
-    ids=["ellipse", "disc", "ellipsoid2", "ellipsoid3"],
-)
-def test_inverse_row_times_matrix_is_the_unit_row(domain, m):
-    fs = fischer_system(domain, m)
-    matrix = dense_matrix(fs)
-    for target, alpha in enumerate(fs.basis_order):
-        y = fischer_inverse_row(fs, alpha)
-        product = [
-            sum((y[k] * matrix[k][i] for k in range(fs.size)), start=ZERO)
-            for i in range(fs.size)
-        ]
-        assert product == [GaussianRational(int(i == target)) for i in range(fs.size)]
-        # the transpose is block lower triangular: nothing below degree |alpha|
-        assert not any(y[: fs.blocks[sum(alpha)][0]])
 
 
 @settings(max_examples=30, deadline=None)

@@ -6,7 +6,13 @@ import pytest
 import sympy
 from hypothesis import assume, given, settings, strategies as st
 
-from szegopoly.linalg import det_exact, factor_exact, solve_exact
+from szegopoly.linalg import (
+    InternalCheckError,
+    det_exact,
+    factor_exact,
+    graded_system,
+    solve_exact,
+)
 from szegopoly.rational import GaussianRational, ZERO
 
 
@@ -222,3 +228,16 @@ def test_factored_determinant_is_multiplicative(pair):
 def test_determinant_of_rectangular_factorization_rejected():
     with pytest.raises(ValueError):
         factor_exact([[gr(1), gr(2)]]).determinant
+
+
+def test_graded_system_solves_and_rejects_a_singular_block_or_a_raised_degree():
+    basis = [(0, 0), (0, 1), (1, 0)]
+    one = gr(1)
+    system = graded_system(basis, [{(0, 0): one}, {(0, 1): one, (0, 0): one}, {(1, 0): one}])
+    assert system.blocks == ((0, 1), (1, 3))
+    assert system.columns == ({}, {0: one}, {})
+    assert system.solve([one, one, one]) == [ZERO, one, one]
+    with pytest.raises(InternalCheckError, match="singular"):
+        graded_system(basis, [{(0, 0): one}, {(0, 1): one}, {(0, 1): one}])
+    with pytest.raises(InternalCheckError, match="higher degree"):
+        graded_system(basis, [{(1, 0): one}, {(0, 1): one}, {(1, 0): one}])

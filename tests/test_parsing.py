@@ -150,6 +150,15 @@ def test_json_rejects_a_dimension_that_is_not_an_int(dim, alpha):
         poly_real_from_json({"dim": dim, "terms": [{"alpha": alpha, "re": "1", "im": "0"}]})
 
 
+@pytest.mark.parametrize("exponent", [2**31, 2**40])
+def test_json_rejects_an_exponent_past_the_32_bit_bound(exponent):
+    with pytest.raises(ValueError, match="32-bit bound"):
+        poly_zzbar_from_json([{"a": exponent, "b": 0, "re": "1", "im": "0"}])
+    term = {"alpha": [0, exponent], "re": "1", "im": "0"}
+    with pytest.raises(ValueError, match="32-bit bound"):
+        poly_real_from_json({"dim": 2, "terms": [term]})
+
+
 def test_json_reads_ints_and_rational_strings():
     p = poly_real_from_json(
         {"dim": 2, "terms": [{"alpha": [1, 0], "re": 3, "im": "-1/2"}]}
