@@ -74,20 +74,18 @@ from .boundary import (
     szbar_constancy_experiment,
 )
 
-from . import boundary, dirichlet, szego
+from . import boundary, szego
 
 __version__ = "0.1.0"
 
 
 def clear_caches() -> None:
-    """Empty the package's memo tables: the exact Fischer and Szego
-    systems, and the float quadrature grids, area rules and
-    Vandermonde bases.
+    """Empty the package's memo tables: the exact Szego systems, and the
+    float quadrature grids, area rules and Vandermonde bases.
 
     Each Ellipse also memoises its z/zbar defining polynomial; that memo
     lives and dies with the instance.
     """
-    dirichlet._fischer_cache.clear()
     szego._column_cache.clear()
     boundary._quadrature_cache.clear()
 

@@ -59,7 +59,7 @@ def _read_poly_source(args) -> str:
         try:
             with open(args.poly_file, "r", encoding="utf-8") as fh:
                 return fh.read().strip()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise InputError(f"cannot read polynomial file: {exc}") from exc
     raise InputError("one of --poly or --poly-file is required")
 
@@ -78,7 +78,7 @@ def _load_domain(args) -> Ellipse | Ellipsoid:
         try:
             with open(args.ellipsoid, "r", encoding="utf-8") as fh:
                 return Ellipsoid.from_json(fh.read())
-        except (OSError, ValueError, KeyError) as exc:
+        except (OSError, ValueError) as exc:
             raise InputError(f"cannot load ellipsoid: {exc}") from exc
     return _load_ellipse(args)
 

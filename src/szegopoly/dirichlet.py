@@ -20,24 +20,16 @@ system is a linalg.GradedSystem, the same type as the Szego system: its
 dense diagonal blocks, the sparse lower-degree entries of each column, a
 determinant certified as the product of the block determinants, and a
 graded back-substitution solve.  Harmonic input (Lap p = 0) is returned
-as it is, with no system at all, since its q is zero.
-Systems are cached per (domain, m), in a bounded LRU table.
+as it is, with no system at all, since its q is zero.  Any other input
+builds and certifies its system afresh.
 """
 
 from __future__ import annotations
 
 from .domains import Ellipse, Ellipsoid
 from .linalg import GradedSystem, graded_system
-from .lru import LRUCache
 from .polynomials import PolyRealN, PolyZZbar, monomials_real, monomials_zzbar
 from .rational import ONE, ZERO
-
-
-# Bound on the (domain, m) systems kept in _fischer_cache; the least recently
-# used system is dropped first.
-FISCHER_CACHE_SIZE = 256
-
-_fischer_cache: LRUCache = LRUCache(FISCHER_CACHE_SIZE)
 
 
 def fischer_system(domain: Ellipse | Ellipsoid, m: int) -> GradedSystem:
@@ -48,10 +40,6 @@ def fischer_system(domain: Ellipse | Ellipsoid, m: int) -> GradedSystem:
     """
     if m < 0:
         raise ValueError("degree bound must be nonnegative")
-    cached = _fischer_cache.get((domain, m))
-    if cached is not None:
-        return cached
-
     if isinstance(domain, Ellipse):
         r = domain.defining_poly_zzbar()
         basis = monomials_zzbar(m)
@@ -59,9 +47,7 @@ def fischer_system(domain: Ellipse | Ellipsoid, m: int) -> GradedSystem:
         r = domain.defining_poly()
         basis = monomials_real(domain.dim, m)
     images = ((r * r._new({alpha: ONE})).laplacian()._terms for alpha in basis)
-    system = graded_system(basis, images)
-    _fischer_cache[(domain, m)] = system
-    return system
+    return graded_system(basis, images)
 
 
 def _extend(domain: Ellipse | Ellipsoid, r, p):

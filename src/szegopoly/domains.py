@@ -105,6 +105,9 @@ class Ellipsoid:
         if {"a", "b"} <= obj.keys():
             a, b, h, k = (rational_from_json(obj.get(name, 0), name) for name in "abhk")
             return Ellipse(a, b, h, k).to_ellipsoid()
+        for name in ("dim", "Q", "center"):
+            if name not in obj:
+                raise ValueError(f"ellipsoid JSON has no {name!r} field")
         dim = obj["dim"]
         flat, center = _json_list(obj["Q"], "Q"), _json_list(obj["center"], "center")
         if type(dim) is not int:

@@ -3,9 +3,10 @@
 Dense Gaussian elimination with every entry kept as an exact
 GaussianRational.  Pivots are chosen by symbolic magnitude (total bit size
 of numerators and denominators), which keeps intermediate coefficients from
-blowing up; ties break on row order, so elimination is deterministic.  Two
-pivot strategies are exposed so that independent solves of the same system
-can cross-check each other.
+blowing up; ties break on row order, so elimination is deterministic.  The
+row chosen cannot change a result: the pivot columns are the columns
+independent of those before them, which no row order changes, and the
+solution with its free variables zero is the only one on those columns.
 
 factor_exact runs the elimination once, on the matrix alone, and records
 each step: the row swap, the multipliers and the reduced pivot row.  The
@@ -37,15 +38,15 @@ class InternalCheckError(RuntimeError):
 Matrix = Sequence[Sequence[GaussianRational]]
 
 
-def _pick_pivot(rows, col, start, strategy):
+def _pick_pivot(rows, col, start):
+    """The row at or below start whose entry in col has the smallest bit
+    size, the first such row on a tie; None if every entry is zero."""
     candidates = [
         (rows[i][col].bit_size(), i)
         for i in range(start, len(rows))
         if rows[i][col]
     ]
-    if not candidates:
-        return None
-    return (min if strategy == "small" else max)(candidates)[1]
+    return min(candidates)[1] if candidates else None
 
 
 class _Step(NamedTuple):
@@ -112,10 +113,8 @@ class ExactFactorization:
         return det
 
 
-def factor_exact(matrix: Matrix, *, pivot: str = "small") -> ExactFactorization:
+def factor_exact(matrix: Matrix) -> ExactFactorization:
     """Eliminate matrix once and record the steps; it may be rectangular."""
-    if pivot not in ("small", "large"):
-        raise ValueError(f"unknown pivot strategy {pivot!r}")
     m = len(matrix)
     n = len(matrix[0]) if m else 0
     work = [list(row) for row in matrix]
@@ -127,7 +126,7 @@ def factor_exact(matrix: Matrix, *, pivot: str = "small") -> ExactFactorization:
     for c in range(n):
         if r == m:
             break
-        i = _pick_pivot(work, c, r, pivot)
+        i = _pick_pivot(work, c, r)
         if i is None:
             continue
         work[r], work[i] = work[i], work[r]
@@ -151,10 +150,7 @@ def factor_exact(matrix: Matrix, *, pivot: str = "small") -> ExactFactorization:
 
 
 def solve_exact(
-    matrix: Matrix,
-    rhs: Sequence[GaussianRational],
-    *,
-    pivot: str = "small",
+    matrix: Matrix, rhs: Sequence[GaussianRational]
 ) -> list[GaussianRational] | None:
     """Solve matrix @ x = rhs exactly.
 
@@ -162,7 +158,7 @@ def solve_exact(
     system is inconsistent.  The matrix may be rectangular; rows and rhs
     must have matching lengths.
     """
-    return factor_exact(matrix, pivot=pivot).solve(rhs)
+    return factor_exact(matrix).solve(rhs)
 
 
 def det_exact(matrix: Matrix) -> GaussianRational:
@@ -194,14 +190,12 @@ class GradedSystem:
     def size(self) -> int:
         return len(self.basis_order)
 
-    def solve(
-        self, rhs: Sequence[GaussianRational], *, pivot: str = "small"
-    ) -> list[GaussianRational]:
+    def solve(self, rhs: Sequence[GaussianRational]) -> list[GaussianRational]:
         """The unique x with M @ x = rhs, by graded back-substitution.
 
         From the top degree down: solve the diagonal block on the current
-        right-hand side (one solve_exact call with the given pivot rule),
-        then push each solved unknown through its column's sparse entries.
+        right-hand side (one solve_exact call), then push each solved
+        unknown through its column's sparse entries.
         A block whose right-hand side is zero has zero unknowns.
         """
         b = list(rhs)
@@ -210,7 +204,7 @@ class GradedSystem:
             part = b[start:stop]
             if not any(part):
                 continue
-            solution = solve_exact(block, part, pivot=pivot)
+            solution = solve_exact(block, part)
             if solution is None:
                 raise InternalCheckError("certified-invertible diagonal block failed to solve")
             x[start:stop] = solution

@@ -122,15 +122,13 @@ def szego_project(
     f: PolyZZbar,
     *,
     ambient_degree: int | None = None,
-    pivot: str = "small",
 ) -> SzegoDecomposition:
     """Split f = h + A(p) + r*q exactly and return the decomposition.
 
     h is the weighted Szego projection of f for the weight 1/|dbar r|.
     ambient_degree widens the polynomial space beyond deg f; uniqueness of
     the orthogonal projection forces h to be independent of that widening,
-    and the tests check it rather than assume it.  pivot selects the exact
-    solver's pivoting order, for cross-checking uniqueness of h.
+    and the tests check it rather than assume it.
     """
     N = max(f.degree(), 0)
     if ambient_degree is not None:
@@ -146,7 +144,7 @@ def szego_project(
         _column_cache[(e, N)] = system
     rhs = [f.coefficient(a, b) for a, b in system.basis_order]
     parts = ({}, {}, {})
-    for (part, key), c in zip(_unknowns(N), system.solve(rhs, pivot=pivot)):
+    for (part, key), c in zip(_unknowns(N), system.solve(rhs)):
         if c:
             parts[part][key] = c
     h, p, q = map(PolyZZbar, parts)

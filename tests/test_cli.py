@@ -256,6 +256,18 @@ def test_poly_file_input(capsys, tmp_path):
     assert parse_poly_zzbar(report["input"]) == Z**2 - ZB
 
 
+def test_undecodable_poly_file_is_bad_input(capsys, tmp_path):
+    poly_path = tmp_path / "f.txt"
+    poly_path.write_bytes(b"\xff\xfez")
+    code, out, err = run_cli(
+        capsys, "szego", "--ellipse", "2,1", "--poly-file", str(poly_path)
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot read polynomial file: ")
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_output_file_and_determinism(capsys, tmp_path):
     out1 = tmp_path / "a.json"
     out2 = tmp_path / "b.json"

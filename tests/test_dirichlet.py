@@ -8,7 +8,6 @@ from functools import partial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import szegopoly
 from szegopoly import dirichlet, szego
 from szegopoly.dirichlet import (
     fischer_system,
@@ -101,6 +100,14 @@ def test_ellipsoid_json_round_trip():
     e = random_ellipsoid(random.Random(3), 3)
     again = Ellipsoid.from_json_dict(e.to_json_dict())
     assert again == e
+
+
+@pytest.mark.parametrize("field", ["dim", "Q", "center"])
+def test_ellipsoid_json_names_a_missing_field(field):
+    obj = {"dim": 2, "Q": [1, 0, 0, 1], "center": [0, 0]}
+    del obj[field]
+    with pytest.raises(ValueError, match=f"no '{field}' field"):
+        Ellipsoid.from_json_dict(obj)
 
 
 def test_planar_convenience_json():
@@ -278,9 +285,6 @@ def test_fischer_system_on_ellipse_uses_zzbar_basis():
         assert [matrix[i][j] for i in range(fs.size)] == [
             image.coefficient(*key) for key in fs.basis_order
         ]
-    # one cache, keyed by the domain: the x/y system is a separate entry
-    assert fischer_system(e, 3) is fs
-    assert fischer_system(e.to_ellipsoid(), 3) is not fs
 
 
 
@@ -356,6 +360,10 @@ def test_block_determinant_is_the_dense_determinant(build, m):
             assert all(i < start and c for i, c in column.items())
 
 
+def _no_fischer_system(domain, m):
+    raise AssertionError(f"a Fischer system was built (m = {m})")
+
+
 @settings(max_examples=30, deadline=None)
 @given(ellipses, st.randoms(use_true_random=False))
 def test_harmonic_input_is_returned_without_a_system(e, rng):
@@ -363,11 +371,11 @@ def test_harmonic_input_is_returned_without_a_system(e, rng):
     u = random_harmonic_xy(rng, 8)
     x1, x2, x3 = (PolyRealN.variable(3, axis) for axis in range(3))
     w = x1 * x2 * x3 + x1 * x1 - x3 * x3
-    szegopoly.clear_caches()
-    assert harmonic_extension_zzbar(e, f) == f
-    assert harmonic_extension(e.to_ellipsoid(), u) == u
-    assert harmonic_extension(unit_ball(3), w) == w
-    assert len(dirichlet._fischer_cache) == 0
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dirichlet, "fischer_system", _no_fischer_system)
+        assert harmonic_extension_zzbar(e, f) == f
+        assert harmonic_extension(e.to_ellipsoid(), u) == u
+        assert harmonic_extension(unit_ball(3), w) == w
 
 
 def _sympy_extension(e: Ellipsoid, p: PolyRealN) -> PolyRealN:

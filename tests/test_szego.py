@@ -31,6 +31,21 @@ E21 = Ellipse(2, 1)
 DISC = Ellipse(1, 1)
 
 
+small_rationals = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+semi_axes = st.fractions(min_value=Fraction(1, 3), max_value=4, max_denominator=3)
+
+
+@st.composite
+def ellipses(draw):
+    """A disc, a centred ellipse or a shifted one, with rational parameters."""
+    a = draw(semi_axes)
+    kind = draw(st.sampled_from(["disc", "centred", "shifted"]))
+    b = a if kind == "disc" else draw(semi_axes)
+    if kind == "centred":
+        return Ellipse(a, b)
+    return Ellipse(a, b, draw(small_rationals), draw(small_rationals))
+
+
 # -- operator A -------------------------------------------------------------------
 
 def test_operator_kills_holomorphic():
@@ -49,41 +64,26 @@ def test_operator_on_zbar_disc():
     assert operator_A(DISC, ZB) == ZB
 
 
-def test_operator_degree_non_increasing():
-    rng = random.Random(41)
-    for _ in range(25):
-        p = random_poly_zzbar(rng, rng.randint(0, 6))
-        assert operator_A(E21, p).degree() <= p.degree()
+@settings(max_examples=25, deadline=None)
+@given(ellipses(), st.randoms(use_true_random=False))
+def test_operator_degree_non_increasing(e, rng):
+    p = random_poly_zzbar(rng, rng.randint(0, 6))
+    assert operator_A(e, p).degree() <= p.degree()
 
 
-def test_operator_output_structure():
+@settings(max_examples=25, deadline=None)
+@given(ellipses(), st.randoms(use_true_random=False))
+def test_operator_output_structure(e, rng):
     # A(p) = (d r) * (antiholomorphic polynomial)
     from szegopoly.polynomials import divide_exact
 
-    rng = random.Random(42)
-    for _ in range(10):
-        p = random_poly_zzbar(rng, 5)
-        factor = divide_exact(operator_A(E21, p), E21.d_r())
-        assert factor is not None
-        assert factor.conjugate().is_holomorphic()
+    p = random_poly_zzbar(rng, 5)
+    factor = divide_exact(operator_A(e, p), e.d_r())
+    assert factor is not None
+    assert factor.conjugate().is_holomorphic()
 
 
-small_rationals = st.fractions(min_value=-2, max_value=2, max_denominator=3)
-semi_axes = st.fractions(min_value=Fraction(1, 3), max_value=4, max_denominator=3)
-
-
-@st.composite
-def ellipses(draw):
-    """A disc, a centred ellipse or a shifted one, with rational parameters."""
-    a = draw(semi_axes)
-    kind = draw(st.sampled_from(["disc", "centred", "shifted"]))
-    b = a if kind == "disc" else draw(semi_axes)
-    if kind == "centred":
-        return Ellipse(a, b)
-    return Ellipse(a, b, draw(small_rationals), draw(small_rationals))
-
-
-def _wide_decomposition(e, f, N, pivot):
+def _wide_decomposition(e, f, N):
     """Tests-only reference: (h, p, q) from the wide system of degree N, whose
     columns are z^k, operator_A on every monomial, and r times every monomial
     of degree <= N - 2, solved densely with the free unknowns set to zero."""
@@ -94,7 +94,7 @@ def _wide_decomposition(e, f, N, pivot):
     columns += [operator_A(e, PolyZZbar.monomial(a, b)) for a, b in rows]
     columns += [r * PolyZZbar.monomial(a, b) for a, b in q_monos]
     matrix = [[column.coefficient(a, b) for column in columns] for a, b in rows]
-    x = solve_exact(matrix, [f.coefficient(a, b) for a, b in rows], pivot=pivot)
+    x = solve_exact(matrix, [f.coefficient(a, b) for a, b in rows])
     n_h, n_p = N + 1, len(rows)
     return (
         PolyZZbar({(k, 0): x[k] for k in range(n_h)}),
@@ -108,9 +108,8 @@ def _wide_decomposition(e, f, N, pivot):
 def test_square_system_solution_is_the_wide_system_solution(e, degree, padding, rng):
     f = random_poly_zzbar(rng, degree)
     N = max(f.degree(), 0) + padding
-    for pivot in ("small", "large"):
-        d = szego_project(e, f, ambient_degree=N, pivot=pivot)
-        assert (d.projection, d.preimage, d.cofactor) == _wide_decomposition(e, f, N, pivot)
+    d = szego_project(e, f, ambient_degree=N)
+    assert (d.projection, d.preimage, d.cofactor) == _wide_decomposition(e, f, N)
 
 
 # -- kernel -----------------------------------------------------------------------
@@ -221,15 +220,6 @@ def test_projection_linear():
         assert lhs == rhs
 
 
-@settings(max_examples=50, deadline=None)
-@given(ellipses(), st.randoms(use_true_random=False))
-def test_projection_unique_across_pivoting(e, rng):
-    f = random_poly_zzbar(rng, rng.randint(0, 6))
-    small = szego_project(e, f, pivot="small")
-    large = szego_project(e, f, pivot="large")
-    assert small.projection == large.projection
-
-
 def test_projection_independent_of_ambient_degree():
     rng = random.Random(47)
     for _ in range(10):
@@ -324,28 +314,28 @@ def test_verify_detects_degree_violation():
 
 # -- caches ---------------------------------------------------------------------------
 
-def test_clear_caches_empties_every_cache_and_projection_refills_them():
+def _no_fischer_system(domain, m):
+    raise AssertionError(f"a Fischer system was built (m = {m})")
+
+
+def test_clear_caches_empties_every_cache_and_projection_refills_them(monkeypatch):
     e = Ellipse(3, 2, Fraction(1, 3), Fraction(-2, 3))
     f = ZB**3 + Z * ZB
     first = szego_project(e, f)
-    dirichlet.harmonic_extension_zzbar(e, f)
-    assert szego._column_cache and dirichlet._fischer_cache
+    assert szego._column_cache
 
     szegopoly.clear_caches()
     assert not szego._column_cache
-    assert not dirichlet._fischer_cache
 
+    # the square system and its certificate need no Fischer system
+    monkeypatch.setattr(dirichlet, "fischer_system", _no_fischer_system)
     again = szego_project(e, f)
     assert again == first
     assert (e, 3) in szego._column_cache
-    # the square system and its certificate need no Fischer system
     assert verify_decomposition(again, e).passed
-    assert not dirichlet._fischer_cache
 
 
-@pytest.mark.parametrize(
-    "kwargs", [{"pivot": "small"}, {"pivot": "large"}, {"ambient_degree": 6}]
-)
+@pytest.mark.parametrize("kwargs", [{}, {"ambient_degree": 6}])
 def test_cached_projection_equals_cold_projection(kwargs):
     e = Ellipse(5, 4, Fraction(1, 3), Fraction(2, 3))
     f = ZB**4 + Fraction(1, 2) * Z**2 * ZB - 3 * Z
@@ -361,7 +351,6 @@ def test_cached_projection_equals_cold_projection(kwargs):
 
 def test_caches_are_bounded_and_evict_least_recently_used(monkeypatch):
     monkeypatch.setattr(szego._column_cache, "maxsize", 2)
-    monkeypatch.setattr(dirichlet._fischer_cache, "maxsize", 2)
     szegopoly.clear_caches()
     e1, e2, e3 = (Ellipse(2, 1, Fraction(k, 3), 0) for k in (1, 2, -1))
     f = ZB**2
@@ -371,9 +360,3 @@ def test_caches_are_bounded_and_evict_least_recently_used(monkeypatch):
     szego_project(e1, f)  # e1 is now the most recently used
     szego_project(e3, f)
     assert list(szego._column_cache) == [(e1, 2), (e3, 2)]
-
-    for e in (e1, e2, e3):
-        dirichlet.fischer_system(e, 0)
-    dirichlet.fischer_system(e2, 0)
-    dirichlet.fischer_system(e1, 1)
-    assert list(dirichlet._fischer_cache) == [(e2, 0), (e1, 1)]
