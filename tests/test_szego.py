@@ -335,7 +335,9 @@ def test_clear_caches_empties_every_cache_and_projection_refills_them(monkeypatc
     assert verify_decomposition(again, e).passed
 
 
-@pytest.mark.parametrize("kwargs", [{}, {"ambient_degree": 6}])
+@pytest.mark.parametrize(
+    "kwargs", [{}, {"ambient_degree": 5}, {"ambient_degree": 6}]
+)
 def test_cached_projection_equals_cold_projection(kwargs):
     e = Ellipse(5, 4, Fraction(1, 3), Fraction(2, 3))
     f = ZB**4 + Fraction(1, 2) * Z**2 * ZB - 3 * Z
