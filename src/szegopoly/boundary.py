@@ -188,7 +188,11 @@ def _basis_matrix(z: np.ndarray, e: Ellipse, degree: int) -> tuple[np.ndarray, c
     return V, center, scale
 
 
-def _weighted_lstsq(V, fvals, weights) -> tuple[np.ndarray, float, float, str | None]:
+def _fit(z, weights, e: Ellipse, f, basis_degree: int) -> NumericalProjection:
+    """Least-squares fit of f on the nodes z by phi_0..phi_basis_degree,
+    each squared residual weighted by its node's quadrature weight."""
+    fvals = poly_values(f, z)
+    V, center, scale = _basis_matrix(z, e, basis_degree)
     sqrt_w = np.sqrt(weights)
     A = V * sqrt_w[:, None]
     rhs = fvals * sqrt_w
@@ -202,7 +206,10 @@ def _weighted_lstsq(V, fvals, weights) -> tuple[np.ndarray, float, float, str | 
             f"basis condition estimate {cond:.3e} exceeds "
             f"{CONDITION_WARN_THRESHOLD:.0e}; coefficients may be inaccurate"
         )
-    return coeffs, residual, cond, warning
+    return NumericalProjection(
+        coefficients=coeffs, center=center, scale=scale,
+        residual_norm=residual, condition_estimate=cond, warning=warning,
+    )
 
 
 def numerical_szego(grid: BoundaryGrid, f, basis_degree: int) -> NumericalProjection:
@@ -214,15 +221,7 @@ def numerical_szego(grid: BoundaryGrid, f, basis_degree: int) -> NumericalProjec
             f"basis degree {basis_degree} too large for M = {grid.M} "
             "(need basis_degree + 1 <= M/4)"
         )
-    fvals = poly_values(f, grid.z)
-    V, center, scale = _basis_matrix(grid.z, grid.ellipse, basis_degree)
-    coeffs, residual, cond, warning = _weighted_lstsq(
-        V, fvals, grid.omega * grid.ds
-    )
-    return NumericalProjection(
-        coefficients=coeffs, center=center, scale=scale,
-        residual_norm=residual, condition_estimate=cond, warning=warning,
-    )
+    return _fit(grid.z, grid.omega * grid.ds, grid.ellipse, f, basis_degree)
 
 
 # -- area (Bergman) quadrature ------------------------------------------------
@@ -283,13 +282,7 @@ def numerical_bergman(
     """Project f onto holomorphic polynomials in the area inner product."""
     require_quad_order(f, basis_degree, quad_order)
     z, w = area_quadrature(e, quad_order)
-    fvals = poly_values(f, z)
-    V, center, scale = _basis_matrix(z, e, basis_degree)
-    coeffs, residual, cond, warning = _weighted_lstsq(V, fvals, w)
-    return NumericalProjection(
-        coefficients=coeffs, center=center, scale=scale,
-        residual_norm=residual, condition_estimate=cond, warning=warning,
-    )
+    return _fit(z, w, e, f, basis_degree)
 
 
 def bergman_residual_orthogonality(

@@ -238,21 +238,25 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_suite(args) -> int:
+    """Text format prints one line per criterion and a summary; in JSON
+    format stdout holds only the report, or nothing with --out."""
     start = time.perf_counter()
     results = run_all()
-    for result in results:
-        print(result.line())
+    timed = not args.no_timestamp
     all_passed = all(r.passed for r in results)
-    on_time = all(r.runtime_s < r.time_limit_s for r in results)
-    print(
-        f"{'OK' if all_passed else 'FAILED'}: {sum(r.passed for r in results)}"
-        f"/{len(results)} criteria passed"
-        + ("" if on_time else " (time limit exceeded)")
-    )
+    if args.format == "text":
+        for result in results:
+            print(result.line(timed))
+        on_time = all(r.runtime_s < r.time_limit_s for r in results)
+        print(
+            f"{'OK' if all_passed else 'FAILED'}: {sum(r.passed for r in results)}"
+            f"/{len(results)} criteria passed"
+            + ("" if on_time else " (time limit exceeded)")
+        )
     if args.format == "json" or args.out:
         report = {
             "command": "suite",
-            "criteria": [r.to_json_dict() for r in results],
+            "criteria": [r.to_json_dict(timed) for r in results],
             "all_passed": all_passed,
         }
         _emit(report, args, runtime_s=time.perf_counter() - start)

@@ -3,7 +3,8 @@
 One sparse ring is written once, in the private base class _SparsePoly: a
 polynomial in n variables is a dict from length-n exponent tuples to
 nonzero GaussianRational coefficients, and the base defines +, -, *, **,
-terms, degree, equality, hashing and immutability for every n.  Two
+terms, degree, equality, hashing, immutability, the first partial
+derivative in one variable and evaluation at a point for every n.  Two
 public types interpret the variables:
 
   PolyZZbar -- polynomials in the conjugate pair z, zbar; exponent keys are
@@ -256,6 +257,30 @@ class _SparsePoly:
             raise ValueError("polynomial power must be a nonnegative integer")
         return self._new(_pow_terms(self._terms, n, self._dim))
 
+    # -- calculus and evaluation, for every n --------------------------------
+
+    def _partial(self, axis: int):
+        """The derivative in variable number axis, term by term."""
+        out = {}
+        for key, c in self._terms.items():
+            e = key[axis]
+            if e:
+                out[key[:axis] + (e - 1,) + key[axis + 1 :]] = c * e
+        return self._new(out)
+
+    def _evaluate(self, coords: Sequence):
+        """The value at coords, one per variable: all GaussianRational for
+        an exact GaussianRational value, or all complex for a complex one."""
+        exact = isinstance(coords[0], GaussianRational)
+        total = ZERO if exact else 0j
+        for key, c in self._terms.items():
+            term = c if exact else complex(c)
+            for v, e in zip(coords, key):
+                if e:
+                    term = term * v**e
+            total = total + term
+        return total
+
 
 class PolyZZbar(_SparsePoly):
     """Sparse polynomial in z and zbar over the Gaussian rationals."""
@@ -302,18 +327,10 @@ class PolyZZbar(_SparsePoly):
     # -- differential operators ----------------------------------------------
 
     def d_dz(self) -> "PolyZZbar":
-        out = {}
-        for (a, b), c in self._terms.items():
-            if a:
-                out[(a - 1, b)] = c * a
-        return self._new(out)
+        return self._partial(0)
 
     def d_dzbar(self) -> "PolyZZbar":
-        out = {}
-        for (a, b), c in self._terms.items():
-            if b:
-                out[(a, b - 1)] = c * b
-        return self._new(out)
+        return self._partial(1)
 
     def laplacian(self) -> "PolyZZbar":
         """4 d/dz d/dzbar: c z^a zbar^b -> 4ab c z^(a-1) zbar^(b-1)."""
@@ -331,18 +348,9 @@ class PolyZZbar(_SparsePoly):
         A GaussianRational argument gives an exact GaussianRational value;
         anything accepted by complex() gives a float complex value.
         """
-        if isinstance(z, GaussianRational):
-            zb = z.conjugate()
-            total = ZERO
-            for (a, b), c in self._terms.items():
-                total = total + c * z**a * zb**b
-            return total
-        w = complex(z)
-        wb = w.conjugate()
-        return sum(
-            (complex(c) * w**a * wb**b for (a, b), c in self._terms.items()),
-            start=0j,
-        )
+        if not isinstance(z, GaussianRational):
+            z = complex(z)
+        return self._evaluate((z, z.conjugate()))
 
     def __repr__(self):
         from .parsing import format_poly_zzbar
@@ -401,14 +409,7 @@ class PolyRealN(_SparsePoly):
     def partial(self, axis: int) -> "PolyRealN":
         if not 0 <= axis < self._dim:
             raise ValueError(f"axis {axis} out of range for dimension {self._dim}")
-        out = {}
-        for key, c in self._terms.items():
-            e = key[axis]
-            if e:
-                k = list(key)
-                k[axis] = e - 1
-                out[tuple(k)] = c * e
-        return self._new(out)
+        return self._partial(axis)
 
     def laplacian(self) -> "PolyRealN":
         """Sum of the second partials, in one pass over terms and axes."""
@@ -434,26 +435,9 @@ class PolyRealN(_SparsePoly):
             raise ValueError(
                 f"point has {len(point)} coordinates, expected {self._dim}"
             )
-        exact = all(isinstance(v, (int, Fraction, GaussianRational)) for v in point)
-        if exact:
-            coords = [GaussianRational.coerce(v) for v in point]
-            total = ZERO
-            for key, c in self._terms.items():
-                term = c
-                for v, e in zip(coords, key):
-                    if e:
-                        term = term * v**e
-                total = total + term
-            return total
-        coords_f = [complex(v) for v in point]
-        total_f = 0j
-        for key, c in self._terms.items():
-            term_f = complex(c)
-            for v, e in zip(coords_f, key):
-                if e:
-                    term_f *= v**e
-            total_f += term_f
-        return total_f
+        if all(isinstance(v, (int, Fraction, GaussianRational)) for v in point):
+            return self._evaluate([GaussianRational.coerce(v) for v in point])
+        return self._evaluate([complex(v) for v in point])
 
     def __repr__(self):
         from .parsing import format_poly_real

@@ -5,6 +5,7 @@ import json
 import pytest
 
 import szegopoly
+from szegopoly.acceptance import CriterionResult
 from szegopoly.cli import main
 from szegopoly.parsing import parse_poly_real, parse_poly_zzbar
 from szegopoly.polynomials import PolyRealN, PolyZZbar
@@ -295,3 +296,40 @@ def test_text_format_contains_projection(capsys):
     )
     assert code == 0
     assert "projection: (3/5+0i)*z^1*zbar^0" in out
+
+
+def _stub_suite(monkeypatch, passed, runtime_s):
+    """Make `suite` report the given outcomes at the given runtime, instantly."""
+    results = [
+        CriterionResult(cid=i + 1, title="t (stub)", passed=ok,
+                        runtime_s=runtime_s, time_limit_s=1.0)
+        for i, ok in enumerate(passed)
+    ]
+    monkeypatch.setattr(szegopoly.cli, "run_all", lambda: results)
+
+
+@pytest.mark.parametrize("passed", [(True, True), (True, False)])
+def test_suite_json_stdout_is_the_report(capsys, monkeypatch, tmp_path, passed):
+    _stub_suite(monkeypatch, passed, 0.123)
+    code, out, _ = run_cli(capsys, "suite", "--format", "json")
+    report = json.loads(out)
+    assert [c["passed"] for c in report["criteria"]] == list(passed)
+    assert report["all_passed"] == all(passed)
+    assert (code == 0) == all(passed)
+    path = tmp_path / "suite.json"
+    code, out, _ = run_cli(capsys, "suite", "--format", "json", "--out", str(path))
+    assert out == ""
+    assert json.loads(path.read_text())["all_passed"] == all(passed)
+    assert (code == 0) == all(passed)
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_suite_no_timestamp_output_is_byte_identical(capsys, monkeypatch, fmt):
+    outputs = []
+    for runtime_s in (0.123, 0.456):
+        _stub_suite(monkeypatch, (True, True), runtime_s)
+        code, out, _ = run_cli(capsys, "suite", "--format", fmt, "--no-timestamp")
+        assert code == 0
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+    assert "0.12" not in outputs[0]

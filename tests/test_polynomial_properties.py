@@ -1,5 +1,7 @@
 """Randomised properties of the sparse polynomial ring, for both types."""
 
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,11 +16,8 @@ from szegopoly.polynomials import (
 from szegopoly.rational import GaussianRational
 
 small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
-coefficients = st.one_of(
-    st.integers(-3, 3),
-    small_rationals,
-    st.builds(GaussianRational, small_rationals, small_rationals),
-)
+gaussian_rationals = st.builds(GaussianRational, small_rationals, small_rationals)
+coefficients = st.one_of(st.integers(-3, 3), small_rationals, gaussian_rationals)
 
 # (type, number of variables): z/zbar, and real polynomials in 2 and 3 variables
 RINGS = [(PolyZZbar, 2), (PolyRealN, 2), (PolyRealN, 3)]
@@ -149,6 +148,33 @@ def test_laplacian_equals_its_definitions(ring, data):
         assert p.laplacian() == _sum_of_second_partials(p)
         if dim == 2:
             assert p.laplacian() == zzbar_to_xy(xy_to_zzbar(p).d_dz().d_dzbar() * 4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ring_elements(2), st.lists(gaussian_rationals, min_size=3, max_size=3))
+def test_evaluation_is_exact_and_agrees_across_forms(ring, coords):
+    kind, dim, (p, q) = ring
+    if kind is PolyZZbar:
+        point = coords[0]
+        float_point = complex(point)
+        moduli = (abs(float_point),) * 2
+    else:
+        point = tuple(coords[:dim])
+        float_point = tuple(map(complex, point))
+        moduli = tuple(map(abs, float_point))
+    value = p.evaluate(point)
+    assert type(value) is GaussianRational
+    assert (p + q).evaluate(point) == value + q.evaluate(point)
+    assert (p * q).evaluate(point) == value * q.evaluate(point)
+    if kind is PolyZZbar:
+        assert zzbar_to_xy(p).evaluate((point.re, point.im)) == value
+    # Each term is a few correctly rounded products, so the float value is
+    # off by a small multiple of eps times the sum of the term magnitudes.
+    size = sum(
+        abs(complex(c)) * math.prod(m**e for m, e in zip(moduli, key))
+        for key, c in p.terms()
+    )
+    assert abs(p.evaluate(float_point) - complex(value)) <= 1e-13 * size
 
 
 # -- exponent overflow: checked once per product -------------------------------------

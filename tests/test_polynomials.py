@@ -162,12 +162,10 @@ def test_ring_axioms_random_triples(p, q, r):
     assert p * q == q * p
 
 
-def test_no_zero_divisors_degree_additive():
-    rng = random.Random(13)
-    for _ in range(100):
-        p = random_poly_zzbar(rng, 4)
-        q = random_poly_zzbar(rng, 4)
-        assert (p * q).degree() == p.degree() + q.degree()
+@settings(max_examples=100, deadline=None)
+@given(zzbar_polys.filter(bool), zzbar_polys.filter(bool))
+def test_no_zero_divisors_degree_additive(p, q):
+    assert (p * q).degree() == p.degree() + q.degree()
 
 
 def test_zero_polynomial_degree_is_minus_one():

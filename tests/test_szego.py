@@ -205,28 +205,28 @@ def test_decomposition_identity_exact():
             assert d.cofactor.is_zero()
 
 
-def test_projection_linear():
-    rng = random.Random(45)
-    for _ in range(50):
-        f1 = random_poly_zzbar(rng, 6)
-        f2 = random_poly_zzbar(rng, 6)
-        alpha = random_coefficient(rng)
-        beta = random_coefficient(rng)
-        lhs = szego_project(E21, f1 * alpha + f2 * beta).projection
-        rhs = (
-            szego_project(E21, f1).projection * alpha
-            + szego_project(E21, f2).projection * beta
-        )
-        assert lhs == rhs
+@settings(max_examples=25, deadline=None)
+@given(ellipses(), st.randoms(use_true_random=False))
+def test_projection_linear(e, rng):
+    f1 = random_poly_zzbar(rng, 6)
+    f2 = random_poly_zzbar(rng, 6)
+    alpha = random_coefficient(rng)
+    beta = random_coefficient(rng)
+    lhs = szego_project(e, f1 * alpha + f2 * beta).projection
+    rhs = (
+        szego_project(e, f1).projection * alpha
+        + szego_project(e, f2).projection * beta
+    )
+    assert lhs == rhs
 
 
-def test_projection_independent_of_ambient_degree():
-    rng = random.Random(47)
-    for _ in range(10):
-        f = random_poly_zzbar(rng, 4)
-        base = szego_project(E21, f).projection
-        padded = szego_project(E21, f, ambient_degree=8).projection
-        assert base == padded
+@settings(max_examples=25, deadline=None)
+@given(ellipses(), st.randoms(use_true_random=False))
+def test_projection_independent_of_ambient_degree(e, rng):
+    f = random_poly_zzbar(rng, 4)
+    base = szego_project(e, f).projection
+    padded = szego_project(e, f, ambient_degree=8).projection
+    assert base == padded
 
 
 def test_ambient_degree_below_input_rejected():
