@@ -21,7 +21,13 @@ dicts and wrap them with the private same-type constructor _new; a product
 checks for exponent overflow once, from the per-variable maximum exponents
 of its two operands.  The term-dict functions _add_terms, _mul_terms and
 _pow_terms are the ring arithmetic itself; the text parser builds its
-values with them too.
+values with them too.  _mul_terms is the one product routine: it writes
+each operand of several terms over one common denominator
+(rational._cleared), sums the Gaussian-integer numerator products per
+output monomial and reduces each output coefficient once.  Operands whose
+denominators are too unrelated for that, and one-term operands, are
+multiplied term by term.  Exact division keeps the remainder's monomials
+in a heap, so finding each leading term does not scan the remainder.
 
 Both types carry the Wirtinger / Laplace differential operators.  The
 Laplacian of a z-zbar polynomial is 4 * d/dz d/dzbar, which agrees with
@@ -40,10 +46,11 @@ Conventions:
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add
+from heapq import heapify, heappop, heappush
+from operator import add, neg
 from typing import Iterator, Mapping, Sequence, Union
 
-from .rational import GaussianRational, ONE, ZERO
+from .rational import GaussianRational, ONE, ZERO, _cleared, _reduce
 
 MAX_EXPONENT = 2**31 - 1
 
@@ -80,6 +87,16 @@ def _add_terms(a: dict, b: dict) -> dict:
 
 
 def _mul_terms(a: dict, b: dict) -> dict:
+    """The terms of the product of two term dicts.
+
+    When both operands have several terms and _cleared writes each over one
+    common denominator, the Gaussian-integer numerator products are summed
+    per output monomial in plain ints and each output coefficient is
+    reduced once, over da*db.  A sum that cancels is dropped on the spot,
+    as the per-term loop drops it, so the output dict has the same keys in
+    the same order.  A one-term operand, or one whose denominators are too
+    unrelated to clear (see _cleared), takes the per-term loop.
+    """
     if not a or not b:
         return {}
     # The largest exponent of each variable in the product comes from the
@@ -88,6 +105,25 @@ def _mul_terms(a: dict, b: dict) -> dict:
     top = max(map(add, map(max, zip(*a)), map(max, zip(*b))))
     if top > MAX_EXPONENT:
         raise OverflowError(f"exponent {top} exceeds the 32-bit bound")
+    if len(a) > 1 and len(b) > 1:
+        cleared_a = _cleared(a.values())
+        cleared_b = cleared_a if b is a else cleared_a and _cleared(b.values())
+        if cleared_b:
+            (da, na), (db, nb) = cleared_a, cleared_b
+            acc: dict = {}
+            for ka, (a1, b1) in zip(a, na):
+                for kb, (a2, b2) in zip(b, nb):
+                    k = tuple(map(add, ka, kb))
+                    s = acc.get(k)
+                    if s is None:
+                        acc[k] = [a1 * a2 - b1 * b2, a1 * b2 + b1 * a2]
+                    else:
+                        s[0] += a1 * a2 - b1 * b2
+                        s[1] += a1 * b2 + b1 * a2
+                        if not (s[0] or s[1]):
+                            del acc[k]
+            d = da * db
+            return {k: _reduce(re, im, d) for k, (re, im) in acc.items()}
     out: dict = {}
     for ka, ca in a.items():
         for kb, cb in b.items():
@@ -131,13 +167,22 @@ def _long_division(p: dict, r: dict) -> dict | None:
     polynomial exists.  If the leading term of the running remainder is
     not divisible by the leading term of r, neither is the remainder:
     any exact quotient would put its own leading product term right there.
+
+    The remainder's keys wait in a heap, greatest in graded-lex order
+    first; each key is pushed when it enters the remainder, and a popped
+    key that has cancelled since is skipped.  Only keys below the current
+    leading term are ever created, so no key comes back after it is done.
     """
     lead_r = max(r, key=_grlex_key)
     cr = r[lead_r]
     rem = dict(p)
+    heap = [_heap_entry(k) for k in rem]
+    heapify(heap)
     quot: dict = {}
     while rem:
-        lead = max(rem, key=_grlex_key)
+        lead = heappop(heap)[2]
+        if lead not in rem:
+            continue
         exps = tuple(x - y for x, y in zip(lead, lead_r))
         if any(e < 0 for e in exps):
             return None
@@ -145,12 +190,22 @@ def _long_division(p: dict, r: dict) -> dict | None:
         quot[exps] = c
         for k, ck in r.items():
             kk = tuple(x + y for x, y in zip(exps, k))
-            s = rem.get(kk, ZERO) - c * ck
+            s = rem.get(kk)
+            if s is None:
+                rem[kk] = -(c * ck)
+                heappush(heap, _heap_entry(kk))
+                continue
+            s = s - c * ck
             if s:
                 rem[kk] = s
             else:
-                rem.pop(kk, None)
+                del rem[kk]
     return quot
+
+
+def _heap_entry(key: tuple) -> tuple:
+    """A heapq entry that pops keys in descending graded-lex order."""
+    return (-sum(key), tuple(map(neg, key)), key)
 
 
 class _SparsePoly:

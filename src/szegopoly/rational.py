@@ -25,6 +25,13 @@ gcd of the denominators can survive), and scaling by a rational r = n/m
 cross-cancels like Fraction multiplication does.  re and im are read-only
 Fraction views built on demand.  As with fractions.Fraction, the three
 ints live in private slots and no public operation ever changes them.
+
+Sums of many products, as in a polynomial product, need not reduce every
+partial result: _cleared writes a collection of values over the lcm of
+their denominators, so the caller can add integer numerators and reduce
+each total once with _reduce.  It declines (returns None) when that lcm
+would have more than twice the bits of the longest denominator, where the
+cleared numerators would outgrow the reduced ones.
 """
 
 from __future__ import annotations
@@ -318,6 +325,27 @@ def _scale(a: int, b: int, d: int, n: int, m: int) -> GaussianRational:
         b //= g2
         m //= g2
     return _make(a * n, b * n, d * m)
+
+
+def _cleared(values) -> tuple[int, list[tuple[int, int]]] | None:
+    """A nonempty collection of GaussianRationals over one denominator.
+
+    Returns (d, [(a, b), ...]) with each value equal to (a + b*i)/d, in
+    iteration order, where d is the lcm of the denominators; or None once
+    d has more than twice the bits of the longest single denominator.  The
+    guard keeps cleared arithmetic for values whose denominators nearly
+    all divide one common value; for unrelated denominators the lcm grows
+    with every value and the cleared numerators with it.
+    """
+    limit = 2 * max(g._d for g in values).bit_length()
+    d = 1
+    for g in values:
+        x = g._d
+        if d % x:
+            d = d // gcd(d, x) * x
+            if d.bit_length() > limit:
+                return None
+    return d, [(g._a * (m := d // g._d), g._b * m) for g in values]
 
 
 ZERO = _make(0, 0, 1)

@@ -1,9 +1,10 @@
 """Randomised properties of the sparse polynomial ring, for both types."""
 
 import math
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from szegopoly.polynomials import (
     MAX_EXPONENT,
@@ -235,10 +236,63 @@ def test_product_overflows_exactly_when_some_pair_of_terms_does(ring):
         with pytest.raises(OverflowError):
             p * q
     else:
-        product = p * q
-        expected = {}
-        for ka, ca in p.terms():
-            for kb, cb in q.terms():
-                key = tuple(x + y for x, y in zip(ka, kb))
-                expected[key] = expected.get(key, 0) + ca * cb
-        assert product == build(kind, dim, expected)
+        assert p * q == build(kind, dim, product_by_pairs(p, q))
+
+
+# -- the product kernel against term-by-term products ------------------------------------
+
+
+def product_by_pairs(p, q):
+    """The terms of p * q, one GaussianRational product and sum per pair of
+    terms, in the order the pairs are visited; a sum that cancels is dropped
+    and comes back at the end if a later pair hits its monomial again."""
+    out = {}
+    for ka, ca in p._terms.items():
+        for kb, cb in q._terms.items():
+            key = tuple(x + y for x, y in zip(ka, kb))
+            s = out.get(key, 0) + ca * cb
+            if s:
+                out[key] = s
+            else:
+                del out[key]
+    return out
+
+
+@st.composite
+def kernel_operands(draw):
+    kind, dim = draw(st.sampled_from([(PolyZZbar, 2), *((PolyRealN, n) for n in range(1, 5))]))
+    base = draw(st.integers(1, 10**12))
+    # Small or sharing one large factor, the denominators clear over one
+    # value; unrelated 40-bit ones outgrow the bound and take the term loop.
+    denominators = draw(st.sampled_from([
+        st.integers(1, 12),
+        st.integers(1, 12).map(lambda k: base * k),
+        st.integers(1, 10**12),
+    ]))
+    parts = st.builds(Fraction, st.integers(-(10**12), 10**12), denominators)
+    coefs = st.builds(GaussianRational, parts, st.one_of(st.just(0), parts))
+    keys = st.sampled_from(monomials_real(dim, 3))
+    u, v = (
+        build(kind, dim, draw(st.dictionaries(keys, coefs, min_size=1, max_size=6)))
+        for _ in range(2)
+    )
+    # (u + v)(u - v): the cross terms cancel
+    return (u + v, u - v) if draw(st.booleans()) else (u, v)
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_operands())
+@example((PolyZZbar({(1, 0): 1, (0, 1): 1}), PolyZZbar({(1, 0): 1, (0, 1): -1})))
+# z*zbar cancels after two pairs and comes back with the last one
+@example((
+    PolyZZbar({(1, 0): 1, (0, 1): 1, (0, 0): 1}),
+    PolyZZbar({(0, 1): -1, (1, 0): 1, (1, 1): 1}),
+))
+def test_product_is_the_sum_of_term_products(operands):
+    p, q = operands
+    product = (p * q)._terms
+    # Same keys, values and dict order: float evaluation sums in that order.
+    assert list(product.items()) == list(product_by_pairs(p, q).items())
+    for c in product.values():
+        a, b, d = c._a, c._b, c._d
+        assert (a or b) and d > 0 and math.gcd(a, b, d) == 1

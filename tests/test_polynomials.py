@@ -25,6 +25,18 @@ X = PolyRealN.variable(2, 0)
 Y = PolyRealN.variable(2, 1)
 HALF = Fraction(1, 2)
 
+small_rationals = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+coefficients = st.builds(GaussianRational, small_rationals, small_rationals)
+zzbar_polys = st.dictionaries(
+    st.sampled_from(monomials_zzbar(6)), coefficients, max_size=14
+).map(PolyZZbar)
+
+
+def real_polys(dim, max_degree, max_size=14):
+    return st.dictionaries(
+        st.sampled_from(monomials_real(dim, max_degree)), coefficients, max_size=max_size
+    ).map(lambda terms: PolyRealN(dim, terms))
+
 
 # -- change of variables -------------------------------------------------------
 
@@ -54,20 +66,17 @@ def test_z_squared_to_xy():
     assert zzbar_to_xy(Z * Z) == X * X - Y * Y + X * Y * GaussianRational(0, 2)
 
 
-def test_round_trip_random():
-    rng = random.Random(7)
-    for _ in range(100):
-        p = random_poly_zzbar(rng, 5)
-        assert xy_to_zzbar(zzbar_to_xy(p)) == p
-        q = random_poly_real(rng, 2, 5)
-        assert zzbar_to_xy(xy_to_zzbar(q)) == q
+@settings(max_examples=100, deadline=None)
+@given(zzbar_polys, real_polys(2, max_degree=6))
+def test_round_trip_random(p, q):
+    assert xy_to_zzbar(zzbar_to_xy(p)) == p
+    assert zzbar_to_xy(xy_to_zzbar(q)) == q
 
 
-def test_degree_preserved_by_conversion():
-    rng = random.Random(8)
-    for _ in range(50):
-        p = random_poly_real(rng, 2, rng.randint(0, 6))
-        assert xy_to_zzbar(p).degree() == p.degree()
+@settings(max_examples=50, deadline=None)
+@given(real_polys(2, max_degree=6))
+def test_degree_preserved_by_conversion(p):
+    assert xy_to_zzbar(p).degree() == p.degree()
 
 
 def test_xy_to_zzbar_rejects_other_dimensions():
@@ -145,14 +154,6 @@ def test_evaluate_real_poly():
     assert p.evaluate((3.0, 2.0)) == pytest.approx(5.0)
 
 
-small_rationals = st.fractions(min_value=-5, max_value=5, max_denominator=7)
-zzbar_polys = st.dictionaries(
-    st.sampled_from(monomials_zzbar(6)),
-    st.builds(GaussianRational, small_rationals, small_rationals),
-    max_size=14,
-).map(PolyZZbar)
-
-
 @settings(max_examples=100, deadline=None)
 @given(zzbar_polys, zzbar_polys, zzbar_polys)
 def test_ring_axioms_random_triples(p, q, r):
@@ -221,20 +222,31 @@ def test_divide_factored_by_hand():
     assert divide_exact(Z**2 * ZB - Z, unit_circle_r()) == Z
 
 
-def test_divide_product_recovers_factor():
-    rng = random.Random(14)
-    for _ in range(100):
-        p = random_poly_zzbar(rng, 5)
-        q = random_poly_zzbar(rng, 5)
-        assert divide_exact(p * q, q) == p
+def assert_division_sound(p, q, c):
+    """A quotient returned is exact, and p*q + c is no multiple of q."""
+    for x in (p, p * q, p * q + c):
+        quotient = divide_exact(x, q)
+        if quotient is not None:
+            assert q * quotient == x
+    if q.degree() >= 1:
+        # p*q + c = q*s would make the constant c a multiple q*(s - p)
+        assert divide_exact(p * q + c, q) is None
 
 
-def test_divide_real_polys():
-    rng = random.Random(15)
-    for _ in range(50):
-        p = random_poly_real(rng, 3, 4)
-        q = random_poly_real(rng, 3, 3)
-        assert divide_exact(p * q, q) == p
+@settings(max_examples=100, deadline=None)
+@given(zzbar_polys, zzbar_polys.filter(bool), coefficients.filter(bool))
+def test_divide_product_recovers_factor(p, q, c):
+    assert divide_exact(p * q, q) == p
+    assert_division_sound(p, q, PolyZZbar.constant(c))
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    real_polys(3, max_degree=4), real_polys(3, max_degree=3).filter(bool), coefficients.filter(bool)
+)
+def test_divide_real_polys(p, q, c):
+    assert divide_exact(p * q, q) == p
+    assert_division_sound(p, q, PolyRealN.constant(3, c))
 
 
 def test_divide_zero_by_anything():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from szegopoly.polynomials import PolyRealN, PolyZZbar
-from szegopoly.rational import GaussianRational, I, ONE, ZERO
+from szegopoly.rational import GaussianRational, I, ONE, ZERO, _cleared
 
 
 def rand_gr(rng):
@@ -261,6 +261,20 @@ def test_real_values_agree_with_int_and_fraction(x):
         assert g == int(x) and int(x) == g
         assert hash(g) == hash(int(x))
     assert GaussianRational(x, 1) != x
+
+
+@settings(max_examples=200)
+@given(st.lists(pairs.map(lambda x: GaussianRational(*x)), min_size=1, max_size=8))
+def test_cleared_values_share_one_denominator_within_the_bound(values):
+    denominators = [g._d for g in values]
+    lcm = math.lcm(*denominators)
+    cleared = _cleared(values)
+    if lcm.bit_length() > 2 * max(denominators).bit_length():
+        assert cleared is None
+    else:
+        d, numerators = cleared
+        assert d == lcm
+        assert [GaussianRational(Fraction(a, d), Fraction(b, d)) for a, b in numerators] == values
 
 
 def test_parts_are_read_only():
