@@ -20,7 +20,9 @@ from functools import cached_property
 
 from .linalg import det_exact
 from .polynomials import PolyRealN, PolyZZbar
-from .rational import GaussianRational, rational_from_json
+from .rational import (
+    GaussianRational, fraction_text, rational_from_json, rational_from_text,
+)
 
 
 def _frac(value) -> Fraction:
@@ -88,8 +90,8 @@ class Ellipsoid:
     def to_json_dict(self) -> dict:
         return {
             "dim": self.dim,
-            "Q": [str(v) for row in self.Q for v in row],
-            "center": [str(v) for v in self.center],
+            "Q": [fraction_text(v) for row in self.Q for v in row],
+            "center": [fraction_text(v) for v in self.center],
         }
 
     @staticmethod
@@ -171,7 +173,7 @@ class Ellipse:
                 f"expected 'a,b' or 'a,b,h,k', got {len(parts)} fields"
             )
         try:
-            values = [Fraction(p) for p in parts]
+            values = [rational_from_text(p) for p in parts]
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"bad ellipse parameter in {text!r}: {exc}") from exc
         if len(parts) == 2:
@@ -226,8 +228,8 @@ class Ellipse:
 
     def to_json_dict(self) -> dict:
         return {
-            "a": str(self.a),
-            "b": str(self.b),
-            "h": str(self.h),
-            "k": str(self.k),
+            "a": fraction_text(self.a),
+            "b": fraction_text(self.b),
+            "h": fraction_text(self.h),
+            "k": fraction_text(self.k),
         }

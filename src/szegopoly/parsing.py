@@ -15,22 +15,35 @@ arithmetic, so a variable counts even where its exponent or coefficient
 is zero: z/zbar gives PolyZZbar, x/y gives PolyRealN in 2 variables, and
 x1..xn gives PolyRealN in n variables, n the largest index named.  The
 families cannot be mixed in one expression, and text with no variable is
-a PolyZZbar constant.  The parser then builds term dicts of that ring
-with the ring's own +, * and ** (polynomials._add_terms, _mul_terms,
-_pow_terms).  Parentheses nest at most MAX_NESTING deep.
+a PolyZZbar constant.
 
-Parse errors carry the 1-based column of the offending token.
+Text is read a term at a time.  The complex literal "(p/q+r/si)" that
+format_coefficient writes is one token, valued with one reduction; the
+same text with a space inside, or with a zero denominator, is read as a
+parenthesised sum of general tokens.  A term folds its numbers, literals
+and variables, with their ^n, into one coefficient and one exponent
+tuple, and multiplies term dicts (polynomials._mul_terms, _pow_terms)
+only for parenthesised sums; a sum adds its terms into one dict.  The
+result is the ring's left-to-right +, -, *, ** on the same text, with the
+same terms in the same dict order.  Parentheses nest at most MAX_NESTING
+deep.  Numbers may be of any length.
+
+Parse errors carry the 1-based column of the offending token; an exponent
+that overflows the 32-bit bound is reported at the '^' or '*' whose power
+or product overflows.
 """
 
 from __future__ import annotations
 
 import re
-from fractions import Fraction
+from operator import add
 
-from .rational import GaussianRational, ONE, ZERO, rational_from_json
+from .rational import (
+    GaussianRational, ONE, ZERO, _int_from_text, _int_text, _reduce, rational_from_json,
+)
 from .polynomials import (
-    MAX_EXPONENT, PolyRealN, PolyZZbar, _add_terms, _mul_terms, _pow_terms,
-    xy_to_zzbar, zzbar_to_xy,
+    MAX_EXPONENT, PolyRealN, PolyZZbar, _mul_terms, _pow_terms, xy_to_zzbar,
+    zzbar_to_xy,
 )
 
 
@@ -42,47 +55,59 @@ class ParseError(ValueError):
         self.pos = pos
 
 
+# A complex literal "(p[/q]+r[/s]i)" as format_coefficient writes it is one
+# token; with a space inside, or a zero denominator, it falls through to the
+# general tokens.  The operators other than "(", the most frequent tokens,
+# are tried first: no other token starts with one of them.
 _TOKEN_RE = re.compile(
     r"\s*(?:"
-    r"(?P<imag>(?:\d+(?:/\d+)?)?i\b)"
+    r"(?P<op>[-+*^)])"
+    r"|(?P<literal>\((?P<re>-?\d+)(?:/(?P<red>0*[1-9]\d*))?"
+    r"(?P<im>[-+]\d+)(?:/(?P<imd>0*[1-9]\d*))?i\))"
+    r"|(?P<open>\()"
+    r"|(?P<imag>(?:\d+(?:/\d+)?)?i\b)"
     r"|(?P<number>\d+(?:/\d+)?)"
     r"|(?P<name>[a-hj-zA-Z][a-zA-Z0-9]*)"
-    r"|(?P<op>[-+*^()])"
     r"|(?P<bad>\S)"
     r")"
 )
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    """(kind, text, start) per token, ending with an ("end", "", len(text)) token."""
+def _tokenize(text: str) -> list[tuple]:
+    """(kind, text, start, value) per token, then ("end", "", len(text), None).
+
+    Only a literal has a value, its GaussianRational.  Its text is "(", the
+    token that the general grammar would see first.
+    """
     tokens = []
     for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
+        if kind == "literal":
+            re_num, re_den, im_num, im_den = m.group("re", "red", "im", "imd")
+            q = _int_from_text(re_den) if re_den else 1
+            s = _int_from_text(im_den) if im_den else 1
+            a, b = _int_from_text(re_num) * s, _int_from_text(im_num) * q
+            tokens.append((kind, "(", m.start(kind), _reduce(a, b, q * s)))
+            continue
         if kind == "bad":
             raise ParseError(f"unexpected character {m.group(kind)!r}", m.start(kind))
-        tokens.append((kind, m.group(kind), m.start(kind)))
-    tokens.append(("end", "", len(text)))
+        tokens.append((kind, m.group(kind), m.start(kind), None))
+    tokens.append(("end", "", len(text), None))
     return tokens
-
-
-def _parse_fraction(text: str) -> Fraction:
-    if "/" in text:
-        num, den = text.split("/")
-        return Fraction(int(num), int(den))
-    return Fraction(int(text))
 
 
 _REAL_VAR_RE = re.compile(r"^x([1-9][0-9]*)$")
 
 
-def _pick_ring(tokens: list[tuple[str, str, int]]):
+def _pick_ring(tokens: list[tuple]):
     """The ring of the variable names in the tokens, whatever their exponents.
 
-    Returns the zero polynomial of that ring and the exponent key of each
-    variable name.  Text without variables is read as z/zbar constants.
+    Returns the zero polynomial of that ring and the axis (exponent
+    position) of each variable name.  Text without variables is read as
+    z/zbar constants.
     """
     names: dict[str, int] = {}
-    for kind, value, pos in tokens:
+    for kind, value, pos, _ in tokens:
         if kind == "name":
             names.setdefault(value, pos)
     numbered = {n: int(m.group(1)) - 1 for n in names if (m := _REAL_VAR_RE.match(n))}
@@ -96,120 +121,169 @@ def _pick_ring(tokens: list[tuple[str, str, int]]):
     if planar and numbered:
         raise ParseError("cannot mix x/y with numbered variables", 0)
     if numbered:
-        zero, axes = PolyRealN.zero(max(numbered.values()) + 1), numbered
-    elif planar:
-        zero, axes = PolyRealN.zero(2), {"x": 0, "y": 1}
-    else:
-        zero, axes = PolyZZbar.zero(), {"z": 0, "zbar": 1}
-    dim = zero._dim
-    return zero, {n: tuple(int(k == axis) for k in range(dim)) for n, axis in axes.items()}
+        return PolyRealN.zero(max(numbered.values()) + 1), numbered
+    if planar:
+        return PolyRealN.zero(2), {"x": 0, "y": 1}
+    return PolyZZbar.zero(), {"z": 0, "zbar": 1}
 
 
 # Bound on nested parentheses; deeper text is rejected instead of running
-# the recursive descent out of stack.
+# the recursive descent out of stack.  A literal counts as one level.
 MAX_NESTING = 100
 
 
 class _Parser:
     """Recursive descent over the tokens, building term dicts of one ring.
 
-    Only op tokens have the text "+", "-", "*", "^", "(" or ")", so the
-    grammar tests the current token's text alone.
+    Only op tokens have the text "+", "-", "*", "^" or ")", so the grammar
+    tests a token's text alone; a "(" is told from a literal by its kind.
     """
 
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.index = 0
-        self.tok = self.tokens[0]
         self.depth = 0
-        self.zero, self.keys = _pick_ring(self.tokens)
+        self.zero, self.axes = _pick_ring(self.tokens)
         self.dim = self.zero._dim
 
-    def advance(self):
-        self.index += 1
-        self.tok = self.tokens[self.index]
-
-    def error(self, message: str) -> ParseError:
-        return ParseError(message, self.tok[2])
-
     def parse(self):
-        if self.tok[0] == "end":
+        if self.tokens[0][0] == "end":
             raise ParseError("empty polynomial", 0)
-        try:
-            terms = self.expr()
-        except OverflowError as exc:  # a product of powers past the 32-bit bound
-            raise ParseError(str(exc), 0) from None
-        if self.tok[0] != "end":
-            raise self.error(f"unexpected token {self.tok[1]!r}")
+        terms = self.expr()
+        kind, text, pos, _ = self.tokens[self.index]
+        if kind != "end":
+            raise ParseError(f"unexpected token {text!r}", pos)
         return self.zero._new(terms)
 
     def expr(self) -> dict:
-        value = self.term()
-        while self.tok[1] in ("+", "-"):
-            negate = self.tok[1] == "-"
-            self.advance()
-            rhs = self.term()
-            if negate:
-                rhs = {k: -c for k, c in rhs.items()}
-            value = _add_terms(value, rhs)
-        return value
+        """A sum of terms, added into the first term's dict in place."""
+        out = self.term(False)
+        tokens = self.tokens
+        while (op := tokens[self.index][1]) in ("+", "-"):
+            self.index += 1
+            for k, c in self.term(op == "-").items():
+                s = out.get(k)
+                if s is None:
+                    out[k] = c
+                elif s := s + c:
+                    out[k] = s
+                else:
+                    del out[k]
+        return out
 
-    def term(self) -> dict:
-        value = self.factor()
-        while self.tok[1] == "*":
-            self.advance()
-            value = _mul_terms(value, self.factor())
-        return value
+    def term(self, negate: bool) -> dict:
+        """A product of factors, negated when negate is set.
 
-    def factor(self) -> dict:
-        # Leading signs are read in a loop, so any number of them is fine.
-        negate = False
-        while self.tok[1] in ("+", "-"):
-            negate ^= self.tok[1] == "-"
-            self.advance()
-        value = self.primary()
-        if self.tok[1] == "^":
-            self.advance()
-            kind, text, _ = self.tok
-            if kind != "number" or "/" in text:
-                raise self.error("expected a nonnegative integer exponent after '^'")
-            n = int(text)
-            if n > MAX_EXPONENT:
-                raise self.error(f"exponent {n} exceeds the 32-bit bound")
-            self.advance()
-            value = _pow_terms(value, n, self.dim)
+        Numbers, literals and variables, each with its ^n, fold into one
+        coefficient and one exponent list.  Only parenthesised sums are
+        multiplied as term dicts; the folded monomial scales their product
+        at the end, which moves no key of it, so the key order is that of
+        the left-to-right product.  Each '*' checks the 32-bit exponent
+        bound as that product would: unless a factor so far is zero, the
+        top exponent of each variable in it is the sum of the factors' tops.
+        """
+        tokens, axes = self.tokens, self.axes
+        i = self.index
+        coef = ONE
+        exps = [0] * self.dim  # exponents of the folded variables
+        tops = [0] * self.dim  # top exponent of each variable in the product
+        sums = None  # product of the parenthesised sums
+        zero = False
+        star = 0  # column of the '*' before the factor
+        while True:
+            kind, text, pos, value = tokens[i]
+            while text in ("+", "-"):
+                negate ^= text == "-"
+                i += 1
+                kind, text, pos, value = tokens[i]
+            i += 1
+            if (kind == "open" or kind == "literal") and self.depth == MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", pos)
+            if kind == "open":
+                self.depth += 1
+                self.index = i
+                value = self.expr()
+                i = self.index
+                if tokens[i][1] != ")":
+                    raise ParseError("expected ')'", tokens[i][2])
+                self.depth -= 1
+                i += 1
+            elif kind == "number" or kind == "imag":
+                value = _number(text, kind, pos)
+            elif kind != "literal" and kind != "name":
+                if kind == "end":
+                    raise ParseError("unexpected end of input", pos)
+                raise ParseError(f"unexpected token {text!r}", pos)
+            n = 1
+            if tokens[i][1] == "^":
+                caret = tokens[i][2]
+                n, i = self.exponent(i + 1)
+            if kind == "name":
+                if not zero:
+                    axis = axes[text]
+                    exps[axis] += n
+                    tops[axis] += n
+                    if tops[axis] > MAX_EXPONENT:
+                        raise _overflow(tops[axis], star)
+            elif kind == "open":
+                if n != 1:
+                    try:
+                        value = _pow_terms(value, n, self.dim)
+                    except OverflowError as exc:
+                        raise ParseError(str(exc), caret) from None
+                if not value:
+                    zero = True
+                elif not zero:
+                    tops = list(map(add, tops, map(max, zip(*value))))
+                    if max(tops) > MAX_EXPONENT:
+                        raise _overflow(max(tops), star)
+                    sums = value if sums is None else _mul_terms(sums, value)
+            else:
+                if n != 1:
+                    value = value**n
+                if not value:
+                    zero = True
+                elif not zero:
+                    coef = value if coef is ONE else coef * value
+            if tokens[i][1] != "*":
+                break
+            star = tokens[i][2]
+            i += 1
+        self.index = i
+        if zero:
+            return {}
         if negate:
-            value = {k: -c for k, c in value.items()}
-        return value
+            coef = -coef
+        if sums is None:
+            return {tuple(exps): coef}
+        if coef is ONE and not any(exps):
+            return sums
+        return {tuple(map(add, k, exps)): c * coef for k, c in sums.items()}
 
-    def primary(self) -> dict:
-        kind, text, _ = self.tok
-        if kind == "end":
-            raise self.error("unexpected end of input")
-        if kind in ("number", "imag"):
-            digits = text[:-1] if kind == "imag" else text
-            try:
-                mag = _parse_fraction(digits) if digits else Fraction(1)
-            except ZeroDivisionError:
-                raise self.error(f"zero denominator in {text!r}") from None
-            self.advance()
-            c = GaussianRational(0, mag) if kind == "imag" else GaussianRational(mag)
-            return {(0,) * self.dim: c} if c else {}
-        if kind == "name":
-            self.advance()
-            return {self.keys[text]: ONE}
-        if text == "(":
-            self.depth += 1
-            if self.depth > MAX_NESTING:
-                raise self.error(f"parentheses nested deeper than {MAX_NESTING}")
-            self.advance()
-            value = self.expr()
-            if self.tok[1] != ")":
-                raise self.error("expected ')'")
-            self.advance()
-            self.depth -= 1
-            return value
-        raise self.error(f"unexpected token {text!r}")
+    def exponent(self, i: int) -> tuple[int, int]:
+        """The exponent at token i, after a '^', and the index past it."""
+        kind, text, pos, _ = self.tokens[i]
+        if kind != "number" or "/" in text:
+            raise ParseError("expected a nonnegative integer exponent after '^'", pos)
+        n = _int_from_text(text)
+        if n > MAX_EXPONENT:
+            raise _overflow(n, pos)
+        return n, i + 1
+
+
+def _overflow(top: int, pos: int) -> ParseError:
+    return ParseError(f"exponent {_int_text(top)} exceeds the 32-bit bound", pos)
+
+
+def _number(text: str, kind: str, pos: int) -> GaussianRational:
+    """The value of a number token "p", "p/q", or an imag token "i", "pi", "p/qi"."""
+    digits = text[:-1] if kind == "imag" else text
+    num, _, den = digits.partition("/")
+    q = _int_from_text(den) if den else 1
+    if not q:
+        raise ParseError(f"zero denominator in {text!r}", pos)
+    p = _int_from_text(num) if num else 1
+    return _reduce(0, p, q) if kind == "imag" else _reduce(p, 0, q)
 
 
 def parse_polynomial(text: str):

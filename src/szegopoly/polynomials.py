@@ -20,8 +20,8 @@ operations, derivatives, conjugation and exact division build clean term
 dicts and wrap them with the private same-type constructor _new; a product
 checks for exponent overflow once, from the per-variable maximum exponents
 of its two operands.  The term-dict functions _add_terms, _mul_terms and
-_pow_terms are the ring arithmetic itself; the text parser builds its
-values with them too.  _mul_terms is the one product routine: it writes
+_pow_terms are the ring arithmetic itself; the text parser uses them for
+parenthesised sums.  _mul_terms is the one product routine: it writes
 each operand of several terms over one common denominator
 (rational._cleared), sums the Gaussian-integer numerator products per
 output monomial and reduces each output coefficient once.  Operands whose

@@ -32,15 +32,51 @@ their denominators, so the caller can add integer numerators and reduce
 each total once with _reduce.  It declines (returns None) when that lcm
 would have more than twice the bits of the longest denominator, where the
 cleared numerators would outgrow the reduced ones.
+
+Exact text has no size limit.  CPython refuses an int <-> str conversion
+of more than sys.get_int_max_str_digits() digits (4,300 by default), so
+_int_text and _int_from_text convert a longer number in halves, each
+piece short enough for any limit the interpreter accepts; the common
+case costs one length check, or none where str() is tried first.  The
+process-wide limit is left as it is.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd
 from typing import Union
 
 RationalLike = Union[int, Fraction]
+
+
+# Below CPython's smallest nonzero limit on int <-> str conversions (640
+# digits); 2,000 bits is at most 603 digits.
+_SAFE_DIGITS = 640
+_SAFE_BITS = 2000
+
+
+def _int_text(n: int) -> str:
+    """str(n) for an int of any size."""
+    if n.bit_length() <= _SAFE_BITS:
+        return str(n)
+    if n < 0:
+        return "-" + _int_text(-n)
+    k = n.bit_length() * 3 // 20  # about half of its digits; log10(2) > 0.3
+    hi, lo = divmod(n, 10**k)
+    return _int_text(hi) + _int_text(lo).zfill(k)
+
+
+def _int_from_text(text: str) -> int:
+    """int(text) for an optionally signed string of decimal digits of any length."""
+    if len(text) <= _SAFE_DIGITS:
+        return int(text)
+    if text[0] in "+-":
+        n = _int_from_text(text[1:])
+        return -n if text[0] == "-" else n
+    k = len(text) // 2
+    return _int_from_text(text[:-k]) * 10**k + _int_from_text(text[-k:])
 
 
 def _ratio_text(n: int, d: int) -> str:
@@ -49,7 +85,29 @@ def _ratio_text(n: int, d: int) -> str:
     if g != 1:
         n //= g
         d //= g
-    return str(n) if d == 1 else f"{n}/{d}"
+    try:
+        return str(n) if d == 1 else f"{n}/{d}"
+    except ValueError:  # past the interpreter's int/str digit limit
+        return _int_text(n) if d == 1 else f"{_int_text(n)}/{_int_text(d)}"
+
+
+def fraction_text(value: Fraction) -> str:
+    """str(value) for a Fraction of any size."""
+    return _ratio_text(value.numerator, value.denominator)
+
+
+_RATIO_RE = re.compile(r"\s*([-+]?\d+)(?:/(\d+))?\s*")
+
+
+def rational_from_text(text: str) -> Fraction:
+    """Fraction(text), also for a "p" or "p/q" string of any length.
+
+    Raises ValueError or ZeroDivisionError, as Fraction does.
+    """
+    if len(text) > _SAFE_DIGITS and (m := _RATIO_RE.fullmatch(text)):
+        num, den = m.groups()
+        return Fraction(_int_from_text(num), _int_from_text(den) if den else 1)
+    return Fraction(text)
 
 
 def _ratio_bits(n: int, d: int) -> int:
@@ -68,7 +126,7 @@ def rational_from_json(value, name: str) -> Fraction:
     if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise ValueError(f"{name} must be an integer or a rational string, got {value!r}")
     try:
-        return Fraction(value)
+        return Fraction(value) if isinstance(value, int) else rational_from_text(value)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"bad {name} {value!r}: {exc}") from exc
 

@@ -154,6 +154,13 @@ def test_unrepresentable_poly_is_bad_input(capsys, poly):
     assert len(err.strip().splitlines()) == 1
 
 
+def test_coefficients_past_the_int_str_digit_limit_are_written(capsys):
+    # 2^20000 has 6,021 digits, past the interpreter's default limit of 4,300.
+    code, report, err = run_json(capsys, "szego", "--ellipse", "2,1", "--poly", "2^20000*z")
+    assert code == 0, err
+    assert parse_poly_zzbar(report["projection"]) == PolyZZbar.monomial(1, 0, 2**20000)
+
+
 def test_bad_ellipse_exit_code(capsys):
     code, _, err = run_cli(capsys, "szego", "--ellipse", "2,zzz", "--poly", "z")
     assert code == 2

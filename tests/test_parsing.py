@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from szegopoly.cli import main
+from szegopoly.domains import Ellipse
 from szegopoly.parsing import (
     MAX_NESTING,
     ParseError,
@@ -20,7 +21,7 @@ from szegopoly.parsing import (
     poly_zzbar_to_json,
 )
 from szegopoly.polynomials import PolyRealN, PolyZZbar, monomials_real, xy_to_zzbar
-from szegopoly.rational import GaussianRational
+from szegopoly.rational import GaussianRational, rational_from_json
 
 Z = PolyZZbar.var_z()
 ZB = PolyZZbar.var_zbar()
@@ -50,6 +51,10 @@ def test_complex_coefficient_literals():
     assert p == PolyZZbar({(2, 1): GaussianRational(Fraction(1, 2), Fraction(3, 4))})
     q = parse_poly_zzbar("(0-1i)*z")
     assert q == PolyZZbar({(1, 0): GaussianRational(0, -1)})
+    # A literal with a space inside is read as a parenthesised sum.
+    half = PolyZZbar.constant(GaussianRational(Fraction(1, 2), Fraction(-1, 2)))
+    for text in ("(3/6-4/8i)", "( 3/6-4/8i)", "(3/6 - 4/8i)", "(1/2+0i) - 1/2i"):
+        assert parse_poly_zzbar(text) == half
 
 
 def test_xy_syntax_converts():
@@ -203,10 +208,65 @@ def test_dimension_counts_variables_with_zero_exponent():
 
 
 def test_overflow_inside_the_parse_is_a_parse_error():
-    with pytest.raises(ParseError, match="32-bit"):
-        parse_polynomial("(z^2000000000)^2")
-    with pytest.raises(ParseError, match="32-bit"):
-        parse_polynomial("(x1^2000000000 + x2)^2")
+    # The column is that of the '^' or '*' whose power or product overflows.
+    cases = [
+        ("(z^2000000000)^2", 15, 4000000000),
+        ("(x1^2000000000 + x2)^2", 21, 4000000000),
+        ("z + (z^2000000000)^2", 19, 4000000000),
+        ("z^2000000000*z^2000000000", 13, 4000000000),
+        ("3*z^2000000000 * 2 * zbar * z^2000000000", 27, 4000000000),
+        ("z^1500000000*(z^1000000000+1)", 13, 2500000000),
+        ("(z+1)*(zbar+z^2147483647)", 6, 2147483648),
+    ]
+    for text, column, top in cases:
+        message = f"column {column}: exponent {top} exceeds the 32-bit bound"
+        with pytest.raises(ParseError, match=message):
+            parse_polynomial(text)
+
+
+def test_a_zero_factor_ends_the_overflow_checks_of_its_term():
+    # As in ring arithmetic: a product with zero is zero, whatever follows.
+    assert parse_polynomial("0*z^2000000000*z^2000000000") == PolyZZbar.zero()
+    assert parse_polynomial("z^2000000000*(z-z)*z^2000000000") == PolyZZbar.zero()
+
+
+def test_a_literal_with_a_zero_denominator_is_read_by_the_general_grammar():
+    with pytest.raises(ParseError, match="column 2: zero denominator in '1/0'"):
+        parse_polynomial("(1/0+2i)")
+    with pytest.raises(ParseError, match="column 4: zero denominator in '2/00i'"):
+        parse_polynomial("(1+2/00i)*z")
+
+
+# -- numbers past the interpreter's int/str digit limit -------------------------
+
+
+def test_numbers_of_any_length_parse():
+    big = (10**5000 - 1) // 9  # 5,000 ones
+    assert parse_polynomial("1" * 5000 + "*z") == Z * big
+    assert parse_polynomial("(" + "1" * 5000 + "-1/" + "1" * 5000 + "i)") == PolyZZbar.constant(
+        GaussianRational(big, Fraction(-1, big))
+    )
+    with pytest.raises(ParseError, match="column 3: exponent 9{5000} exceeds the 32-bit bound"):
+        parse_polynomial("z^" + "9" * 5000)
+
+
+def test_json_rationals_and_ellipse_text_of_any_length():
+    digits = "1" + "0" * 4999 + "1"  # 10**5000 + 1
+    assert rational_from_json("-" + digits + "/3", "re") == Fraction(-(10**5000 + 1), 3)
+    e = Ellipse.from_string(digits + ",1")
+    assert e.a == 10**5000 + 1
+    assert e.to_json_dict()["a"] == digits
+
+
+def test_text_and_json_round_trip_a_coefficient_of_over_6000_digits():
+    c = GaussianRational(Fraction(3**13000, 7**7000 + 1), -(2**21000))
+    assert len(c.text_parts()[0]) > 6000
+    p = Z * c + ZB * 2
+    assert parse_poly_zzbar(format_poly_zzbar(p)) == p
+    assert poly_zzbar_from_json(poly_zzbar_to_json(p)) == p
+    q = PolyRealN.monomial((2, 0, 1), c)
+    assert parse_poly_real(format_poly_real(q)) == q
+    assert poly_real_from_json(poly_real_to_json(q)) == q
 
 
 # -- nesting bound ----------------------------------------------------------------
@@ -222,6 +282,13 @@ def test_nesting_past_the_bound_is_a_parse_error(depth):
     text = "(" * depth + "z" + ")" * depth
     with pytest.raises(ParseError, match=f"column {MAX_NESTING + 1}: parentheses nested"):
         parse_polynomial(text)
+
+
+def test_a_literal_counts_as_one_nesting_level():
+    inner = "(" * (MAX_NESTING - 1) + "(1+2i)" + ")" * (MAX_NESTING - 1)
+    assert parse_poly_zzbar(inner) == PolyZZbar.constant(GaussianRational(1, 2))
+    with pytest.raises(ParseError, match=f"column {MAX_NESTING + 1}: parentheses nested"):
+        parse_polynomial("(" + inner + ")")
 
 
 def test_many_unary_signs_parse():
@@ -295,3 +362,132 @@ def test_parser_returns_a_polynomial_or_raises_parse_error(tokens):
     except ParseError:
         return
     assert isinstance(value, (PolyZZbar, PolyRealN))
+
+
+# -- the parser against ring arithmetic ------------------------------------------
+
+FAMILIES = {"zzbar": ["z", "zbar"], "xy": ["x", "y"], "numbered": ["x1", "x2", "x3"]}
+SPACES = st.sampled_from(["", "", "", " ", "  "])
+# Variables take exponents near the 32-bit bound, so that products and powers
+# overflow; numbers and sums take small ones, which keep the arithmetic cheap.
+VARIABLE_EXPONENTS = st.sampled_from([0, 1, 2, 3, 1_000_000_000, 1_500_000_000, 2**31 - 1])
+
+
+def _ring(names):
+    """constant(c) and the variables of the ring that parse_polynomial picks."""
+    if names and names <= {"x1", "x2", "x3"}:
+        dim = max(int(n[1:]) for n in names)
+        return (lambda c: PolyRealN.constant(dim, c)), {
+            f"x{k + 1}": PolyRealN.variable(dim, k) for k in range(dim)
+        }
+    if names & {"x", "y"}:
+        return (lambda c: PolyRealN.constant(2, c)), {
+            "x": PolyRealN.variable(2, 0), "y": PolyRealN.variable(2, 1)
+        }
+    return PolyZZbar.constant, {"z": Z, "zbar": ZB}
+
+
+@st.composite
+def _ratio(draw, signed=False):
+    """The text "p" or "p/q" (not reduced, zero included) and its value."""
+    p = draw(st.integers(-7 if signed else 0, 7))
+    q = draw(st.integers(1, 6))
+    return (f"{p}/{q}", Fraction(p, q)) if draw(st.booleans()) else (str(p), Fraction(p))
+
+
+@st.composite
+def _number(draw):
+    """A number atom as (text, value): a literal, a rational or an imaginary."""
+    kind = draw(st.sampled_from(["literal", "rational", "imag"]))
+    if kind == "literal":
+        (re_text, re), (im_text, im) = draw(_ratio(signed=True)), draw(_ratio())
+        sign = draw(st.sampled_from("+-"))
+        # With spaces inside, the literal is read as a parenthesised sum.
+        pieces = ["(", re_text, sign, im_text + "i", ")"]
+        text = "".join(piece + draw(SPACES) for piece in pieces[:-1]) + ")"
+        return text, GaussianRational(re, im if sign == "+" else -im)
+    if kind == "rational":
+        text, value = draw(_ratio())
+        return text, GaussianRational(value)
+    if draw(st.booleans()):
+        return "i", GaussianRational(0, 1)
+    text, value = draw(_ratio())
+    return text + "i", GaussianRational(0, value)
+
+
+@st.composite
+def _factor(draw, names, depth):
+    """(text, evaluate, variables named) of sign* primary [^n]."""
+    signs = draw(st.text("+-", max_size=2))
+    kind = draw(st.sampled_from(["number", "variable", "sum"] if depth < 2 else ["number", "variable"]))
+    if kind == "number":
+        text, value = draw(_number())
+        primary, used = (lambda const, var: const(value)), set()
+        exponent = st.integers(0, 3)
+    elif kind == "variable":
+        name = draw(st.sampled_from(names))
+        text, primary, used = name, (lambda const, var: var[name]), {name}
+        exponent = VARIABLE_EXPONENTS
+    else:
+        inner, primary, used = draw(_sum(names, depth + 1))
+        text = "(" + draw(SPACES) + inner + draw(SPACES) + ")"
+        exponent = st.integers(0, 2)
+    n = draw(st.none() | exponent)
+    if n is not None:
+        text += draw(SPACES) + "^" + draw(SPACES) + str(n)
+
+    def evaluate(const, var):
+        value = primary(const, var)
+        if n is not None:
+            value = value**n
+        return -value if signs.count("-") % 2 else value
+
+    return " ".join(signs) + draw(SPACES) + text, evaluate, used
+
+
+@st.composite
+def _term(draw, names, depth):
+    factors = draw(st.lists(_factor(names, depth), min_size=1, max_size=3))
+
+    def evaluate(const, var):
+        value = factors[0][1](const, var)
+        for _, f, _ in factors[1:]:
+            value = value * f(const, var)
+        return value
+
+    text = (draw(SPACES) + "*" + draw(SPACES)).join(t for t, _, _ in factors)
+    return text, evaluate, set().union(*(u for _, _, u in factors))
+
+
+@st.composite
+def _sum(draw, names, depth=0):
+    terms = draw(st.lists(_term(names, depth), min_size=1, max_size=3))
+    ops = [draw(st.sampled_from("+-")) for _ in terms[1:]]
+
+    def evaluate(const, var):
+        value = terms[0][1](const, var)
+        for op, (_, t, _) in zip(ops, terms[1:]):
+            value = value + t(const, var) if op == "+" else value - t(const, var)
+        return value
+
+    text = terms[0][0] + "".join(
+        draw(SPACES) + op + draw(SPACES) + t for op, (t, _, _) in zip(ops, terms[1:])
+    )
+    return text, evaluate, set().union(*(u for _, _, u in terms))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(FAMILIES)).flatmap(lambda family: _sum(FAMILIES[family])))
+def test_parser_agrees_with_ring_arithmetic(expression):
+    # Left-to-right ring arithmetic on the expression's tree gives the same
+    # terms in the same dict order, and overflows exactly where parsing fails.
+    text, evaluate, names = expression
+    try:
+        expected = evaluate(*_ring(names))
+    except OverflowError as exc:
+        with pytest.raises(ParseError, match=f"{exc}$"):
+            parse_polynomial(text)
+        return
+    value = parse_polynomial(text)
+    assert type(value) is type(expected) and value._dim == expected._dim
+    assert list(value._terms.items()) == list(expected._terms.items())

@@ -1,6 +1,5 @@
 """Polynomial core: arithmetic, Wirtinger calculus, conversions, division."""
 
-import random
 from fractions import Fraction
 
 import pytest
@@ -17,7 +16,6 @@ from szegopoly.polynomials import (
     zzbar_to_xy,
 )
 from szegopoly.rational import GaussianRational, I
-from szegopoly.sampling import random_poly_real, random_poly_zzbar
 
 Z = PolyZZbar.var_z()
 ZB = PolyZZbar.var_zbar()
@@ -110,26 +108,23 @@ def test_laplacian_harmonic_real():
     assert (X * X - Y * Y).laplacian().is_zero()
 
 
-def test_laplacian_commutes_with_conversion():
-    rng = random.Random(9)
-    for _ in range(100):
-        p = random_poly_real(rng, 2, 6)
-        assert xy_to_zzbar(p.laplacian()) == xy_to_zzbar(p).laplacian()
+@settings(max_examples=100, deadline=None)
+@given(real_polys(2, max_degree=6))
+def test_laplacian_commutes_with_conversion(p):
+    assert xy_to_zzbar(p.laplacian()) == xy_to_zzbar(p).laplacian()
 
 
-def test_dz_conjugate_identity():
-    rng = random.Random(10)
-    for _ in range(100):
-        p = random_poly_zzbar(rng, 6)
-        assert p.conjugate().d_dz() == p.d_dzbar().conjugate()
+@settings(max_examples=100, deadline=None)
+@given(zzbar_polys)
+def test_dz_conjugate_identity(p):
+    assert p.conjugate().d_dz() == p.d_dzbar().conjugate()
 
 
-def test_degree_drop_of_derivatives():
-    rng = random.Random(11)
-    for _ in range(50):
-        p = random_poly_zzbar(rng, rng.randint(1, 6))
-        if not p.d_dz().is_zero():
-            assert p.d_dz().degree() <= p.degree() - 1
+@settings(max_examples=50, deadline=None)
+@given(zzbar_polys)
+def test_degree_drop_of_derivatives(p):
+    if not p.d_dz().is_zero():
+        assert p.d_dz().degree() <= p.degree() - 1
 
 
 # -- arithmetic suite ------------------------------------------------------------

@@ -188,21 +188,21 @@ def test_zbar_closed_form():
         assert d.projection == PolyZZbar({(1, 0): coef})
 
 
-def test_decomposition_identity_exact():
-    rng = random.Random(44)
-    r = E21.defining_poly_zzbar()
-    for _ in range(20):
-        f = random_poly_zzbar(rng, rng.randint(0, 6))
-        d = szego_project(E21, f)
-        recomposed = d.projection + operator_A(E21, d.preimage) + r * d.cofactor
-        assert recomposed == f
-        assert d.projection.is_holomorphic()
-        assert d.projection.degree() <= f.degree()
-        assert d.preimage.degree() <= d.N
-        if d.N >= 2:
-            assert d.cofactor.degree() <= d.N - 2
-        else:
-            assert d.cofactor.is_zero()
+@settings(max_examples=20, deadline=None)
+@given(ellipses(), st.integers(0, 6), st.randoms(use_true_random=False))
+def test_decomposition_identity_exact(e, degree, rng):
+    r = e.defining_poly_zzbar()
+    f = random_poly_zzbar(rng, degree)
+    d = szego_project(e, f)
+    recomposed = d.projection + operator_A(e, d.preimage) + r * d.cofactor
+    assert recomposed == f
+    assert d.projection.is_holomorphic()
+    assert d.projection.degree() <= f.degree()
+    assert d.preimage.degree() <= d.N
+    if d.N >= 2:
+        assert d.cofactor.degree() <= d.N - 2
+    else:
+        assert d.cofactor.is_zero()
 
 
 @settings(max_examples=25, deadline=None)
@@ -234,11 +234,11 @@ def test_ambient_degree_below_input_rejected():
         szego_project(E21, Z**4, ambient_degree=2)
 
 
-def test_projection_idempotent():
-    rng = random.Random(48)
-    for _ in range(10):
-        g = random_holomorphic(rng, 6)
-        assert szego_project(E21, g).projection == g
+@settings(max_examples=10, deadline=None)
+@given(ellipses(), st.randoms(use_true_random=False))
+def test_projection_idempotent(e, rng):
+    g = random_holomorphic(rng, 6)
+    assert szego_project(e, g).projection == g
 
 
 def test_constant_input():
@@ -273,14 +273,14 @@ def test_shifted_ellipse_projection_verifies():
 
 # -- certificate -------------------------------------------------------------------
 
-def test_verify_passes_on_solver_output():
-    rng = random.Random(50)
-    for _ in range(10):
-        f = random_poly_zzbar(rng, 6)
-        d = szego_project(E21, f)
-        cert = verify_decomposition(d, E21)
-        assert cert.passed
-        assert cert.residual.is_zero()
+@settings(max_examples=10, deadline=None)
+@given(ellipses(), st.randoms(use_true_random=False))
+def test_verify_passes_on_solver_output(e, rng):
+    f = random_poly_zzbar(rng, 6)
+    d = szego_project(e, f)
+    cert = verify_decomposition(d, e)
+    assert cert.passed
+    assert cert.residual.is_zero()
 
 
 def test_verify_detects_tampered_projection():
