@@ -67,7 +67,6 @@ from .boundary import (
     harmonic_szego_bergman_check,
     inner_product,
     matched_disc_floor,
-    normalize_affine,
     numerical_bergman,
     numerical_szego,
     poly_values,
@@ -137,7 +136,6 @@ __all__ = [
     "harmonic_szego_bergman_check",
     "inner_product",
     "matched_disc_floor",
-    "normalize_affine",
     "numerical_bergman",
     "numerical_szego",
     "poly_values",

@@ -391,33 +391,6 @@ def matched_disc_floor(e: Ellipse, M: int = 1024, basis_degree: int = 12) -> flo
     return szbar_constancy_experiment(disc, M, basis_degree).deviation_from_constant
 
 
-# -- affine normalization of S(zbar) = a*z + b ---------------------------------
-
-
-@dataclass(frozen=True)
-class AffineNormalization:
-    rotation: complex
-    shift: complex
-
-    def apply(self, z: complex) -> complex:
-        return self.rotation * (z - self.shift)
-
-
-def normalize_affine(a_coeff: complex, b_coeff: complex) -> AffineNormalization:
-    """Map normalizing a domain whose zbar-projection is a*z + b.
-
-    Under w = e^{-i arg(a)/2} (z - (conj(a) b + conj(b))/(1 - |a|^2)) the
-    projection of wbar becomes |a| w.  Singular when |a| = 1.
-    """
-    a = complex(a_coeff)
-    b = complex(b_coeff)
-    if abs(abs(a) - 1.0) < 1e-15:
-        raise ValueError("normalization is singular when |a| = 1")
-    rotation = np.exp(-0.5j * np.angle(a))
-    shift = (np.conj(a) * b + np.conj(b)) / (1.0 - abs(a) ** 2)
-    return AffineNormalization(rotation=complex(rotation), shift=complex(shift))
-
-
 # -- Szego/Bergman agreement on harmonic data (disc case) -----------------------
 
 

@@ -15,12 +15,22 @@ right-hand side does exactly the arithmetic a one-shot solve would, and a
 system used for many right-hand sides is eliminated only once.
 solve_exact and det_exact are one-shot uses of the same factorisation.
 
+Every entry is reduced once.  The factor is left-looking (Crout): an
+entry of the pivot column or of a pivot row is formed only when the
+elimination reaches it, as one rational._minus_dot, base - sum(l*u) over
+one common denominator, of its nonzero multipliers and U entries; the
+pivots, and so the recorded steps, are those of the right-looking loop
+that updates every entry after every step.  The replay pulls in the same
+way: forward substitution runs on the rows of L at their final
+positions, and back substitution takes one _minus_dot per unknown.
+
 A GradedSystem is a square matrix that is block upper triangular in a
 graded monomial basis, such as the Fischer and Szego systems: it keeps
-its dense diagonal degree blocks and, per column, the few entries in rows
-of lower degree.  Its determinant is the product of the block
-determinants, and a solve is graded back-substitution, one solve_exact
-call per diagonal block from the top degree down.
+its dense diagonal degree blocks and, per row, the few entries in columns
+of higher degree.  Its determinant is the product of the block
+determinants, and a solve is graded back-substitution from the top
+degree down: each block's right-hand side is pulled from the unknowns
+already solved, then one solve_exact call solves the block.
 """
 
 from __future__ import annotations
@@ -28,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .rational import GaussianRational, ZERO, ONE
+from .rational import GaussianRational, ZERO, ONE, _minus_dot
 
 
 class InternalCheckError(RuntimeError):
@@ -41,12 +51,10 @@ Matrix = Sequence[Sequence[GaussianRational]]
 def _pick_pivot(rows, col, start):
     """The row at or below start whose entry in col has the smallest bit
     size, the first such row on a tie; None if every entry is zero."""
-    candidates = [
-        (rows[i][col].bit_size(), i)
-        for i in range(start, len(rows))
-        if rows[i][col]
-    ]
-    return min(candidates)[1] if candidates else None
+    candidates = [i for i in range(start, len(rows)) if rows[i][col]]
+    if len(candidates) < 2:
+        return candidates[0] if candidates else None
+    return min((rows[i][col].bit_size(), i) for i in candidates)[1]
 
 
 class _Step(NamedTuple):
@@ -62,13 +70,16 @@ class _Step(NamedTuple):
 class ExactFactorization:
     """The recorded elimination of one matrix, replayable on any right-hand side."""
 
-    __slots__ = ("rows", "cols", "steps", "_swaps")
+    __slots__ = ("rows", "cols", "steps", "_swaps", "_lower")
 
-    def __init__(self, rows: int, cols: int, steps: list[_Step]):
+    def __init__(
+        self, rows: int, cols: int, steps: list[_Step], lower: list[dict[int, GaussianRational]]
+    ):
         self.rows = rows
         self.cols = cols
         self.steps = tuple(steps)
         self._swaps = sum(1 for r, step in enumerate(steps) if step.swap != r)
+        self._lower = lower  # lower[k] = {r: L[k][r]} for the row at final position k
 
     @property
     def rank(self) -> int:
@@ -80,12 +91,11 @@ class ExactFactorization:
         if len(rhs) != self.rows:
             raise ValueError(f"{self.rows} rows but {len(rhs)} right-hand sides")
         b = list(rhs)
-        for r, (swap, _, _, _, multipliers) in enumerate(self.steps):
-            b[r], b[swap] = b[swap], b[r]
-            v = b[r]
-            if v:
-                for k, f in multipliers:
-                    b[k] = b[k] - f * v
+        for r, step in enumerate(self.steps):
+            b[r], b[step.swap] = b[step.swap], b[r]
+        for k, row_l in enumerate(self._lower):
+            if row_l:
+                b[k] = _minus_dot(b[k], [(f, b[r]) for r, f in row_l.items() if b[r]])
         for k in range(self.rank, self.rows):
             if b[k]:
                 return None  # 0 = nonzero: inconsistent
@@ -93,11 +103,7 @@ class ExactFactorization:
         x: list[GaussianRational] = [ZERO] * self.cols
         for r in reversed(range(self.rank)):
             _, col, pivot, tail, _ = self.steps[r]
-            acc = b[r]
-            for j, v in tail:
-                if x[j]:
-                    acc = acc - v * x[j]
-            x[col] = acc / pivot
+            x[col] = _minus_dot(b[r], [(v, x[j]) for j, v in tail if x[j]]) / pivot
         return x
 
     @property
@@ -114,39 +120,61 @@ class ExactFactorization:
 
 
 def factor_exact(matrix: Matrix) -> ExactFactorization:
-    """Eliminate matrix once and record the steps; it may be rectangular."""
+    """Eliminate matrix once and record the steps; it may be rectangular.
+
+    Left-looking: column c is reduced by the steps so far only when the
+    elimination reaches it, and the pivot row's tail only once its pivot
+    is chosen, each entry as one _minus_dot over its row of L and its
+    column of U.  Both are kept sparse: lower[k] holds the nonzero
+    multipliers of the row at position k by step, and moves with it on a
+    swap; upper[j] holds the nonzero entries of column j in the pivot rows.
+    """
     m = len(matrix)
     n = len(matrix[0]) if m else 0
     work = [list(row) for row in matrix]
     if any(len(row) != n for row in work):
         raise ValueError("ragged matrix")
 
+    lower: list[dict[int, GaussianRational]] = [{} for _ in range(m)]
+    upper: list[list[tuple[int, GaussianRational]]] = [[] for _ in range(n)]
     steps: list[_Step] = []
     r = 0
     for c in range(n):
         if r == m:
             break
+        if upper[c]:
+            for k in range(r, m):
+                row_l = lower[k]
+                if row_l:
+                    pairs = [(row_l[s], u) for s, u in upper[c] if s in row_l]
+                    if pairs:
+                        work[k][c] = _minus_dot(work[k][c], pairs)
         i = _pick_pivot(work, c, r)
         if i is None:
             continue
         work[r], work[i] = work[i], work[r]
-        piv_row = work[r]
+        lower[r], lower[i] = lower[i], lower[r]
+        piv_row, piv_l = work[r], lower[r]
         piv = piv_row[c]
-        tail = tuple((j, piv_row[j]) for j in range(c + 1, n) if piv_row[j])
         multipliers = []
         for k in range(r + 1, m):
             f = work[k][c]
-            if not f:
-                continue
-            f = f / piv
-            row_k = work[k]
-            row_k[c] = ZERO
-            for j, v in tail:
-                row_k[j] = row_k[j] - f * v
-            multipliers.append((k, f))
-        steps.append(_Step(i, c, piv, tail, tuple(multipliers)))
+            if f:
+                f = lower[k][r] = f / piv
+                multipliers.append((k, f))
+        tail = []
+        for j in range(c + 1, n):
+            v = piv_row[j]
+            if piv_l and upper[j]:
+                pairs = [(piv_l[s], u) for s, u in upper[j] if s in piv_l]
+                if pairs:
+                    v = _minus_dot(v, pairs)
+            if v:
+                tail.append((j, v))
+                upper[j].append((r, v))
+        steps.append(_Step(i, c, piv, tuple(tail), tuple(multipliers)))
         r += 1
-    return ExactFactorization(m, n, steps)
+    return ExactFactorization(m, n, steps, lower)
 
 
 def solve_exact(
@@ -174,8 +202,8 @@ class GradedSystem:
     blocks[d] is the [start, stop) range of the keys of degree d; unknown j
     has the degree of row j, and its column reaches no row of higher
     degree.  M is kept in two parts: diagonal[d] is the dense degree-d
-    block, diagonal[d][i - start][j - start] = M[i][j], and columns[j] holds
-    only the entries of column j in rows of lower degree, as {i: M[i][j]}.
+    block, diagonal[d][i - start][j - start] = M[i][j], and rows[i] holds
+    only the entries of row i in columns of higher degree, as {j: M[i][j]}.
     determinant is the product of the determinants of the diagonal blocks,
     each checked nonzero when the system is built (graded_system).
     """
@@ -183,7 +211,7 @@ class GradedSystem:
     basis_order: tuple[tuple[int, ...], ...]
     blocks: tuple[tuple[int, int], ...]
     diagonal: tuple[tuple[tuple[GaussianRational, ...], ...], ...]
-    columns: tuple[dict[int, GaussianRational], ...]
+    rows: tuple[dict[int, GaussianRational], ...]
     determinant: GaussianRational
 
     @property
@@ -193,25 +221,24 @@ class GradedSystem:
     def solve(self, rhs: Sequence[GaussianRational]) -> list[GaussianRational]:
         """The unique x with M @ x = rhs, by graded back-substitution.
 
-        From the top degree down: solve the diagonal block on the current
-        right-hand side (one solve_exact call), then push each solved
-        unknown through its column's sparse entries.
-        A block whose right-hand side is zero has zero unknowns.
+        From the top degree down: pull each right-hand side entry of the
+        diagonal block, rhs[i] minus row i's entries times the unknowns of
+        higher degree, as one _minus_dot, then solve the block (one
+        solve_exact call).  A block whose right-hand side is zero has zero
+        unknowns.
         """
-        b = list(rhs)
         x = [ZERO] * self.size
         for (start, stop), block in zip(reversed(self.blocks), reversed(self.diagonal)):
-            part = b[start:stop]
+            part = [
+                _minus_dot(rhs[i], [(a, x[j]) for j, a in self.rows[i].items() if x[j]])
+                for i in range(start, stop)
+            ]
             if not any(part):
                 continue
             solution = solve_exact(block, part)
             if solution is None:
                 raise InternalCheckError("certified-invertible diagonal block failed to solve")
             x[start:stop] = solution
-            for j, c in zip(range(start, stop), solution):
-                if c:
-                    for i, a in self.columns[j].items():
-                        b[i] = b[i] - a * c
         return x
 
 
@@ -231,11 +258,10 @@ def graded_system(
     blocks = tuple(zip(starts, starts[1:] + [size]))
     index = {key: i for i, key in enumerate(basis)}
     images = iter(images)
-    diagonal, columns, det = [], [], ONE
+    diagonal, rows, det = [], [{} for _ in range(size)], ONE
     for start, stop in blocks:
         block = [[ZERO] * (stop - start) for _ in range(start, stop)]
         for j in range(start, stop):
-            column = {}
             for key, c in next(images).items():
                 i = index.get(key, size)
                 if i >= stop:
@@ -245,8 +271,7 @@ def graded_system(
                 if i >= start:
                     block[i - start][j - start] = c
                 else:
-                    column[i] = c
-            columns.append(column)
+                    rows[i][j] = c
         diagonal.append(tuple(map(tuple, block)))
         block_det = det_exact(diagonal[-1])
         if not block_det:
@@ -256,6 +281,6 @@ def graded_system(
         basis_order=tuple(basis),
         blocks=blocks,
         diagonal=tuple(diagonal),
-        columns=tuple(columns),
+        rows=tuple(rows),
         determinant=det,
     )

@@ -26,7 +26,8 @@ tuple, and multiplies term dicts (polynomials._mul_terms, _pow_terms)
 only for parenthesised sums; a sum adds its terms into one dict.  The
 result is the ring's left-to-right +, -, *, ** on the same text, with the
 same terms in the same dict order.  Parentheses nest at most MAX_NESTING
-deep.  Numbers may be of any length.
+deep, and numbered variables run up to x100 (MAX_VARIABLES).  Numbers may
+be of any length.
 
 Parse errors carry the 1-based column of the offending token; an exponent
 that overflows the 32-bit bound is reported at the '^' or '*' whose power
@@ -98,6 +99,11 @@ def _tokenize(text: str) -> list[tuple]:
 
 _REAL_VAR_RE = re.compile(r"^x([1-9][0-9]*)$")
 
+# Bound on the dimension x1..xn names: every exponent key of the ring has
+# one entry per variable, so a larger index is refused before the ring is
+# built.
+MAX_VARIABLES = 100
+
 
 def _pick_ring(tokens: list[tuple]):
     """The ring of the variable names in the tokens, whatever their exponents.
@@ -110,7 +116,7 @@ def _pick_ring(tokens: list[tuple]):
     for kind, value, pos, _ in tokens:
         if kind == "name":
             names.setdefault(value, pos)
-    numbered = {n: int(m.group(1)) - 1 for n in names if (m := _REAL_VAR_RE.match(n))}
+    numbered = {n: _int_from_text(m.group(1)) - 1 for n in names if (m := _REAL_VAR_RE.match(n))}
     unknown = names.keys() - {"z", "zbar", "x", "y"} - numbered.keys()
     if unknown:
         bad = min(unknown)
@@ -121,7 +127,10 @@ def _pick_ring(tokens: list[tuple]):
     if planar and numbered:
         raise ParseError("cannot mix x/y with numbered variables", 0)
     if numbered:
-        return PolyRealN.zero(max(numbered.values()) + 1), numbered
+        top = max(numbered, key=numbered.get)
+        if numbered[top] >= MAX_VARIABLES:
+            raise ParseError(f"{top!r} is past the bound of {MAX_VARIABLES} variables", names[top])
+        return PolyRealN.zero(numbered[top] + 1), numbered
     if planar:
         return PolyRealN.zero(2), {"x": 0, "y": 1}
     return PolyZZbar.zero(), {"z": 0, "zbar": 1}
@@ -258,7 +267,7 @@ class _Parser:
             return {tuple(exps): coef}
         if coef is ONE and not any(exps):
             return sums
-        return {tuple(map(add, k, exps)): c * coef for k, c in sums.items()}
+        return _mul_terms(sums, {tuple(exps): coef})
 
     def exponent(self, i: int) -> tuple[int, int]:
         """The exponent at token i, after a '^', and the index past it."""

@@ -21,13 +21,14 @@ dicts and wrap them with the private same-type constructor _new; a product
 checks for exponent overflow once, from the per-variable maximum exponents
 of its two operands.  The term-dict functions _add_terms, _mul_terms and
 _pow_terms are the ring arithmetic itself; the text parser uses them for
-parenthesised sums.  _mul_terms is the one product routine: it writes
-each operand of several terms over one common denominator
-(rational._cleared), sums the Gaussian-integer numerator products per
-output monomial and reduces each output coefficient once.  Operands whose
-denominators are too unrelated for that, and one-term operands, are
-multiplied term by term.  Exact division keeps the remainder's monomials
-in a heap, so finding each leading term does not scan the remainder.
+parenthesised sums.  _mul_terms is the one product routine: a one-term
+operand shifts the other's keys and scales its coefficients; otherwise it
+writes each operand over one common denominator (rational._cleared), sums
+the Gaussian-integer numerator products per output monomial and reduces
+each output coefficient once.  Operands whose denominators are too
+unrelated for that are multiplied term by term.  Exact division keeps the
+remainder's monomials in a heap, so finding each leading term does not
+scan the remainder.
 
 Both types carry the Wirtinger / Laplace differential operators.  The
 Laplacian of a z-zbar polynomial is 4 * d/dz d/dzbar, which agrees with
@@ -89,13 +90,16 @@ def _add_terms(a: dict, b: dict) -> dict:
 def _mul_terms(a: dict, b: dict) -> dict:
     """The terms of the product of two term dicts.
 
-    When both operands have several terms and _cleared writes each over one
-    common denominator, the Gaussian-integer numerator products are summed
-    per output monomial in plain ints and each output coefficient is
-    reduced once, over da*db.  A sum that cancels is dropped on the spot,
-    as the per-term loop drops it, so the output dict has the same keys in
-    the same order.  A one-term operand, or one whose denominators are too
-    unrelated to clear (see _cleared), takes the per-term loop.
+    A one-term operand c*m shifts the other operand's keys by m and scales
+    its coefficients by c, which it skips when c is ONE: distinct keys stay
+    distinct and no coefficient cancels.  When both operands have several
+    terms and _cleared writes each over one common denominator, the
+    Gaussian-integer numerator products are summed per output monomial in
+    plain ints and each output coefficient is reduced once, over da*db.  A
+    sum that cancels is dropped on the spot, as the per-term loop drops it.
+    Either way the output dict has the per-term loop's keys in its order.
+    Operands whose denominators are too unrelated to clear (see _cleared)
+    take the per-term loop.
     """
     if not a or not b:
         return {}
@@ -105,25 +109,29 @@ def _mul_terms(a: dict, b: dict) -> dict:
     top = max(map(add, map(max, zip(*a)), map(max, zip(*b))))
     if top > MAX_EXPONENT:
         raise OverflowError(f"exponent {top} exceeds the 32-bit bound")
-    if len(a) > 1 and len(b) > 1:
-        cleared_a = _cleared(a.values())
-        cleared_b = cleared_a if b is a else cleared_a and _cleared(b.values())
-        if cleared_b:
-            (da, na), (db, nb) = cleared_a, cleared_b
-            acc: dict = {}
-            for ka, (a1, b1) in zip(a, na):
-                for kb, (a2, b2) in zip(b, nb):
-                    k = tuple(map(add, ka, kb))
-                    s = acc.get(k)
-                    if s is None:
-                        acc[k] = [a1 * a2 - b1 * b2, a1 * b2 + b1 * a2]
-                    else:
-                        s[0] += a1 * a2 - b1 * b2
-                        s[1] += a1 * b2 + b1 * a2
-                        if not (s[0] or s[1]):
-                            del acc[k]
-            d = da * db
-            return {k: _reduce(re, im, d) for k, (re, im) in acc.items()}
+    if len(a) == 1 or len(b) == 1:
+        ((key, c),), terms = (a.items(), b) if len(a) == 1 else (b.items(), a)
+        if c == ONE:
+            return {tuple(map(add, k, key)): v for k, v in terms.items()}
+        return {tuple(map(add, k, key)): v * c for k, v in terms.items()}
+    cleared_a = _cleared(a.values())
+    cleared_b = cleared_a if b is a else cleared_a and _cleared(b.values())
+    if cleared_b:
+        (da, na), (db, nb) = cleared_a, cleared_b
+        acc: dict = {}
+        for ka, (a1, b1) in zip(a, na):
+            for kb, (a2, b2) in zip(b, nb):
+                k = tuple(map(add, ka, kb))
+                s = acc.get(k)
+                if s is None:
+                    acc[k] = [a1 * a2 - b1 * b2, a1 * b2 + b1 * a2]
+                else:
+                    s[0] += a1 * a2 - b1 * b2
+                    s[1] += a1 * b2 + b1 * a2
+                    if not (s[0] or s[1]):
+                        del acc[k]
+        d = da * db
+        return {k: _reduce(re, im, d) for k, (re, im) in acc.items()}
     out: dict = {}
     for ka, ca in a.items():
         for kb, cb in b.items():

@@ -91,6 +91,12 @@ def _ratio_text(n: int, d: int) -> str:
         return _int_text(n) if d == 1 else f"{_int_text(n)}/{_int_text(d)}"
 
 
+def _fraction_repr(n: int, d: int) -> str:
+    """repr(Fraction(n, d)) for d > 0, also past the int/str digit limit."""
+    g = gcd(n, d)
+    return f"Fraction({_int_text(n // g)}, {_int_text(d // g)})"
+
+
 def fraction_text(value: Fraction) -> str:
     """str(value) for a Fraction of any size."""
     return _ratio_text(value.numerator, value.denominator)
@@ -303,7 +309,8 @@ class GaussianRational:
         return _ratio_text(self._a, self._d), _ratio_text(self._b, self._d)
 
     def __repr__(self):
-        return f"GaussianRational({self.re!r}, {self.im!r})"
+        re, im = _fraction_repr(self._a, self._d), _fraction_repr(self._b, self._d)
+        return f"GaussianRational({re}, {im})"
 
     def __str__(self):
         re, im = self.text_parts()
@@ -404,6 +411,36 @@ def _cleared(values) -> tuple[int, list[tuple[int, int]]] | None:
             if d.bit_length() > limit:
                 return None
     return d, [(g._a * (m := d // g._d), g._b * m) for g in values]
+
+
+def _minus_dot(base: GaussianRational, pairs: list) -> GaussianRational:
+    """base - sum(u * v for u, v in pairs), reduced once.
+
+    Each Gaussian-integer product a_u*a_v over d_u*d_v is added into one
+    numerator over the lcm of base's denominator and those products', so
+    only the total takes a full gcd.  No pairs return base; one pair takes
+    the field operations, whose real-factor routes are cheaper still.
+    """
+    if len(pairs) < 2:
+        if not pairs:
+            return base
+        ((u, v),) = pairs
+        return base - u * v
+    a, b, d = base._a, base._b, base._d
+    for u, v in pairs:
+        a1, b1, a2, b2 = u._a, u._b, v._a, v._b
+        e = u._d * v._d
+        g = gcd(d, e)
+        if g == e:
+            m = d // e
+            a -= (a1 * a2 - b1 * b2) * m
+            b -= (a1 * b2 + b1 * a2) * m
+        else:
+            s, t = d // g, e // g
+            a = a * t - (a1 * a2 - b1 * b2) * s
+            b = b * t - (a1 * b2 + b1 * a2) * s
+            d *= t
+    return _reduce(a, b, d)
 
 
 ZERO = _make(0, 0, 1)

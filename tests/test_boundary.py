@@ -20,7 +20,6 @@ from szegopoly.boundary import (
     holomorphic_coeffs_in_scaled_basis,
     inner_product,
     matched_disc_floor,
-    normalize_affine,
     numerical_bergman,
     numerical_szego,
     poly_values,
@@ -271,20 +270,6 @@ def test_szbar_experiment_eccentric_far_from_constant():
     # magnitudes pinned from the first oracle run: ~0.9605 and ~0.0253
     assert rep.deviation_from_constant > max(1e3 * floor, 0.5)
     assert rep.deviation_from_span_1_z > max(1e3 * floor, 0.01)
-
-
-def test_normalize_affine_examples():
-    m = normalize_affine(0.5, 0.0)
-    assert m.rotation == pytest.approx(1.0)
-    assert m.shift == pytest.approx(0.0)
-    m2 = normalize_affine(0.0, 1 + 2j)
-    assert m2.rotation == pytest.approx(1.0)
-    assert m2.shift == pytest.approx(1 - 2j)
-    m3 = normalize_affine(0.5j, 0.0)
-    assert m3.rotation == pytest.approx(np.exp(-1j * np.pi / 4))
-    assert m3.shift == pytest.approx(0.0)
-    with pytest.raises(ValueError):
-        normalize_affine(1.0, 2.0)
 
 
 def test_harmonic_compare_examples():

@@ -154,6 +154,13 @@ def test_unrepresentable_poly_is_bad_input(capsys, poly):
     assert len(err.strip().splitlines()) == 1
 
 
+def test_dimension_past_the_bound_is_bad_input(capsys):
+    code, out, err = run_cli(capsys, "dirichlet", "--ellipse", "2,1", "--poly", "x100000")
+    assert code == 2
+    assert out == ""
+    assert err == "error: parse error at column 1: 'x100000' is past the bound of 100 variables\n"
+
+
 def test_coefficients_past_the_int_str_digit_limit_are_written(capsys):
     # 2^20000 has 6,021 digits, past the interpreter's default limit of 4,300.
     code, report, err = run_json(capsys, "szego", "--ellipse", "2,1", "--poly", "2^20000*z")

@@ -138,13 +138,13 @@ def test_centered_ellipse_zzbar_coefficients():
 
 def dense_matrix(fs):
     """Tests-only: the whole matrix of a graded system, rebuilt from its
-    stored blocks and columns."""
+    stored blocks and rows."""
     matrix = [[ZERO] * fs.size for _ in range(fs.size)]
     for (start, stop), block in zip(fs.blocks, fs.diagonal):
         for i, row in enumerate(block, start):
             matrix[i][start:stop] = row
-    for j, column in enumerate(fs.columns):
-        for i, c in column.items():
+    for i, row in enumerate(fs.rows):
+        for j, c in row.items():
             matrix[i][j] = c
     return matrix
 
@@ -354,10 +354,10 @@ def test_block_determinant_is_the_dense_determinant(build, m):
     assert system.blocks[0][0] == 0 and system.blocks[-1][1] == system.size
     for d, (start, stop) in enumerate(system.blocks):
         assert [sum(alpha) for alpha in system.basis_order[start:stop]] == [d] * (stop - start)
-        # the sparse columns of degree d hold only rows of lower degree, and
+        # the sparse rows of degree d hold only columns of higher degree, and
         # only nonzero entries
-        for column in system.columns[start:stop]:
-            assert all(i < start and c for i, c in column.items())
+        for row in system.rows[start:stop]:
+            assert all(j >= stop and c for j, c in row.items())
 
 
 def _no_fischer_system(domain, m):

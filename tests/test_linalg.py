@@ -122,6 +122,36 @@ def augmented_solve(A, b):
     return x
 
 
+def right_looking_steps(A):
+    """Reference: the right-looking elimination, which updates every row
+    below the pivot row after each step, with the same pivot rule.
+
+    Returns its steps as (swap, col, pivot, tail, multipliers) tuples, the
+    fields factor_exact records.
+    """
+    from szegopoly.linalg import _pick_pivot
+
+    m, n = len(A), len(A[0])
+    work = [list(row) for row in A]
+    steps, r = [], 0
+    for c in range(n):
+        i = _pick_pivot(work, c, r) if r < m else None
+        if i is None:
+            continue
+        work[r], work[i] = work[i], work[r]
+        piv = work[r][c]
+        tail = tuple((j, v) for j, v in enumerate(work[r]) if j > c and v)
+        multipliers = []
+        for k in range(r + 1, m):
+            if work[k][c]:
+                f = work[k][c] / piv
+                work[k] = [u - f * v for u, v in zip(work[k], work[r])]
+                multipliers.append((k, f))
+        steps.append((i, c, piv, tail, tuple(multipliers)))
+        r += 1
+    return steps
+
+
 def sympy_rank(A):
     """Rank computed by sympy, independent of the solver under test."""
     return sympy.Matrix(
@@ -148,6 +178,21 @@ def draw_rhs(draw, A):
     if draw(st.booleans()):
         return matvec(A, draw(st.lists(entries, min_size=len(A[0]), max_size=len(A[0]))))
     return draw(st.lists(entries, min_size=len(A), max_size=len(A)))
+
+
+@st.composite
+def sparse_matrices(draw, m, n):
+    """An m x n matrix whose entries are mostly zero."""
+    entry = st.one_of(st.just(ZERO), st.just(ZERO), entries)
+    return draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_left_looking_steps_equal_the_right_looking_elimination(data):
+    m, n = data.draw(st.integers(1, 7)), data.draw(st.integers(1, 7))
+    A = data.draw(st.one_of(low_rank_matrices(m, n), sparse_matrices(m, n)))
+    assert [tuple(step) for step in factor_exact(A).steps] == right_looking_steps(A)
 
 
 @st.composite
@@ -209,7 +254,7 @@ def test_graded_system_solves_and_rejects_a_singular_block_or_a_raised_degree():
     one = gr(1)
     system = graded_system(basis, [{(0, 0): one}, {(0, 1): one, (0, 0): one}, {(1, 0): one}])
     assert system.blocks == ((0, 1), (1, 3))
-    assert system.columns == ({}, {0: one}, {})
+    assert system.rows == ({1: one}, {}, {})
     assert system.solve([one, one, one]) == [ZERO, one, one]
     with pytest.raises(InternalCheckError, match="singular"):
         graded_system(basis, [{(0, 0): one}, {(0, 1): one}, {(0, 1): one}])

@@ -9,6 +9,7 @@ from szegopoly.cli import main
 from szegopoly.domains import Ellipse
 from szegopoly.parsing import (
     MAX_NESTING,
+    MAX_VARIABLES,
     ParseError,
     format_poly_real,
     format_poly_zzbar,
@@ -289,6 +290,31 @@ def test_a_literal_counts_as_one_nesting_level():
     assert parse_poly_zzbar(inner) == PolyZZbar.constant(GaussianRational(1, 2))
     with pytest.raises(ParseError, match=f"column {MAX_NESTING + 1}: parentheses nested"):
         parse_polynomial("(" + inner + ")")
+
+
+# -- dimension bound --------------------------------------------------------------
+
+
+def test_numbered_variables_up_to_the_bound_parse():
+    p = parse_polynomial(f"x{MAX_VARIABLES} + x1")
+    assert p.dim == MAX_VARIABLES
+
+
+@pytest.mark.parametrize(
+    "text, column",
+    [
+        (f"x{MAX_VARIABLES + 1}", 1),
+        ("1 + x100000", 5),
+        ("x2*x1000000000^2 + x1000000000", 4),
+        ("x" + "9" * 5000, 1),  # an index past the int/str digit limit
+    ],
+    ids=["next", "1e5", "1e9", "5000-digit"],
+)
+def test_numbered_variable_past_the_bound_is_a_parse_error(text, column):
+    with pytest.raises(
+        ParseError, match=rf"column {column}: 'x\d+' is past the bound of {MAX_VARIABLES} variables"
+    ):
+        parse_polynomial(text)
 
 
 def test_many_unary_signs_parse():

@@ -280,6 +280,32 @@ def kernel_operands(draw):
     return (u + v, u - v) if draw(st.booleans()) else (u, v)
 
 
+@st.composite
+def one_term_operands(draw):
+    """A one-term polynomial, its coefficient often 1, and another polynomial
+    of the same ring, on small keys or keys near the exponent bound."""
+    kind, dim = draw(st.sampled_from(RINGS))
+    if draw(st.booleans()):
+        keys = st.tuples(*[near_limit] * dim)
+    else:
+        keys = st.sampled_from(monomials_real(dim, 3))
+    c = draw(st.one_of(st.just(1), coefficients.filter(bool)))
+    term = build(kind, dim, {draw(keys): c})
+    return term, build(kind, dim, draw(st.dictionaries(keys, coefficients, max_size=6)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(one_term_operands())
+def test_one_term_product_is_the_term_by_term_product(operands):
+    term, other = operands
+    for p, q in ((term, other), (other, term)):
+        if any(x + y > MAX_EXPONENT for ka in p._terms for kb in q._terms for x, y in zip(ka, kb)):
+            with pytest.raises(OverflowError):
+                p * q
+        else:
+            assert list((p * q)._terms.items()) == list(product_by_pairs(p, q).items())
+
+
 @settings(max_examples=300, deadline=None)
 @given(kernel_operands())
 @example((PolyZZbar({(1, 0): 1, (0, 1): 1}), PolyZZbar({(1, 0): 1, (0, 1): -1})))

@@ -1,21 +1,13 @@
 """Exactness and field behavior of GaussianRational."""
 
 import math
-import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from szegopoly.polynomials import PolyRealN, PolyZZbar
-from szegopoly.rational import GaussianRational, I, ONE, ZERO, _cleared
-
-
-def rand_gr(rng):
-    return GaussianRational(
-        Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
-        Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
-    )
+from szegopoly.rational import GaussianRational, I, ONE, ZERO, _cleared, _minus_dot
 
 
 def test_construction_reduces_fractions():
@@ -96,18 +88,6 @@ def test_equal_values_hash_equal(a, b):
 
 def test_complex_conversion():
     assert complex(GaussianRational(Fraction(1, 2), Fraction(-1, 4))) == 0.5 - 0.25j
-
-
-def test_field_axioms_random():
-    rng = random.Random(42)
-    for _ in range(200):
-        a, b, c = rand_gr(rng), rand_gr(rng), rand_gr(rng)
-        assert (a + b) + c == a + (b + c)
-        assert (a * b) * c == a * (b * c)
-        assert a * (b + c) == a * b + a * c
-        assert a * b == b * a
-        if c:
-            assert (a / c) * c == a
 
 
 def test_mixed_int_fraction_operands():
@@ -275,6 +255,48 @@ def test_cleared_values_share_one_denominator_within_the_bound(values):
         d, numerators = cleared
         assert d == lcm
         assert [GaussianRational(Fraction(a, d), Fraction(b, d)) for a, b in numerators] == values
+
+
+@settings(max_examples=200)
+@given(pairs, pairs, pairs)
+def test_field_axioms_random(x, y, z):
+    a, b, c = (GaussianRational(*p) for p in (x, y, z))
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert a * b == b * a
+    if c:
+        assert (a / c) * c == a
+
+
+gaussians = pairs.map(lambda x: GaussianRational(*x))
+
+
+@settings(max_examples=300)
+@given(gaussians, st.lists(st.tuples(gaussians, gaussians), max_size=6))
+@example(GaussianRational(Fraction(1, 6)), [])
+@example(GaussianRational(Fraction(1, 6)), [(GaussianRational(Fraction(1, 2)), ONE)])
+# the products share the denominator 6 with the base, and cancel to zero
+@example(
+    GaussianRational(Fraction(1, 6)),
+    [(GaussianRational(Fraction(1, 2)), GaussianRational(Fraction(1, 3))), (ZERO, I)],
+)
+def test_minus_dot_is_the_per_term_fold(base, products):
+    expected = base
+    for u, v in products:
+        expected = expected - u * v
+    got = _minus_dot(base, products)
+    assert got == expected
+    assert_matches(got, (expected.re, expected.im))
+
+
+def test_repr_past_the_int_str_digit_limit():
+    # 10^5000 has 5,001 digits, past the interpreter's default limit of 4,300.
+    g = GaussianRational(Fraction(10**5000, 3), -1)
+    assert repr(g) == "GaussianRational(Fraction(1" + "0" * 5000 + ", 3), Fraction(-1, 1))"
+    assert repr(GaussianRational(Fraction(2, 4), 3)) == (
+        "GaussianRational(Fraction(1, 2), Fraction(3, 1))"
+    )
 
 
 def test_parts_are_read_only():
