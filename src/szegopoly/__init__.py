@@ -9,7 +9,13 @@ projection of f for the boundary weight 1/|dbar r|.
 Numerical side: boundary and area quadrature grids, least-squares Szego
 and Bergman projections, and disc-characterization experiments, all used
 as independent cross-checks of the exact results.
+
+Importing the package loads only the exact side.  The numerical names
+(those of ``szegopoly.boundary``) resolve on first use, which is when
+numpy is imported.
 """
+
+import sys
 
 from .rational import GaussianRational
 from .polynomials import (
@@ -56,37 +62,55 @@ from .szego import (
     szego_project,
     verify_decomposition,
 )
-from .boundary import (
-    BoundaryGrid,
-    CompareReport,
-    HarmonicCompareReport,
-    NumericalProjection,
-    SzbarReport,
-    boundary_grid,
-    compare_symbolic_numeric,
-    harmonic_szego_bergman_check,
-    inner_product,
-    matched_disc_floor,
-    numerical_bergman,
-    numerical_szego,
-    poly_values,
-    szbar_constancy_experiment,
-)
-
-from . import boundary, szego
+from . import szego
 
 __version__ = "0.1.0"
+
+# Resolved from szegopoly.boundary on first use (PEP 562), so that the exact
+# modules and the exact CLI commands start without numpy.
+_BOUNDARY_NAMES = (
+    "BoundaryGrid",
+    "CompareReport",
+    "HarmonicCompareReport",
+    "NumericalProjection",
+    "SzbarReport",
+    "boundary_grid",
+    "compare_symbolic_numeric",
+    "harmonic_szego_bergman_check",
+    "inner_product",
+    "matched_disc_floor",
+    "numerical_bergman",
+    "numerical_szego",
+    "poly_values",
+    "szbar_constancy_experiment",
+)
+
+
+def __getattr__(name: str):
+    if name in _BOUNDARY_NAMES:
+        from . import boundary
+
+        return getattr(boundary, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_BOUNDARY_NAMES})
 
 
 def clear_caches() -> None:
     """Empty the package's memo tables: the exact Szego systems, and the
     float quadrature grids, area rules and Vandermonde bases.
 
-    Each Ellipse also memoises its z/zbar defining polynomial; that memo
-    lives and dies with the instance.
+    The float tables exist only once the harness has been imported; before
+    that there is nothing to empty, and this does not import it.  Each
+    Ellipse also memoises its z/zbar defining polynomial; that memo lives
+    and dies with the instance.
     """
     szego._column_cache.clear()
-    boundary._quadrature_cache.clear()
+    boundary = sys.modules.get(f"{__name__}.boundary")
+    if boundary is not None:
+        boundary._quadrature_cache.clear()
 
 
 __all__ = [
@@ -126,20 +150,7 @@ __all__ = [
     "operator_A",
     "szego_project",
     "verify_decomposition",
-    "BoundaryGrid",
-    "CompareReport",
-    "HarmonicCompareReport",
-    "NumericalProjection",
-    "SzbarReport",
-    "boundary_grid",
-    "compare_symbolic_numeric",
-    "harmonic_szego_bergman_check",
-    "inner_product",
-    "matched_disc_floor",
-    "numerical_bergman",
-    "numerical_szego",
-    "poly_values",
-    "szbar_constancy_experiment",
+    *_BOUNDARY_NAMES,
     "clear_caches",
     "__version__",
 ]

@@ -1,0 +1,83 @@
+"""The package surface: exported names, and the exact side starting without numpy."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import szegopoly
+from szegopoly import szego
+from szegopoly.domains import Ellipse
+from szegopoly.polynomials import PolyZZbar
+
+SRC = Path(szegopoly.__file__).resolve().parents[1]
+
+# Runs in a fresh interpreter and prints, after each step, whether numpy
+# has been imported.
+IMPORT_PROBE = """
+import json, sys
+steps = {}
+import szegopoly
+steps["import"] = "numpy" in sys.modules
+szegopoly.clear_caches()
+steps["clear_caches"] = "numpy" in sys.modules
+from szegopoly.cli import main
+main(["szego", "--ellipse", "2,1,1/2,-1/3", "--poly", "zbar^3 + z*zbar", "--no-timestamp"])
+steps["szego"] = "numpy" in sys.modules
+main(["dirichlet", "--ellipse", "2,1", "--poly", "x^3 + x*y^2", "--no-timestamp"])
+steps["dirichlet"] = "numpy" in sys.modules
+main(["verify", "--ellipse", "2,1", "--poly", "zbar", "--nodes", "64", "--degree", "4",
+      "--no-timestamp"])
+steps["verify"] = "numpy" in sys.modules
+print(json.dumps(steps), file=sys.stderr)
+"""
+
+
+def test_exact_commands_never_import_numpy():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]
+    ))
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE], env=env, capture_output=True,
+        text=True, timeout=120, check=True,
+    )
+    steps = json.loads(proc.stderr.strip().splitlines()[-1])
+    assert steps == {
+        "import": False,
+        "clear_caches": False,
+        "szego": False,
+        "dirichlet": False,
+        "verify": True,
+    }
+
+
+def test_star_import_resolves_every_exported_name():
+    namespace = {}
+    exec("from szegopoly import *", namespace)
+    for name in szegopoly.__all__:
+        assert namespace[name] is getattr(szegopoly, name)
+
+
+def test_dir_lists_every_exported_name():
+    assert set(szegopoly.__all__) <= set(dir(szegopoly))
+
+
+def test_clear_caches_before_and_after_the_harness_is_imported(monkeypatch):
+    from szegopoly import boundary
+
+    e = Ellipse(2, 1)
+    boundary.boundary_grid(e, 64)
+    szego.szego_project(e, PolyZZbar.var_zbar())
+
+    # As in a process that has not yet imported the harness: clear_caches
+    # empties the exact tables and neither imports nor touches the float one.
+    monkeypatch.delitem(sys.modules, "szegopoly.boundary")
+    szegopoly.clear_caches()
+    assert not szego._column_cache
+    assert "szegopoly.boundary" not in sys.modules
+    assert len(boundary._quadrature_cache) > 0
+
+    monkeypatch.undo()
+    szegopoly.clear_caches()
+    assert len(boundary._quadrature_cache) == 0
