@@ -102,15 +102,14 @@ def clear_caches() -> None:
     """Empty the package's memo tables: the exact Szego systems, and the
     float quadrature grids, area rules and Vandermonde bases.
 
-    The float tables exist only once the harness has been imported; before
+    The float memos exist only once the harness has been imported; before
     that there is nothing to empty, and this does not import it.  Each
     Ellipse also memoises its z/zbar defining polynomial; that memo lives
     and dies with the instance.
     """
-    szego._column_cache.clear()
     boundary = sys.modules.get(f"{__name__}.boundary")
-    if boundary is not None:
-        boundary._quadrature_cache.clear()
+    for memo in (*szego._MEMOS, *(boundary._MEMOS if boundary else ())):
+        memo.cache_clear()
 
 
 __all__ = [

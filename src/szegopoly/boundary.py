@@ -16,10 +16,10 @@ condition number is estimated and reported.
 
 Nodes, weights and bases do not depend on the data: each boundary grid
 (per ellipse, M and weighting), each area rule (per ellipse and order) and
-each Vandermonde basis (per node array and degree) is built once and kept
-in the bounded _quadrature_cache, which szegopoly.clear_caches() empties.
-The shared arrays are read-only; only the data values and the least-squares
-fit are computed per call.
+each Vandermonde basis (per grid object and degree, or per area rule and
+degree) is built once and kept in a bounded functools.lru_cache memo, which
+szegopoly.clear_caches() empties.  The shared arrays are read-only; only the
+data values and the least-squares fit are computed per call.
 """
 
 from __future__ import annotations
@@ -27,26 +27,25 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 
 import numpy as np
 
 from .dirichlet import is_harmonic
 from .domains import Ellipse
-from .lru import LRUCache
 from .polynomials import PolyRealN, PolyZZbar, xy_to_zzbar
 from .rational import ONE, ZERO, GaussianRational
 from .szego import szego_project
 
 CONDITION_WARN_THRESHOLD = 1e10
 
-# Bound on the entries of _quadrature_cache.  A cross-check on one ellipse
-# keeps four: its weighted grid, its area rule and the basis on each; 16
-# entries hold four such ellipses (the crosscheck workload cycles through
-# three), and the bound caps what a long run of fresh sizes can pin.
-QUADRATURE_CACHE_SIZE = 16
-
-_quadrature_cache: LRUCache = LRUCache(QUADRATURE_CACHE_SIZE)
+# Bound on the entries of each float memo.  A cross-check on one ellipse
+# keeps one entry in each: its weighted grid, its area rule and the basis on
+# each.  Four entries per memo hold four such ellipses (the crosscheck
+# workload cycles through three), and the bound caps what a long run of
+# fresh sizes can pin.
+QUADRATURE_CACHE_SIZE = 4
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -54,12 +53,13 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoundaryGrid:
     """Trapezoid nodes on the ellipse boundary with weights and tangents.
 
     The arrays are read-only copies, so a grid (and the basis memoised on
-    its nodes) cannot change after construction.
+    it) cannot change after construction.  Grids compare and hash by
+    identity, so a hand-built grid gets its own basis.
     """
 
     ellipse: Ellipse
@@ -83,14 +83,15 @@ def boundary_grid(e: Ellipse, M: int, weighted: bool = True) -> BoundaryGrid:
     """The M-node boundary grid; M must be even and at least 16.
 
     Memoised per (e, M, weighted): repeated calls return the same read-only
-    grid.
+    grid, however weighted is passed.
     """
     if M < 16 or M % 2 != 0:
         raise ValueError(f"node count must be even and >= 16, got {M}")
-    key = ("grid", e, M, weighted)
-    cached = _quadrature_cache.get(key)
-    if cached is not None:
-        return cached
+    return _boundary_grid(e, M, weighted)
+
+
+@lru_cache(maxsize=QUADRATURE_CACHE_SIZE)
+def _boundary_grid(e: Ellipse, M: int, weighted: bool) -> BoundaryGrid:
     a, b = float(e.a), float(e.b)
     h, k = float(e.h), float(e.k)
     t = 2.0 * np.pi * np.arange(M) / M
@@ -104,12 +105,10 @@ def boundary_grid(e: Ellipse, M: int, weighted: bool = True) -> BoundaryGrid:
     grad_norm = np.abs(dbar_r)
     omega = 1.0 / grad_norm if weighted else np.ones(M)
     tangent = 1j * dbar_r / grad_norm
-    grid = BoundaryGrid(
+    return BoundaryGrid(
         ellipse=e, M=M, weighted=weighted, t=t, z=z, ds=ds, omega=omega,
         tangent=tangent,
     )
-    _quadrature_cache[key] = grid
-    return grid
 
 
 def inner_product(fvals: np.ndarray, gvals: np.ndarray, grid: BoundaryGrid) -> complex:
@@ -170,29 +169,32 @@ class NumericalProjection:
 
 
 def _basis_matrix(z: np.ndarray, e: Ellipse, degree: int) -> tuple[np.ndarray, complex, float]:
-    """Read-only Vandermonde matrix of phi_0..phi_degree on the read-only
-    nodes z, with the basis center and scale.
-
-    Memoised per node array: the key holds id(z) and the entry holds z, so
-    no other array can take that id while the entry lives.
-    """
-    key = ("basis", id(z), e, degree)
-    cached = _quadrature_cache.get(key)
-    if cached is not None:
-        return cached[1]
+    """Read-only Vandermonde matrix of phi_0..phi_degree on the nodes z,
+    with the basis center and scale."""
     center = complex(float(e.h), float(e.k))
     scale = float(max(e.a, e.b))
     w = (z - center) / scale
-    V = _read_only(np.vander(w, degree + 1, increasing=True))
-    _quadrature_cache[key] = (z, (V, center, scale))
-    return V, center, scale
+    return _read_only(np.vander(w, degree + 1, increasing=True)), center, scale
 
 
-def _fit(z, weights, e: Ellipse, f, basis_degree: int) -> NumericalProjection:
-    """Least-squares fit of f on the nodes z by phi_0..phi_basis_degree,
-    each squared residual weighted by its node's quadrature weight."""
+@lru_cache(maxsize=QUADRATURE_CACHE_SIZE)
+def _grid_basis(grid: BoundaryGrid, degree: int):
+    """_basis_matrix on the grid's nodes, memoised per grid object."""
+    return _basis_matrix(grid.z, grid.ellipse, degree)
+
+
+@lru_cache(maxsize=QUADRATURE_CACHE_SIZE)
+def _area_basis(e: Ellipse, quad_order: int, degree: int):
+    """_basis_matrix on the nodes of area_quadrature(e, quad_order)."""
+    return _basis_matrix(_area_quadrature(e, quad_order)[0], e, degree)
+
+
+def _fit(z, weights, basis, f) -> NumericalProjection:
+    """Least-squares fit of f on the nodes z by the basis (V, center, scale)
+    of _basis_matrix, each squared residual weighted by its node's
+    quadrature weight."""
     fvals = poly_values(f, z)
-    V, center, scale = _basis_matrix(z, e, basis_degree)
+    V, center, scale = basis
     sqrt_w = np.sqrt(weights)
     A = V * sqrt_w[:, None]
     rhs = fvals * sqrt_w
@@ -221,7 +223,7 @@ def numerical_szego(grid: BoundaryGrid, f, basis_degree: int) -> NumericalProjec
             f"basis degree {basis_degree} too large for M = {grid.M} "
             "(need basis_degree + 1 <= M/4)"
         )
-    return _fit(grid.z, grid.omega * grid.ds, grid.ellipse, f, basis_degree)
+    return _fit(grid.z, grid.omega * grid.ds, _grid_basis(grid, basis_degree), f)
 
 
 # -- area (Bergman) quadrature ------------------------------------------------
@@ -240,10 +242,11 @@ def area_quadrature(e: Ellipse, quad_order: int) -> tuple[np.ndarray, np.ndarray
     """
     if quad_order < 1:
         raise ValueError(f"quadrature order must be positive, got {quad_order}")
-    key = ("area", e, quad_order)
-    cached = _quadrature_cache.get(key)
-    if cached is not None:
-        return cached
+    return _area_quadrature(e, quad_order)
+
+
+@lru_cache(maxsize=QUADRATURE_CACHE_SIZE)
+def _area_quadrature(e: Ellipse, quad_order: int) -> tuple[np.ndarray, np.ndarray]:
     nodes, weights = np.polynomial.legendre.leggauss(quad_order)
     rho = 0.5 * (nodes + 1.0)
     w_rho = 0.5 * weights
@@ -254,9 +257,12 @@ def area_quadrature(e: Ellipse, quad_order: int) -> tuple[np.ndarray, np.ndarray
     R, T = np.meshgrid(rho, theta, indexing="ij")
     z = (h + a * R * np.cos(T)) + 1j * (k + b * R * np.sin(T))
     W = a * b * R * np.outer(w_rho, w_theta)
-    rule = (_read_only(z.ravel()), _read_only(W.ravel()))
-    _quadrature_cache[key] = rule
-    return rule
+    return _read_only(z.ravel()), _read_only(W.ravel())
+
+
+# The memos that szegopoly.clear_caches() empties, captured here: a tracer
+# may put a wrapper without cache_clear in place of a module attribute.
+_MEMOS = (_boundary_grid, _area_quadrature, _grid_basis, _area_basis)
 
 
 def require_quad_order(f, basis_degree: int, quad_order: int) -> None:
@@ -282,7 +288,7 @@ def numerical_bergman(
     """Project f onto holomorphic polynomials in the area inner product."""
     require_quad_order(f, basis_degree, quad_order)
     z, w = area_quadrature(e, quad_order)
-    return _fit(z, w, e, f, basis_degree)
+    return _fit(z, w, _area_basis(e, quad_order, basis_degree), f)
 
 
 def bergman_residual_orthogonality(
@@ -292,7 +298,7 @@ def bergman_residual_orthogonality(
     require_quad_order(f, proj.basis_degree(), quad_order)
     z, w = area_quadrature(e, quad_order)
     resid = poly_values(f, z) - proj.evaluate(z)
-    V, _, _ = _basis_matrix(z, e, proj.basis_degree())
+    V, _, _ = _area_basis(e, quad_order, proj.basis_degree())
     inner = np.conj(V.T) @ (w * resid)
     return float(np.max(np.abs(inner)))
 

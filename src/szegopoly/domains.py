@@ -19,6 +19,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .linalg import det_exact
+from .parsing import MAX_VARIABLES
 from .polynomials import PolyRealN, PolyZZbar
 from .rational import (
     GaussianRational, fraction_text, rational_from_json, rational_from_text,
@@ -51,6 +52,8 @@ class Ellipsoid:
         n = self.dim
         if n < 1:
             raise ValueError("dimension must be positive")
+        if n > MAX_VARIABLES:
+            raise ValueError(f"dimension {n} is past the bound of {MAX_VARIABLES}")
         Q = tuple(tuple(_frac(v) for v in row) for row in self.Q)
         center = tuple(_frac(v) for v in self.center)
         if len(Q) != n or any(len(row) != n for row in Q):

@@ -9,11 +9,12 @@ independent of those before them, which no row order changes, and the
 solution with its free variables zero is the only one on those columns.
 
 factor_exact runs the elimination once, on the matrix alone, and records
-each step: the row swap, the multipliers and the reduced pivot row.  The
-pivot choice reads only matrix entries, so replaying those steps on a
-right-hand side does exactly the arithmetic a one-shot solve would, and a
-system used for many right-hand sides is eliminated only once.
-solve_exact and det_exact are one-shot uses of the same factorisation.
+each step, the row swap and the reduced pivot row, and the multipliers as
+the rows of L.  The pivot choice reads only matrix entries, so replaying
+those steps on a right-hand side does exactly the arithmetic a one-shot
+solve would, and a system used for many right-hand sides is eliminated
+only once.  solve_exact and det_exact are one-shot uses of the same
+factorisation.
 
 Every entry is reduced once.  The factor is left-looking (Crout): an
 entry of the pivot column or of a pivot row is formed only when the
@@ -64,7 +65,6 @@ class _Step(NamedTuple):
     col: int
     pivot: GaussianRational
     tail: tuple[tuple[int, GaussianRational], ...]  # nonzero (j, U[r][j]), j > col
-    multipliers: tuple[tuple[int, GaussianRational], ...]  # (row k, L[k][r])
 
 
 class ExactFactorization:
@@ -102,7 +102,7 @@ class ExactFactorization:
 
         x: list[GaussianRational] = [ZERO] * self.cols
         for r in reversed(range(self.rank)):
-            _, col, pivot, tail, _ = self.steps[r]
+            _, col, pivot, tail = self.steps[r]
             x[col] = _minus_dot(b[r], [(v, x[j]) for j, v in tail if x[j]]) / pivot
         return x
 
@@ -156,12 +156,10 @@ def factor_exact(matrix: Matrix) -> ExactFactorization:
         lower[r], lower[i] = lower[i], lower[r]
         piv_row, piv_l = work[r], lower[r]
         piv = piv_row[c]
-        multipliers = []
         for k in range(r + 1, m):
             f = work[k][c]
             if f:
-                f = lower[k][r] = f / piv
-                multipliers.append((k, f))
+                lower[k][r] = f / piv
         tail = []
         for j in range(c + 1, n):
             v = piv_row[j]
@@ -172,7 +170,7 @@ def factor_exact(matrix: Matrix) -> ExactFactorization:
             if v:
                 tail.append((j, v))
                 upper[j].append((r, v))
-        steps.append(_Step(i, c, piv, tuple(tail), tuple(multipliers)))
+        steps.append(_Step(i, c, piv, tuple(tail)))
         r += 1
     return ExactFactorization(m, n, steps, lower)
 

@@ -318,6 +318,8 @@ def parse_poly_zzbar(text: str) -> PolyZZbar:
 
 def parse_poly_real(text: str, dim: int | None = None) -> PolyRealN:
     """Parse text as a real-variable polynomial; z/zbar input is converted."""
+    if dim is not None and dim > MAX_VARIABLES:
+        raise ParseError(f"dim={dim} is past the bound of {MAX_VARIABLES} variables", 0)
     value = parse_polynomial(text)
     if isinstance(value, PolyZZbar):
         if value.degree() <= 0:

@@ -38,11 +38,11 @@ preimage on its own path.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .dirichlet import harmonic_extension_zzbar
 from .domains import Ellipse
 from .linalg import GradedSystem, graded_system
-from .lru import LRUCache
 from .polynomials import PolyZZbar, monomials_zzbar
 
 
@@ -74,12 +74,6 @@ class SzegoDecomposition:
         }
 
 
-# Bound on the (ellipse, N) systems kept in _column_cache, so a process that
-# sees many ellipses keeps a fixed number of them; the least recently used
-# system is dropped first.
-COLUMN_CACHE_SIZE = 64
-
-
 def _unknowns(N: int):
     """The unknowns of the degree-N system in column order, as (part, key).
 
@@ -96,6 +90,10 @@ def _unknowns(N: int):
             yield 2, (a, d - 2 - a)
 
 
+# The system depends only on (ellipse, N), so projections on one ellipse
+# build and certify it once.  The bound keeps a process that sees many
+# ellipses at a fixed number of systems, dropping the least recently used.
+@lru_cache(maxsize=64)
 def _square_system(e: Ellipse, N: int) -> GradedSystem:
     """The square system of f = h + sum_k c_k A(zbar^k) + r*q on the rows
     monomials_zzbar(N): the column of an unknown is z^d, A(zbar^d) or r*m."""
@@ -112,9 +110,9 @@ def _square_system(e: Ellipse, N: int) -> GradedSystem:
     return graded_system(monomials_zzbar(N), images)
 
 
-# The system depends only on (ellipse, N), so projections on one ellipse
-# build and certify it once.
-_column_cache: LRUCache = LRUCache(COLUMN_CACHE_SIZE)
+# The memos that szegopoly.clear_caches() empties, captured here: a tracer
+# may put a wrapper without cache_clear in place of a module attribute.
+_MEMOS = (_square_system,)
 
 
 def szego_project(
@@ -138,10 +136,7 @@ def szego_project(
             )
         N = ambient_degree
 
-    system = _column_cache.get((e, N))
-    if system is None:
-        system = _square_system(e, N)
-        _column_cache[(e, N)] = system
+    system = _square_system(e, N)
     rhs = [f.coefficient(a, b) for a, b in system.basis_order]
     parts = ({}, {}, {})
     for (part, key), c in zip(_unknowns(N), system.solve(rhs)):

@@ -401,14 +401,20 @@ def test_warm_harmonic_compare_bit_identical_to_cold(disc):
 def test_memoised_results_are_read_only():
     grid = boundary_grid(E21, 64)
     z, w = area_quadrature(E21, 8)
-    V, _, _ = boundary._basis_matrix(grid.z, E21, 4)
-    for array in (grid.t, grid.z, grid.ds, grid.omega, grid.tangent, z, w, V):
+    V, _, _ = boundary._grid_basis(grid, 4)
+    W, _, _ = boundary._area_basis(E21, 8, 4)
+    for array in (grid.t, grid.z, grid.ds, grid.omega, grid.tangent, z, w, V, W):
         with pytest.raises(ValueError):
             array[0] = 0
     with pytest.raises(dataclasses.FrozenInstanceError):
         grid.M = 32
     assert boundary_grid(E21, 64) is grid
+    assert boundary_grid(E21, 64, weighted=True) is grid
+    assert boundary_grid(E21, M=64, weighted=True) is grid
     assert area_quadrature(E21, 8)[0] is z
+    assert area_quadrature(E21, quad_order=8)[0] is z
+    assert boundary._grid_basis(grid, 4)[0] is V
+    assert boundary._area_basis(E21, 8, 4)[0] is W
 
 
 def test_hand_built_grid_copies_its_arrays():
@@ -421,22 +427,27 @@ def test_hand_built_grid_copies_its_arrays():
         hand_built.z[0] = 0
 
 
+def _memo_sizes():
+    return [memo.cache_info().currsize for memo in boundary._MEMOS]
+
+
 def test_clear_caches_empties_quadrature_table():
     numerical_bergman(E21, ZB, 6)
     numerical_szego(boundary_grid(E21, 64), ZB, 8)
-    assert len(boundary._quadrature_cache) > 0
+    assert all(_memo_sizes())
     szegopoly.clear_caches()
-    assert len(boundary._quadrature_cache) == 0
+    assert not any(_memo_sizes())
 
 
-def test_quadrature_table_evicts_least_recently_used(monkeypatch):
+def test_quadrature_table_evicts_least_recently_used():
     szegopoly.clear_caches()
-    monkeypatch.setattr(boundary._quadrature_cache, "maxsize", 2)
+    bound = boundary.QUADRATURE_CACHE_SIZE
     first = boundary_grid(E21, 64)
     second = boundary_grid(DISC, 64)
     assert boundary_grid(E21, 64) is first  # now the most recently used
-    boundary_grid(SHIFTED, 64)  # evicts DISC, the least recently used
-    assert len(boundary._quadrature_cache) == 2
+    for k in range(1, bound):  # one grid past the bound evicts DISC, the least recently used
+        boundary_grid(Ellipse(2, 1, Fraction(k, 3), 0), 64)
+    assert boundary._boundary_grid.cache_info().currsize == bound
     assert boundary_grid(E21, 64) is first
     assert boundary_grid(DISC, 64) is not second
     szegopoly.clear_caches()
@@ -450,9 +461,9 @@ def test_hand_built_grid_gets_its_own_basis():
     f = ZB * Z + ZB**3
     on_grid = numerical_szego(grid, f, 8)
     on_other = numerical_szego(other, f, 8)
-    V_other, center, scale = boundary._basis_matrix(other.z, E21, 8)
+    V_other, center, scale = boundary._grid_basis(other, 8)
     assert np.array_equal(V_other, np.vander((other.z - center) / scale, 9, increasing=True))
-    assert not np.array_equal(V_other, boundary._basis_matrix(grid.z, E21, 8)[0])
+    assert not np.array_equal(V_other, boundary._grid_basis(grid, 8)[0])
     assert not np.array_equal(on_other.coefficients, on_grid.coefficients)
     szegopoly.clear_caches()
     _assert_same_projection(numerical_szego(other, f, 8), on_other)
@@ -462,7 +473,7 @@ def test_validation_runs_before_lookup_when_warm():
     grid = boundary_grid(DISC, 16)
     proj = numerical_bergman(E21, ZB, 6)
     numerical_szego(grid, ZB, 3)
-    entries = list(boundary._quadrature_cache)
+    infos = [memo.cache_info() for memo in boundary._MEMOS]
     for bad_M in (8, 17, 0):
         with pytest.raises(ValueError):
             boundary_grid(DISC, bad_M)
@@ -477,4 +488,5 @@ def test_validation_runs_before_lookup_when_warm():
         bergman_residual_orthogonality(E21, ZB, proj, quad_order=16)
     with pytest.raises(ValueError):
         area_quadrature(E21, 0)
-    assert list(boundary._quadrature_cache) == entries
+    # no lookup either: every hit and miss count is unchanged
+    assert [memo.cache_info() for memo in boundary._MEMOS] == infos

@@ -1,11 +1,15 @@
-"""Cache keys and the bounded LRU table that holds every memoised system."""
+"""Cache keys: equal ellipses share one memoised system, unequal ones do not."""
 
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
+import szegopoly
+from szegopoly import szego
 from szegopoly.domains import Ellipse
-from szegopoly.lru import LRUCache
+from szegopoly.polynomials import PolyZZbar
+
+F3 = PolyZZbar.var_zbar() ** 3
 
 SPELLINGS = [
     Ellipse(2, 1),
@@ -19,10 +23,12 @@ SPELLINGS = [
 def test_equal_ellipses_from_different_spellings_hash_equal():
     for e in SPELLINGS:
         assert e == SPELLINGS[0] and hash(e) == hash(SPELLINGS[0])
-    cache = LRUCache(4)
-    cache[(SPELLINGS[0], 3)] = "system"
-    assert all(cache.get((e, 3)) == "system" for e in SPELLINGS)
     assert len({(e, 3) for e in SPELLINGS}) == 1
+    szegopoly.clear_caches()
+    projections = {szego.szego_project(e, F3) for e in SPELLINGS}
+    info = szego._square_system.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (1, 1, len(SPELLINGS) - 1)
+    assert len(projections) == 1
 
 
 def test_different_ellipses_are_different_keys():
@@ -30,7 +36,11 @@ def test_different_ellipses_are_different_keys():
     assert e != Ellipse(2, 1, 0, Fraction(1, 3))
     assert e != Ellipse(1, 2, Fraction(1, 3), 0)
     assert e != e.to_ellipsoid() and e != (2, 1, Fraction(1, 3), 0)
-    assert LRUCache(2).get((e, 3), "miss") == "miss"
+    szegopoly.clear_caches()
+    for d in (e, Ellipse(2, 1, 0, Fraction(1, 3)), Ellipse(1, 2, Fraction(1, 3), 0)):
+        szego.szego_project(d, F3)
+    info = szego._square_system.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (3, 3, 0)
 
 
 fields = st.fractions(min_value=-3, max_value=3, max_denominator=6)
@@ -48,28 +58,3 @@ def test_ellipse_equality_and_hash_follow_the_fields(p, q):
         assert hash(e) == hash(f)
     spelled = Ellipse(*(str(v) for v in p))
     assert spelled == e and hash(spelled) == hash(e)
-
-
-def test_lru_evicts_least_recently_used_and_get_refreshes():
-    cache = LRUCache(3)
-    for key in "abc":
-        cache[key] = key.upper()
-    assert cache.get("a") == "A"  # a is now the most recently used
-    assert cache.get("z") is None and cache.get("z", 0) == 0
-    assert "z" not in cache
-    cache["d"] = "D"  # evicts b, the least recently used
-    assert list(cache) == ["c", "a", "d"]
-    cache["c"] = "C2"  # assignment refreshes too
-    cache["e"] = "E"  # evicts a
-    assert list(cache.items()) == [("d", "D"), ("c", "C2"), ("e", "E")]
-
-
-def test_lru_hit_with_an_equal_ellipse_refreshes_the_stored_key():
-    cache = LRUCache(2)
-    first, second = Ellipse(2, 1), Ellipse(3, 2)
-    cache[(first, 4)] = 1
-    cache[(second, 4)] = 2
-    assert cache.get((Ellipse.from_string("2,1"), 4)) == 1
-    cache[(Ellipse(5, 4), 4)] = 3  # evicts the 3x2 ellipse
-    assert list(cache) == [(first, 4), (Ellipse(5, 4), 4)]
-    assert next(iter(cache))[0] is first

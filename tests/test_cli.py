@@ -78,6 +78,8 @@ def test_dirichlet_with_ellipsoid_file(capsys, tmp_path):
         {"a": 2, "b": 1, "k": 0.5},
         {"a": True, "b": 1},
         {"a": "1/0", "b": 1},
+        {"dim": 101, "Q": [int(i == j) for i in range(101) for j in range(101)],
+         "center": [0] * 101},
     ],
 )
 def test_malformed_ellipsoid_file_is_bad_input(capsys, tmp_path, description):

@@ -17,6 +17,7 @@ from szegopoly.dirichlet import (
 )
 from szegopoly.domains import Ellipse, Ellipsoid
 from szegopoly.linalg import det_exact, solve_exact
+from szegopoly.parsing import MAX_VARIABLES
 from szegopoly.polynomials import (
     PolyRealN,
     PolyZZbar,
@@ -73,6 +74,14 @@ def test_rejects_non_positive_definite():
     with pytest.raises(ValueError):
         Ellipsoid(dim=2, Q=((Fraction(0), Fraction(0)), (Fraction(0), Fraction(1))),
                   center=(Fraction(0), Fraction(0)))
+
+
+def test_rejects_dimension_past_the_variable_bound():
+    n = MAX_VARIABLES + 1
+    # Q is the identity, so only the bound can reject it
+    Q = tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
+    with pytest.raises(ValueError, match=f"dimension {n} is past the bound of {MAX_VARIABLES}"):
+        Ellipsoid(dim=n, Q=Q, center=(Fraction(0),) * n)
 
 
 def test_rejects_asymmetric():

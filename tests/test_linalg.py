@@ -126,8 +126,8 @@ def right_looking_steps(A):
     """Reference: the right-looking elimination, which updates every row
     below the pivot row after each step, with the same pivot rule.
 
-    Returns its steps as (swap, col, pivot, tail, multipliers) tuples, the
-    fields factor_exact records.
+    Returns its steps as (swap, col, pivot, tail) tuples, the fields
+    factor_exact records.
     """
     from szegopoly.linalg import _pick_pivot
 
@@ -141,13 +141,11 @@ def right_looking_steps(A):
         work[r], work[i] = work[i], work[r]
         piv = work[r][c]
         tail = tuple((j, v) for j, v in enumerate(work[r]) if j > c and v)
-        multipliers = []
         for k in range(r + 1, m):
             if work[k][c]:
                 f = work[k][c] / piv
                 work[k] = [u - f * v for u, v in zip(work[k], work[r])]
-                multipliers.append((k, f))
-        steps.append((i, c, piv, tail, tuple(multipliers)))
+        steps.append((i, c, piv, tail))
         r += 1
     return steps
 

@@ -1,5 +1,6 @@
 """The package surface: exported names, and the exact side starting without numpy."""
 
+import functools
 import json
 import os
 import subprocess
@@ -71,13 +72,39 @@ def test_clear_caches_before_and_after_the_harness_is_imported(monkeypatch):
     szego.szego_project(e, PolyZZbar.var_zbar())
 
     # As in a process that has not yet imported the harness: clear_caches
-    # empties the exact tables and neither imports nor touches the float one.
+    # empties the exact memo and neither imports nor touches the float ones.
     monkeypatch.delitem(sys.modules, "szegopoly.boundary")
     szegopoly.clear_caches()
-    assert not szego._column_cache
+    assert szego._square_system.cache_info().currsize == 0
     assert "szegopoly.boundary" not in sys.modules
-    assert len(boundary._quadrature_cache) > 0
+    assert boundary._boundary_grid.cache_info().currsize > 0
 
     monkeypatch.undo()
     szegopoly.clear_caches()
-    assert len(boundary._quadrature_cache) == 0
+    assert boundary._boundary_grid.cache_info().currsize == 0
+
+
+def _traced(builder):
+    """A plain wrapper, as a span tracer puts in place of a public builder."""
+
+    @functools.wraps(builder)
+    def wrapper(*args, **kwargs):
+        return builder(*args, **kwargs)
+
+    return wrapper
+
+
+def test_clear_caches_empties_memos_behind_traced_builders(monkeypatch):
+    from szegopoly import boundary
+
+    for name in ("boundary_grid", "area_quadrature"):
+        monkeypatch.setattr(boundary, name, _traced(getattr(boundary, name)))
+    e, f = Ellipse(2, 1), PolyZZbar.var_zbar()
+    boundary.compare_symbolic_numeric(e, f, M=64, basis_degree=4)
+    proj = boundary.numerical_bergman(e, f, 4, quad_order=16)
+    boundary.bergman_residual_orthogonality(e, f, proj, quad_order=16)
+    memos = (*szego._MEMOS, *boundary._MEMOS)
+    assert all(memo.cache_info().currsize for memo in memos)
+
+    szegopoly.clear_caches()
+    assert not any(memo.cache_info().currsize for memo in memos)

@@ -317,6 +317,12 @@ def test_numbered_variable_past_the_bound_is_a_parse_error(text, column):
         parse_polynomial(text)
 
 
+def test_requested_dimension_past_the_bound_is_a_parse_error():
+    assert parse_poly_real("x1", dim=MAX_VARIABLES).dim == MAX_VARIABLES
+    with pytest.raises(ParseError, match=f"dim={MAX_VARIABLES + 1} is past the bound"):
+        parse_poly_real("x1", dim=MAX_VARIABLES + 1)
+
+
 def test_many_unary_signs_parse():
     assert parse_poly_zzbar("-" * 3000 + "z") == Z
     assert parse_poly_zzbar("-" * 3001 + "z^2") == -(Z**2)

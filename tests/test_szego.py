@@ -322,16 +322,18 @@ def test_clear_caches_empties_every_cache_and_projection_refills_them(monkeypatc
     e = Ellipse(3, 2, Fraction(1, 3), Fraction(-2, 3))
     f = ZB**3 + Z * ZB
     first = szego_project(e, f)
-    assert szego._column_cache
+    assert szego._square_system.cache_info().currsize
 
     szegopoly.clear_caches()
-    assert not szego._column_cache
+    assert szego._square_system.cache_info().currsize == 0
 
     # the square system and its certificate need no Fischer system
     monkeypatch.setattr(dirichlet, "fischer_system", _no_fischer_system)
     again = szego_project(e, f)
     assert again == first
-    assert (e, 3) in szego._column_cache
+    szego._square_system(e, 3)
+    info = szego._square_system.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (1, 1, 1)
     assert verify_decomposition(again, e).passed
 
 
@@ -343,22 +345,30 @@ def test_cached_projection_equals_cold_projection(kwargs):
     f = ZB**4 + Fraction(1, 2) * Z**2 * ZB - 3 * Z
     szegopoly.clear_caches()
     cold = szego_project(e, f, **kwargs)
-    system = szego._column_cache[(e, cold.N)]
+    system = szego._square_system(e, cold.N)
 
     cached = szego_project(e, f, **kwargs)
     assert cached == cold
-    assert szego._column_cache[(e, cold.N)] is system
+    assert szego._square_system(e, cold.N) is system
+    info = szego._square_system.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (1, 1, 3)
     assert verify_decomposition(cached, e).passed
 
 
-def test_caches_are_bounded_and_evict_least_recently_used(monkeypatch):
-    monkeypatch.setattr(szego._column_cache, "maxsize", 2)
+def test_caches_are_bounded_and_evict_least_recently_used():
     szegopoly.clear_caches()
-    e1, e2, e3 = (Ellipse(2, 1, Fraction(k, 3), 0) for k in (1, 2, -1))
+    bound = szego._square_system.cache_info().maxsize
+    e1, e2, *rest = (Ellipse(2, 1, Fraction(k, 3), 0) for k in range(bound + 1))
     f = ZB**2
 
     szego_project(e1, f)
+    system = szego._square_system(e1, 2)
     szego_project(e2, f)
     szego_project(e1, f)  # e1 is now the most recently used
-    szego_project(e3, f)
-    assert list(szego._column_cache) == [(e1, 2), (e3, 2)]
+    for e in rest:  # one system past the bound evicts e2, the least recently used
+        szego_project(e, f)
+    info = szego._square_system.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (bound, bound + 1, 2)
+    assert szego._square_system(e1, 2) is system
+    szego_project(e2, f)
+    assert szego._square_system.cache_info().misses == bound + 2
