@@ -28,7 +28,10 @@ the Gaussian-integer numerator products per output monomial and reduces
 each output coefficient once.  Operands whose denominators are too
 unrelated for that are multiplied term by term.  Exact division keeps the
 remainder's monomials in a heap, so finding each leading term does not
-scan the remainder.
+scan the remainder, and pulls each remainder coefficient as one
+rational._minus_dot when its key leads; the n-variable Laplacian likewise
+sums each output coefficient with one rational._int_dot.  Both reduce
+each coefficient once instead of once per contribution.
 
 Both types carry the Wirtinger / Laplace differential operators.  The
 Laplacian of a z-zbar polynomial is 4 * d/dz d/dzbar, which agrees with
@@ -51,7 +54,7 @@ from heapq import heapify, heappop, heappush
 from operator import add, neg
 from typing import Iterator, Mapping, Sequence, Union
 
-from .rational import GaussianRational, ONE, ZERO, _cleared, _reduce
+from .rational import GaussianRational, ONE, ZERO, _cleared, _int_dot, _minus_dot, _reduce
 
 MAX_EXPONENT = 2**31 - 1
 
@@ -176,38 +179,42 @@ def _long_division(p: dict, r: dict) -> dict | None:
     not divisible by the leading term of r, neither is the remainder:
     any exact quotient would put its own leading product term right there.
 
-    The remainder's keys wait in a heap, greatest in graded-lex order
-    first; each key is pushed when it enters the remainder, and a popped
-    key that has cancelled since is skipped.  Only keys below the current
-    leading term are ever created, so no key comes back after it is done.
+    The remainder is pulled, not pushed: each key keeps the list of
+    (quotient coefficient, r coefficient) pairs that land on it, and its
+    value p[key] - sum(c * ck) is formed with one rational._minus_dot, so
+    reduced once, when the key becomes the leading term.  A key whose
+    value is zero then is skipped.  The keys wait in a heap, greatest in
+    graded-lex order first, each pushed once, when it first appears.  A
+    quotient term's product with the leading term of r lands on the key
+    just popped and cancels it by construction, so only its products with
+    the other terms of r are recorded; they fall below the popped key, so
+    no key comes back after it is done.
     """
     lead_r = max(r, key=_grlex_key)
     cr = r[lead_r]
-    rem = dict(p)
-    heap = [_heap_entry(k) for k in rem]
+    rest = [(k, ck) for k, ck in r.items() if k != lead_r]
+    pending: dict = {k: [] for k in p}
+    heap = [_heap_entry(k) for k in pending]
     heapify(heap)
     quot: dict = {}
-    while rem:
+    while heap:
         lead = heappop(heap)[2]
-        if lead not in rem:
+        value = _minus_dot(p.get(lead, ZERO), pending.pop(lead))
+        if not value:
             continue
         exps = tuple(x - y for x, y in zip(lead, lead_r))
         if any(e < 0 for e in exps):
             return None
-        c = rem[lead] / cr
+        c = value / cr
         quot[exps] = c
-        for k, ck in r.items():
-            kk = tuple(x + y for x, y in zip(exps, k))
-            s = rem.get(kk)
-            if s is None:
-                rem[kk] = -(c * ck)
+        for k, ck in rest:
+            kk = tuple(map(add, exps, k))
+            pairs = pending.get(kk)
+            if pairs is None:
+                pending[kk] = [(c, ck)]
                 heappush(heap, _heap_entry(kk))
-                continue
-            s = s - c * ck
-            if s:
-                rem[kk] = s
             else:
-                del rem[kk]
+                pairs.append((c, ck))
     return quot
 
 
@@ -475,16 +482,24 @@ class PolyRealN(_SparsePoly):
         return self._partial(axis)
 
     def laplacian(self) -> "PolyRealN":
-        """Sum of the second partials, in one pass over terms and axes."""
-        out: dict = {}
+        """Sum of the second partials, in one pass over terms and axes.
+
+        Each output key collects the (e*(e-1), c) pairs of the terms c*x^key
+        that land on it, and its coefficient is summed with one
+        rational._int_dot, so reduced once; keys whose sum is zero are
+        dropped.
+        """
+        acc: dict = {}
         for key, c in self._terms.items():
             for axis, e in enumerate(key):
                 if e > 1:
                     k = key[:axis] + (e - 2,) + key[axis + 1 :]
-                    t = c * (e * (e - 1))
-                    s = out.get(k)
-                    out[k] = t if s is None else s + t
-        return self._new({k: c for k, c in out.items() if c})
+                    pairs = acc.get(k)
+                    if pairs is None:
+                        acc[k] = [(e * (e - 1), c)]
+                    else:
+                        pairs.append((e * (e - 1), c))
+        return self._new({k: c for k, pairs in acc.items() if (c := _int_dot(pairs))})
 
     # -- evaluation ------------------------------------------------------------
 

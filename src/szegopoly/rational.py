@@ -31,7 +31,9 @@ partial result: _cleared writes a collection of values over the lcm of
 their denominators, so the caller can add integer numerators and reduce
 each total once with _reduce.  It declines (returns None) when that lcm
 would have more than twice the bits of the longest denominator, where the
-cleared numerators would outgrow the reduced ones.
+cleared numerators would outgrow the reduced ones.  _minus_dot (base minus
+a sum of products) and _int_dot (a sum of integer multiples) likewise add
+numerators over a growing common denominator and reduce the total once.
 
 Exact text has no size limit.  CPython refuses an int <-> str conversion
 of more than sys.get_int_max_str_digits() digits (4,300 by default), so
@@ -439,6 +441,33 @@ def _minus_dot(base: GaussianRational, pairs: list) -> GaussianRational:
             s, t = d // g, e // g
             a = a * t - (a1 * a2 - b1 * b2) * s
             b = b * t - (a1 * b2 + b1 * a2) * s
+            d *= t
+    return _reduce(a, b, d)
+
+
+def _int_dot(pairs: list) -> GaussianRational:
+    """sum(n * g for n, g in pairs) for int weights n, reduced once.
+
+    The weighted numerators are added over the lcm of the denominators, so
+    only the total takes a full gcd; one pair is scaled by n/1 with _scale,
+    which needs no full gcd at all.
+    """
+    if len(pairs) == 1:
+        ((n, g),) = pairs
+        return _scale(g._a, g._b, g._d, n, 1)
+    a = b = 0
+    d = 1
+    for n, g in pairs:
+        e = g._d
+        h = gcd(d, e)
+        if h == e:
+            m = n * (d // e)
+            a += g._a * m
+            b += g._b * m
+        else:
+            s, t = d // h, e // h
+            a = a * t + g._a * n * s
+            b = b * t + g._b * n * s
             d *= t
     return _reduce(a, b, d)
 

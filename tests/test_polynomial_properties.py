@@ -6,10 +6,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from szegopoly.dirichlet import is_harmonic
 from szegopoly.polynomials import (
     MAX_EXPONENT,
     PolyRealN,
     PolyZZbar,
+    divide_exact,
     monomials_real,
     xy_to_zzbar,
     zzbar_to_xy,
@@ -136,6 +138,19 @@ def _sum_of_second_partials(p):
     return total
 
 
+def laplacian_by_terms(p):
+    """Reference: the terms of the Laplacian of a PolyRealN, one
+    GaussianRational product and sum per term and axis, in the order they
+    are visited; sums that cancel are dropped at the end."""
+    out = {}
+    for key, c in p._terms.items():
+        for axis, e in enumerate(key):
+            if e > 1:
+                k = key[:axis] + (e - 2,) + key[axis + 1 :]
+                out[k] = out.get(k, 0) + c * (e * (e - 1))
+    return {k: c for k, c in out.items() if c}
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from([(PolyZZbar, 2), *((PolyRealN, n) for n in range(1, 5))]), st.data())
 def test_laplacian_equals_its_definitions(ring, data):
@@ -147,8 +162,29 @@ def test_laplacian_equals_its_definitions(ring, data):
         assert p.laplacian() == xy_to_zzbar(_sum_of_second_partials(zzbar_to_xy(p)))
     else:
         assert p.laplacian() == _sum_of_second_partials(p)
+        assert list(p.laplacian()._terms.items()) == list(laplacian_by_terms(p).items())
         if dim == 2:
             assert p.laplacian() == zzbar_to_xy(xy_to_zzbar(p).d_dz().d_dzbar() * 4)
+
+
+@pytest.mark.parametrize("dim, top", [(2, False), (3, False), (3, True), (4, True)])
+@pytest.mark.parametrize("c", [1, Fraction(2, 3), GaussianRational(Fraction(1, 6), -5)])
+def test_laplacian_drops_keys_whose_contributions_cancel(dim, top, c):
+    """Lap(x1^2 - x2^2) = 0 and Lap((x1^2 - x2^2) * x3^2) = 2(x1^2 - x2^2):
+    the contributions on the constant, or on x3^2, cancel, and no zero
+    coefficient may be stored for them."""
+    x1, x2 = (PolyRealN.variable(dim, axis) for axis in (0, 1))
+    p = (x1 * x1 - x2 * x2) * c
+    expected = PolyRealN.zero(dim)
+    if top:
+        x3 = PolyRealN.variable(dim, 2)
+        expected = p * 2
+        p = p * x3 * x3
+    lap = p.laplacian()
+    assert all(lap._terms.values())
+    assert list(lap._terms.items()) == list(laplacian_by_terms(p).items())
+    assert lap == expected
+    assert is_harmonic(p) is not top
 
 
 @settings(max_examples=150, deadline=None)
@@ -322,3 +358,93 @@ def test_product_is_the_sum_of_term_products(operands):
     for c in product.values():
         a, b, d = c._a, c._b, c._d
         assert (a or b) and d > 0 and math.gcd(a, b, d) == 1
+
+
+# -- exact division against the term-by-term remainder update ------------------------
+
+
+def division_by_terms(p, r):
+    """Reference: graded-lex division of p by r that scans the remainder
+    for its leading key and updates it with one GaussianRational product
+    and difference per term of r, deleting each key that cancels.
+
+    Returns (quotient terms or None, revived), where revived says whether
+    some key cancelled and then entered the remainder again before it led.
+    """
+    def order(key):
+        return sum(key), key
+
+    lead_r = max(r._terms, key=order)
+    rem, quot, cancelled, revived = dict(p._terms), {}, set(), False
+    while rem:
+        lead = max(rem, key=order)
+        exps = tuple(x - y for x, y in zip(lead, lead_r))
+        if min(exps) < 0:
+            return None, revived
+        c = rem[lead] / r._terms[lead_r]
+        quot[exps] = c
+        for k, ck in r._terms.items():
+            key = tuple(x + y for x, y in zip(exps, k))
+            revived = revived or (key in cancelled and key not in rem)
+            s = rem.get(key, 0) - c * ck
+            if s:
+                rem[key] = s
+            else:
+                rem.pop(key, None)
+                cancelled.add(key)
+    return quot, revived
+
+
+def assert_division_matches_reference(x, r):
+    quotient = divide_exact(x, r)
+    expected, revived = division_by_terms(x, r)
+    if expected is None:
+        assert quotient is None
+    else:
+        # Same keys, values and dict order.
+        assert list(quotient._terms.items()) == list(expected.items())
+    return revived
+
+
+DIVISION_RINGS = [(PolyZZbar, 2), *((PolyRealN, n) for n in range(1, 5))]
+
+
+@st.composite
+def division_operands(draw):
+    """A divisor r, an r*q and an r*q + c*m of one ring."""
+    kind, dim = draw(st.sampled_from(DIVISION_RINGS))
+    r = build(kind, dim, draw(st.dictionaries(
+        st.sampled_from(monomials_real(dim, 2)), coefficients.filter(bool), min_size=1, max_size=4
+    )))
+    q = build(kind, dim, draw(st.dictionaries(
+        st.sampled_from(monomials_real(dim, 3)), coefficients, max_size=6
+    )))
+    m = build(kind, dim, {draw(st.sampled_from(monomials_real(dim, 4))): draw(
+        coefficients.filter(bool)
+    )})
+    return r, r * q, r * q + m
+
+
+@settings(max_examples=300, deadline=None)
+@given(division_operands())
+def test_division_matches_the_term_by_term_reference(operands):
+    r, product, perturbed = operands
+    for x in (product, perturbed):
+        assert_division_matches_reference(x, r)
+    assert divide_exact(product, r) is not None
+
+
+@pytest.mark.parametrize("kind, dim", DIVISION_RINGS)
+def test_division_with_a_remainder_key_that_cancels_and_returns(kind, dim):
+    """r = x^2 + x + 1 divides (x^2 + x + 1)(x^2 + x - 1) = x^4 + 2x^3 + x^2 - 1.
+    The quotient term x^2 cancels the x^2 of the remainder through the
+    constant of r, and the next quotient term x brings it back as -x^2."""
+    x = build(kind, dim, {(1,) + (0,) * (dim - 1): 1})
+    one_ = one(kind, dim)
+    r = x * x + x + one_
+    q = x * x + x - one_
+    assert assert_division_matches_reference(r * q, r)
+    assert divide_exact(r * q, r) == q
+    for extra in (one_, x * x * Fraction(1, 3), x**3 * GaussianRational(0, 2)):
+        assert_division_matches_reference(r * q + extra, r)
+        assert divide_exact(r * q + extra, r) is None

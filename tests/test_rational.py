@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from szegopoly.polynomials import PolyRealN, PolyZZbar
-from szegopoly.rational import GaussianRational, I, ONE, ZERO, _cleared, _minus_dot
+from szegopoly.rational import GaussianRational, I, ONE, ZERO, _cleared, _int_dot, _minus_dot
 
 
 def test_construction_reduces_fractions():
@@ -286,6 +286,20 @@ def test_minus_dot_is_the_per_term_fold(base, products):
     for u, v in products:
         expected = expected - u * v
     got = _minus_dot(base, products)
+    assert got == expected
+    assert_matches(got, (expected.re, expected.im))
+
+
+@settings(max_examples=300)
+@given(st.lists(st.tuples(st.integers(-60, 60), gaussians), max_size=6))
+@example([(2, GaussianRational(Fraction(1, 6)))])
+# the weighted values share the denominator 6 and cancel to zero
+@example([(2, GaussianRational(Fraction(1, 6))), (-1, GaussianRational(Fraction(1, 3)))])
+def test_int_dot_is_the_per_term_sum(weighted):
+    expected = ZERO
+    for n, g in weighted:
+        expected = expected + g * n
+    got = _int_dot(weighted)
     assert got == expected
     assert_matches(got, (expected.re, expected.im))
 
