@@ -118,8 +118,7 @@ def _criterion(cid: int, title: str, limit: float):
 def _unit_box_polys(count: int, max_degree: int, seed: int) -> list[PolyZZbar]:
     rng = random.Random(seed)
     return [
-        random_poly_zzbar(rng, max_degree, density=0.5,
-                          coefficient=unit_box_coefficient)
+        random_poly_zzbar(rng, max_degree, coefficient=unit_box_coefficient)
         for _ in range(count)
     ]
 

@@ -16,7 +16,7 @@ condition number is estimated and reported.
 
 Nodes, weights and bases do not depend on the data: each boundary grid
 (per ellipse, M and weighting), each area rule (per ellipse and order) and
-each Vandermonde basis (per grid object and degree, or per area rule and
+each fit's weighted basis (per grid object and degree, or per area rule and
 degree) is built once and kept in a bounded functools.lru_cache memo, which
 szegopoly.clear_caches() empties.  The shared arrays are read-only; only the
 data values and the least-squares fit are computed per call.
@@ -28,14 +28,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
 
 import numpy as np
 
 from .dirichlet import is_harmonic
 from .domains import Ellipse
 from .polynomials import PolyRealN, PolyZZbar, xy_to_zzbar
-from .rational import ONE, ZERO, GaussianRational
+from .rational import GaussianRational
 from .szego import szego_project
 
 CONDITION_WARN_THRESHOLD = 1e10
@@ -46,6 +45,9 @@ CONDITION_WARN_THRESHOLD = 1e10
 # workload cycles through three), and the bound caps what a long run of
 # fresh sizes can pin.
 QUADRATURE_CACHE_SIZE = 4
+
+# Default order of the area rule of every Bergman fit and check.
+AREA_QUAD_ORDER = 48
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -130,11 +132,8 @@ def poly_values(f, z: np.ndarray) -> np.ndarray:
             raise ValueError("only 2-variable real polynomials map to the plane")
         f = xy_to_zzbar(f)
     if isinstance(f, PolyZZbar):
-        zb = np.conj(z)
-        out = np.zeros_like(z)
-        for (p, q), c in f.terms():
-            out += complex(c) * z**p * zb**q
-        return out
+        # Adding the zeros keeps the shape of z for a constant or zero f.
+        return np.zeros_like(z) + f._evaluate((z, np.conj(z)))
     return np.asarray(f(z), dtype=complex)
 
 
@@ -168,36 +167,35 @@ class NumericalProjection:
         }
 
 
-def _basis_matrix(z: np.ndarray, e: Ellipse, degree: int) -> tuple[np.ndarray, complex, float]:
-    """Read-only Vandermonde matrix of phi_0..phi_degree on the nodes z,
-    with the basis center and scale."""
+def _basis_matrix(z, weights, e: Ellipse, degree: int):
+    """Read-only (A, sqrt_w, center, scale) for a fit on the nodes z: A is
+    the Vandermonde matrix of phi_0..phi_degree, row j scaled by sqrt_w[j],
+    the square root of node j's quadrature weight."""
     center = complex(float(e.h), float(e.k))
     scale = float(max(e.a, e.b))
-    w = (z - center) / scale
-    return _read_only(np.vander(w, degree + 1, increasing=True)), center, scale
+    V = np.vander((z - center) / scale, degree + 1, increasing=True)
+    sqrt_w = np.sqrt(weights)
+    return _read_only(V * sqrt_w[:, None]), _read_only(sqrt_w), center, scale
 
 
 @lru_cache(maxsize=QUADRATURE_CACHE_SIZE)
 def _grid_basis(grid: BoundaryGrid, degree: int):
-    """_basis_matrix on the grid's nodes, memoised per grid object."""
-    return _basis_matrix(grid.z, grid.ellipse, degree)
+    """_basis_matrix on the grid's nodes and weights, memoised per grid object."""
+    return _basis_matrix(grid.z, grid.omega * grid.ds, grid.ellipse, degree)
 
 
 @lru_cache(maxsize=QUADRATURE_CACHE_SIZE)
 def _area_basis(e: Ellipse, quad_order: int, degree: int):
-    """_basis_matrix on the nodes of area_quadrature(e, quad_order)."""
-    return _basis_matrix(_area_quadrature(e, quad_order)[0], e, degree)
+    """_basis_matrix on the nodes and weights of area_quadrature(e, quad_order)."""
+    return _basis_matrix(*_area_quadrature(e, quad_order), e, degree)
 
 
-def _fit(z, weights, basis, f) -> NumericalProjection:
-    """Least-squares fit of f on the nodes z by the basis (V, center, scale)
-    of _basis_matrix, each squared residual weighted by its node's
-    quadrature weight."""
-    fvals = poly_values(f, z)
-    V, center, scale = basis
-    sqrt_w = np.sqrt(weights)
-    A = V * sqrt_w[:, None]
-    rhs = fvals * sqrt_w
+def _fit(z, basis, f) -> NumericalProjection:
+    """Least-squares fit of f on the nodes z by the weighted basis
+    (A, sqrt_w, center, scale) of _basis_matrix on those nodes, each squared
+    residual weighted by its node's quadrature weight."""
+    A, sqrt_w, center, scale = basis
+    rhs = poly_values(f, z) * sqrt_w
     coeffs, _, _, s = np.linalg.lstsq(A, rhs, rcond=None)
     residual = float(np.linalg.norm(A @ coeffs - rhs))
     # 2-norm condition number from the singular values lstsq already has.
@@ -223,7 +221,7 @@ def numerical_szego(grid: BoundaryGrid, f, basis_degree: int) -> NumericalProjec
             f"basis degree {basis_degree} too large for M = {grid.M} "
             "(need basis_degree + 1 <= M/4)"
         )
-    return _fit(grid.z, grid.omega * grid.ds, _grid_basis(grid, basis_degree), f)
+    return _fit(grid.z, _grid_basis(grid, basis_degree), f)
 
 
 # -- area (Bergman) quadrature ------------------------------------------------
@@ -283,23 +281,24 @@ def require_quad_order(f, basis_degree: int, quad_order: int) -> None:
 
 
 def numerical_bergman(
-    e: Ellipse, f, basis_degree: int, quad_order: int = 48
+    e: Ellipse, f, basis_degree: int, quad_order: int = AREA_QUAD_ORDER
 ) -> NumericalProjection:
     """Project f onto holomorphic polynomials in the area inner product."""
     require_quad_order(f, basis_degree, quad_order)
-    z, w = area_quadrature(e, quad_order)
-    return _fit(z, w, _area_basis(e, quad_order, basis_degree), f)
+    z, _ = area_quadrature(e, quad_order)
+    return _fit(z, _area_basis(e, quad_order, basis_degree), f)
 
 
 def bergman_residual_orthogonality(
-    e: Ellipse, f, proj: NumericalProjection, quad_order: int = 48
+    e: Ellipse, f, proj: NumericalProjection, quad_order: int = AREA_QUAD_ORDER
 ) -> float:
-    """Max |<f - proj, phi_k>| over the basis, in the area inner product."""
+    """Max |<f - proj, phi_k>| over the basis, in the area inner product.
+    proj is evaluated at the nodes, so the check reads any projection."""
     require_quad_order(f, proj.basis_degree(), quad_order)
-    z, w = area_quadrature(e, quad_order)
+    z, _ = area_quadrature(e, quad_order)
     resid = poly_values(f, z) - proj.evaluate(z)
-    V, _, _ = _area_basis(e, quad_order, proj.basis_degree())
-    inner = np.conj(V.T) @ (w * resid)
+    A, sqrt_w, _, _ = _area_basis(e, quad_order, proj.basis_degree())
+    inner = np.conj(A.T) @ (sqrt_w * resid)
     return float(np.max(np.abs(inner)))
 
 
@@ -311,8 +310,8 @@ def holomorphic_coeffs_in_scaled_basis(
 ) -> np.ndarray:
     """Exact coefficients of a holomorphic p in the phi basis, then floats.
 
-    Substitutes z = center + s*w with rational center and scale, expands by
-    the binomial theorem exactly, and converts at the end.
+    Substitutes z = center + s*w with rational center and scale, expands
+    by Horner's rule in the ring, exactly, and converts at the end.
     """
     if not p.is_holomorphic():
         raise ValueError("basis conversion requires a holomorphic polynomial")
@@ -320,19 +319,11 @@ def holomorphic_coeffs_in_scaled_basis(
         raise ValueError(
             f"polynomial degree {p.degree()} exceeds basis degree {degree}"
         )
-    center = GaussianRational(e.h, e.k)
-    scale = GaussianRational(max(e.a, e.b))
-    center_pow = [ONE]
-    scale_pow = [ONE]
-    for _ in range(p.degree()):
-        center_pow.append(center_pow[-1] * center)
-        scale_pow.append(scale_pow[-1] * scale)
-    out = [ZERO] * (degree + 1)
-    for (n, _), c in p.terms():
-        # (center + s*w)^n
-        for j in range(n + 1):
-            out[j] = out[j] + c * comb(n, j) * center_pow[n - j] * scale_pow[j]
-    return np.array([complex(v) for v in out])
+    shifted = PolyZZbar({(0, 0): GaussianRational(e.h, e.k), (1, 0): max(e.a, e.b)})
+    q = PolyZZbar.zero()
+    for n in range(p.degree(), -1, -1):
+        q = q * shifted + PolyZZbar.constant(p.coefficient(n, 0))
+    return np.array([complex(q.coefficient(j, 0)) for j in range(degree + 1)])
 
 
 # -- experiment reports --------------------------------------------------------
@@ -424,7 +415,7 @@ def harmonic_szego_bergman_check(
     p: PolyRealN,
     basis_degree: int = 12,
     M: int = 1024,
-    quad_order: int = 48,
+    quad_order: int = AREA_QUAD_ORDER,
 ) -> HarmonicCompareReport:
     """On a disc, the (unweighted) Szego and Bergman projections of harmonic
     data agree; measure the numerical deviation."""

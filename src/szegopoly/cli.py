@@ -43,10 +43,6 @@ class InputError(ValueError):
     """Bad command-line input (exit code 2)."""
 
 
-# Area rule order of the Bergman side of harmonic-compare.
-HARMONIC_COMPARE_QUAD_ORDER = 48
-
-
 def _read_poly_source(args) -> str:
     if args.poly is not None:
         return args.poly
@@ -199,6 +195,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_experiment(args) -> int:
     from .boundary import (
+        AREA_QUAD_ORDER,
         harmonic_szego_bergman_check,
         matched_disc_floor,
         require_quad_order,
@@ -206,6 +203,11 @@ def _cmd_experiment(args) -> int:
     )
 
     start = time.perf_counter()
+    if args.kind == "szbar":
+        given = {"--poly": args.poly, "--poly-file": args.poly_file, "--tol": args.tol}
+        unread = [flag for flag, value in given.items() if value is not None]
+        if unread:
+            raise InputError(f"experiment szbar takes no {', '.join(unread)}")
     _require_positive_tol(args.tol)
     _require_grid_args(args)
     e = _load_ellipse(args)
@@ -224,13 +226,10 @@ def _cmd_experiment(args) -> int:
     if not e.is_disc():
         raise InputError("harmonic-compare requires a disc (a = b)")
     try:
-        require_quad_order(p, args.degree, HARMONIC_COMPARE_QUAD_ORDER)
+        require_quad_order(p, args.degree, AREA_QUAD_ORDER)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    rep = harmonic_szego_bergman_check(
-        e, p, basis_degree=args.degree, M=args.nodes,
-        quad_order=HARMONIC_COMPARE_QUAD_ORDER,
-    )
+    rep = harmonic_szego_bergman_check(e, p, basis_degree=args.degree, M=args.nodes)
     report = rep.to_json_dict()
     passed = True
     if args.tol is not None:
@@ -285,10 +284,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, *, poly: bool, numeric: bool, ellipsoid: bool = False):
-        p.add_argument("--ellipse", help="ellipse as 'a,b[,h,k]' with rational entries")
+    def add_common(p, *, poly: bool, numeric: bool, ellipse: bool = True,
+                   ellipsoid: bool = False):
+        domain = p.add_mutually_exclusive_group()
+        if ellipse:
+            domain.add_argument("--ellipse", help="ellipse as 'a,b[,h,k]' with rational entries")
         if ellipsoid:
-            p.add_argument("--ellipsoid", help="path to an ellipsoid JSON descriptor")
+            domain.add_argument("--ellipsoid", help="path to an ellipsoid JSON descriptor")
         if poly:
             p.add_argument("--poly", help="polynomial text (z/zbar or x/y syntax)")
             p.add_argument("--poly-file", help="path to a polynomial text file")
@@ -323,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_experiment)
 
     p = sub.add_parser("suite", help="run the acceptance suite")
-    add_common(p, poly=False, numeric=False)
+    add_common(p, poly=False, numeric=False, ellipse=False)
     p.set_defaults(func=_cmd_suite)
 
     return parser

@@ -78,6 +78,10 @@ class Ellipsoid:
 
     def defining_poly(self) -> PolyRealN:
         """r(x) = (x - center)^T Q (x - center) - 1, of degree exactly 2."""
+        return self._r
+
+    @cached_property
+    def _r(self) -> PolyRealN:
         n = self.dim
         shifted = [
             PolyRealN.variable(n, i) - PolyRealN.constant(n, self.center[i])

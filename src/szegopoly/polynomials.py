@@ -340,10 +340,12 @@ class _SparsePoly:
 
     def _evaluate(self, coords: Sequence):
         """The value at coords, one per variable: all GaussianRational for
-        an exact GaussianRational value, or all complex for a complex one."""
+        an exact GaussianRational value, or all complex (scalars, or numpy
+        arrays evaluated elementwise) for a complex one.  Terms are summed
+        in graded-lex order, so float values do not depend on dict order."""
         exact = isinstance(coords[0], GaussianRational)
         total = ZERO if exact else 0j
-        for key, c in self._terms.items():
+        for key, c in self.terms():
             term = c if exact else complex(c)
             for v, e in zip(coords, key):
                 if e:

@@ -14,17 +14,13 @@ from .polynomials import PolyRealN, PolyZZbar, monomials_real, monomials_zzbar
 from .rational import GaussianRational
 
 
-def random_rational(rng: random.Random, max_num: int = 5, max_den: int = 5) -> Fraction:
-    return Fraction(rng.randint(-max_num, max_num), rng.randint(1, max_den))
+def random_rational(rng: random.Random) -> Fraction:
+    """n/d with |n| <= 5 and 1 <= d <= 5."""
+    return Fraction(rng.randint(-5, 5), rng.randint(1, 5))
 
 
-def random_coefficient(
-    rng: random.Random, max_num: int = 5, max_den: int = 5
-) -> GaussianRational:
-    return GaussianRational(
-        random_rational(rng, max_num, max_den),
-        random_rational(rng, max_num, max_den),
-    )
+def random_coefficient(rng: random.Random) -> GaussianRational:
+    return GaussianRational(random_rational(rng), random_rational(rng))
 
 
 def unit_box_coefficient(rng: random.Random) -> GaussianRational:
@@ -49,12 +45,11 @@ def random_poly_zzbar(
     return PolyZZbar(terms)
 
 
-def random_holomorphic(
-    rng: random.Random, max_degree: int, density: float = 0.7
-) -> PolyZZbar:
+def random_holomorphic(rng: random.Random, max_degree: int) -> PolyZZbar:
+    """Each z^k up to max_degree present with probability 0.7."""
     terms = {}
     for k in range(max_degree + 1):
-        if rng.random() < density:
+        if rng.random() < 0.7:
             terms[(k, 0)] = random_coefficient(rng)
     if not terms:
         terms[(0, 0)] = random_coefficient(rng)
@@ -70,12 +65,11 @@ def random_harmonic_xy(rng: random.Random, max_degree: int) -> PolyRealN:
     return zzbar_to_xy(f + g.conjugate())
 
 
-def random_poly_real(
-    rng: random.Random, dim: int, max_degree: int, density: float = 0.4
-) -> PolyRealN:
+def random_poly_real(rng: random.Random, dim: int, max_degree: int) -> PolyRealN:
+    """Each monomial up to max_degree present with probability 0.4."""
     terms = {}
     for alpha in monomials_real(dim, max_degree):
-        if rng.random() < density:
+        if rng.random() < 0.4:
             terms[alpha] = random_coefficient(rng)
     if not terms:
         terms[(0,) * dim] = random_coefficient(rng)

@@ -26,8 +26,9 @@ from szegopoly.boundary import (
     szbar_constancy_experiment,
 )
 from szegopoly.domains import Ellipse
-from szegopoly.polynomials import PolyRealN, PolyZZbar
-from szegopoly.sampling import random_poly_zzbar, unit_box_coefficient
+from szegopoly.polynomials import PolyRealN, PolyZZbar, xy_to_zzbar
+from szegopoly.rational import GaussianRational
+from szegopoly.sampling import random_holomorphic, random_poly_zzbar, unit_box_coefficient
 
 Z = PolyZZbar.var_z()
 ZB = PolyZZbar.var_zbar()
@@ -247,6 +248,19 @@ def test_bergman_fit_at_the_minimum_order_checks_at_a_finer_one():
     assert bergman_residual_orthogonality(E21, f, proj, quad_order=30) < 1e-12
 
 
+def test_bergman_orthogonality_reads_a_nudged_projection():
+    # The check evaluates the projection it is given, so one coefficient
+    # moved by 1e-3 shows, though the fit itself is orthogonal to 1e-13.
+    f = ZB**3 + Z * ZB
+    proj = numerical_bergman(E21, f, 8)
+    assert bergman_residual_orthogonality(E21, f, proj) < 1e-13
+    for k in (0, 1, 4, 8):
+        coefficients = proj.coefficients.copy()
+        coefficients[k] += 1e-3
+        nudged = dataclasses.replace(proj, coefficients=coefficients)
+        assert bergman_residual_orthogonality(E21, f, nudged) >= 1e-6
+
+
 @settings(max_examples=5, deadline=None)
 @given(st.randoms(use_true_random=False))
 def test_bergman_random_residual_orthogonality(rng):
@@ -345,6 +359,68 @@ def test_scaled_basis_conversion_round_trip():
     assert np.max(np.abs(direct - via_basis)) < 1e-12
 
 
+def binomial_scaled_coeffs(p, e, degree):
+    """Reference conversion: (center + s*w)^n expanded by the binomial theorem."""
+    center = GaussianRational(e.h, e.k)
+    scale = GaussianRational(max(e.a, e.b))
+    out = [GaussianRational(0)] * (degree + 1)
+    for (n, _), c in p.terms():
+        for j in range(n + 1):
+            out[j] = out[j] + c * math.comb(n, j) * center ** (n - j) * scale**j
+    return np.array([complex(v) for v in out])
+
+
+@pytest.mark.parametrize(
+    "e",
+    [Ellipse(2, 1, Fraction(1, 2), Fraction(-1, 3)),
+     Ellipse(Fraction(3, 2), Fraction(5, 2), -2, Fraction(7, 3)),
+     Ellipse(1, 1, Fraction(-1, 5), Fraction(1, 4))],
+    ids=["wide", "tall", "disc"],
+)
+def test_scaled_basis_conversion_matches_the_binomial_expansion(e):
+    rng = random.Random(12)
+    polys = [PolyZZbar.zero()] + [random_holomorphic(rng, n) for n in range(13)]
+    for p in polys:
+        expected = binomial_scaled_coeffs(p, e, 12)
+        assert holomorphic_coeffs_in_scaled_basis(p, e, 12).tobytes() == expected.tobytes()
+
+
+def monomial_loop_values(f, z):
+    """Reference evaluation: one numpy monomial per term, summed in graded-lex order."""
+    z = np.asarray(z, dtype=complex)
+    if isinstance(f, PolyRealN):
+        f = xy_to_zzbar(f)
+    if isinstance(f, PolyZZbar):
+        zb = np.conj(z)
+        out = np.zeros_like(z)
+        for (p, q), c in f.terms():
+            out += complex(c) * z**p * zb**q
+        return out
+    return np.asarray(f(z), dtype=complex)
+
+
+def test_poly_values_match_the_monomial_loop():
+    rng = random.Random(5)
+    squares = [random_poly_zzbar(rng, 4, coefficient=unit_box_coefficient) ** 2 for _ in range(4)]
+    x, y = PolyRealN.variable(2, 0), PolyRealN.variable(2, 1)
+    cases = [
+        # term dicts out of graded-lex order
+        PolyZZbar({(3, 1): 2, (0, 0): Fraction(-1, 3), (1, 2): GaussianRational(1, -2), (2, 0): 5}),
+        *squares,
+        PolyZZbar.zero(),
+        PolyZZbar.constant(GaussianRational(Fraction(1, 3), -1)),
+        x**2 * y * Fraction(1, 7) - x * 3 + PolyRealN.constant(2, Fraction(1, 2)),
+        lambda z: np.conj(z) ** 2 - 1j * z,
+    ]
+    assert list(squares[0]._terms) != [key for key, _ in squares[0].terms()]
+    points = [boundary_grid(E21, 64).z, area_quadrature(Ellipse(2, 1, 1, -1), 8)[0]]
+    for f in cases:
+        for z in points:
+            values = poly_values(f, z)
+            assert values.shape == z.shape
+            assert values.tobytes() == monomial_loop_values(f, z).tobytes()
+
+
 # -- memoised grids, area rules and bases ------------------------------------------
 
 SHIFTED = Ellipse(2, 1, Fraction(1, 3), Fraction(-1, 2))
@@ -401,9 +477,10 @@ def test_warm_harmonic_compare_bit_identical_to_cold(disc):
 def test_memoised_results_are_read_only():
     grid = boundary_grid(E21, 64)
     z, w = area_quadrature(E21, 8)
-    V, _, _ = boundary._grid_basis(grid, 4)
-    W, _, _ = boundary._area_basis(E21, 8, 4)
-    for array in (grid.t, grid.z, grid.ds, grid.omega, grid.tangent, z, w, V, W):
+    A, sqrt_w, _, _ = boundary._grid_basis(grid, 4)
+    B, sqrt_area_w, _, _ = boundary._area_basis(E21, 8, 4)
+    arrays = (grid.t, grid.z, grid.ds, grid.omega, grid.tangent, z, w)
+    for array in (*arrays, A, sqrt_w, B, sqrt_area_w):
         with pytest.raises(ValueError):
             array[0] = 0
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -413,8 +490,10 @@ def test_memoised_results_are_read_only():
     assert boundary_grid(E21, M=64, weighted=True) is grid
     assert area_quadrature(E21, 8)[0] is z
     assert area_quadrature(E21, quad_order=8)[0] is z
-    assert boundary._grid_basis(grid, 4)[0] is V
-    assert boundary._area_basis(E21, 8, 4)[0] is W
+    assert boundary._grid_basis(grid, 4)[0] is A
+    assert boundary._grid_basis(grid, 4)[1] is sqrt_w
+    assert boundary._area_basis(E21, 8, 4)[0] is B
+    assert boundary._area_basis(E21, 8, 4)[1] is sqrt_area_w
 
 
 def test_hand_built_grid_copies_its_arrays():
@@ -457,13 +536,20 @@ def test_hand_built_grid_gets_its_own_basis():
     grid = boundary_grid(E21, 64)
     # same ellipse and M, nodes turned by half a step along the boundary
     t = grid.t + np.pi / 64
-    other = dataclasses.replace(grid, t=t, z=2 * np.cos(t) + 1j * np.sin(t))
+    x, y = 2 * np.cos(t), np.sin(t)
+    other = dataclasses.replace(
+        grid, t=t, z=x + 1j * y, omega=1 / np.abs(x / 4 + 1j * y),
+        ds=np.hypot(2 * np.sin(t), np.cos(t)) * (2 * np.pi / 64),
+    )
     f = ZB * Z + ZB**3
     on_grid = numerical_szego(grid, f, 8)
     on_other = numerical_szego(other, f, 8)
-    V_other, center, scale = boundary._grid_basis(other, 8)
-    assert np.array_equal(V_other, np.vander((other.z - center) / scale, 9, increasing=True))
-    assert not np.array_equal(V_other, boundary._grid_basis(grid, 8)[0])
+    A_other, sqrt_w, center, scale = boundary._grid_basis(other, 8)
+    assert np.array_equal(sqrt_w, np.sqrt(other.omega * other.ds))
+    V = np.vander((other.z - center) / scale, 9, increasing=True)
+    assert np.array_equal(A_other, V * sqrt_w[:, None])
+    assert not np.array_equal(A_other, boundary._grid_basis(grid, 8)[0])
+    assert not np.array_equal(sqrt_w, boundary._grid_basis(grid, 8)[1])
     assert not np.array_equal(on_other.coefficients, on_grid.coefficients)
     szegopoly.clear_caches()
     _assert_same_projection(numerical_szego(other, f, 8), on_other)

@@ -237,6 +237,44 @@ def test_bad_numeric_arguments_are_bad_input(capsys, argv, message):
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "extra, flags",
+    [
+        (("--poly", "garbage((("), "--poly"),
+        (("--poly-file", "no-such-file.txt"), "--poly-file"),
+        (("--tol", "1e-300"), "--tol"),
+        (("--tol", "1e-300", "--poly", "garbage((("), "--poly, --tol"),
+    ],
+    ids=["poly", "poly-file", "tol", "tol-and-poly"],
+)
+def test_experiment_szbar_refuses_the_options_it_never_reads(capsys, extra, flags):
+    code, out, err = run_cli(
+        capsys, "experiment", "szbar", "--ellipse", "2,1", "--nodes", "64",
+        "--degree", "4", *extra,
+    )
+    assert code == 2
+    assert out == ""
+    assert err == f"error: experiment szbar takes no {flags}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("suite", "--ellipse", "garbage"), "unrecognized arguments: --ellipse garbage"),
+        (("dirichlet", "--ellipse", "not,an,ellipse", "--ellipsoid", "e.json",
+          "--poly", "x"), "argument --ellipsoid: not allowed with argument --ellipse"),
+    ],
+    ids=["suite-ellipse", "dirichlet-ellipse-and-ellipsoid"],
+)
+def test_options_a_command_never_reads_are_bad_input(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert message in captured.err
+
+
 def test_projection_below_basis_degree_passes_although_input_is_above():
     # |z|^14 = 1 on the unit circle, so deg f = 14 > 12 but deg h = 0
     assert main(["verify", "--ellipse", "1,1", "--poly", "z^7*zbar^7",

@@ -53,9 +53,12 @@ def unit_ball(n):
 # -- domain validation ----------------------------------------------------------
 
 def test_defining_poly_of_disc():
-    r = unit_disc().defining_poly()
+    disc = unit_disc()
+    r = disc.defining_poly()
     assert r == X * X + Y * Y - PolyRealN.constant(2, 1)
     assert r.degree() == 2
+    assert disc.defining_poly() is r  # built once per instance
+    assert disc == unit_disc() and hash(disc) == hash(unit_disc())
 
 
 def test_center_value_is_minus_one():
