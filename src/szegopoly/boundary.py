@@ -11,15 +11,17 @@ built on them.
 The holomorphic basis is the centered, scaled monomial family
 phi_k(z) = ((z - center)/s)^k with s = max(a, b); raw monomials on an
 eccentric ellipse become catastrophically ill-conditioned past degree ~15,
-so the Vandermonde system is solved by SVD-backed least squares and the
-condition number is estimated and reported.
+so the weighted Vandermonde system is solved through its singular value
+decomposition and the condition number is estimated and reported.
 
 Nodes, weights and bases do not depend on the data: each boundary grid
 (per ellipse, M and weighting), each area rule (per ellipse and order) and
 each fit's weighted basis (per grid object and degree, or per area rule and
 degree) is built once and kept in a bounded functools.lru_cache memo, which
-szegopoly.clear_caches() empties.  The shared arrays are read-only; only the
-data values and the least-squares fit are computed per call.
+szegopoly.clear_caches() empties.  A basis is kept as its thin SVD, in place
+of the matrix, so a fit is two matrix-vector products with the factors.
+The shared arrays are read-only; only the data values and those products
+are computed per call.
 """
 
 from __future__ import annotations
@@ -137,6 +139,11 @@ def poly_values(f, z: np.ndarray) -> np.ndarray:
     return np.asarray(f(z), dtype=complex)
 
 
+def _float_pairs(values) -> list[list[float]]:
+    """[re, im] pairs of Python floats, which text output prints plainly."""
+    return [[float(c.real), float(c.imag)] for c in values]
+
+
 @dataclass
 class NumericalProjection:
     """Least-squares holomorphic fit in a grid inner product."""
@@ -160,7 +167,7 @@ class NumericalProjection:
             "basis": "((z - center)/scale)^k",
             "center": [self.center.real, self.center.imag],
             "scale": self.scale,
-            "coefficients": [[c.real, c.imag] for c in self.coefficients],
+            "coefficients": _float_pairs(self.coefficients),
             "residual_norm": self.residual_norm,
             "condition_estimate": self.condition_estimate,
             "warning": self.warning,
@@ -168,14 +175,22 @@ class NumericalProjection:
 
 
 def _basis_matrix(z, weights, e: Ellipse, degree: int):
-    """Read-only (A, sqrt_w, center, scale) for a fit on the nodes z: A is
-    the Vandermonde matrix of phi_0..phi_degree, row j scaled by sqrt_w[j],
-    the square root of node j's quadrature weight."""
+    """Read-only (U, s, Vh, sqrt_w, center, scale) for a fit on the nodes z:
+    the thin SVD U*diag(s)*Vh of the weighted basis A, the Vandermonde
+    matrix of phi_0..phi_degree with row j scaled by sqrt_w[j], the square
+    root of node j's quadrature weight.  A itself is not kept: U has its
+    shape, and the other factors are small."""
     center = complex(float(e.h), float(e.k))
     scale = float(max(e.a, e.b))
     V = np.vander((z - center) / scale, degree + 1, increasing=True)
     sqrt_w = np.sqrt(weights)
-    return _read_only(V * sqrt_w[:, None]), _read_only(sqrt_w), center, scale
+    # Scaled in place, so A never exists beside V while it is factored.
+    V *= sqrt_w[:, None]
+    U, s, Vh = np.linalg.svd(V, full_matrices=False)
+    return (
+        _read_only(U), _read_only(s), _read_only(Vh), _read_only(sqrt_w),
+        center, scale,
+    )
 
 
 @lru_cache(maxsize=QUADRATURE_CACHE_SIZE)
@@ -190,15 +205,26 @@ def _area_basis(e: Ellipse, quad_order: int, degree: int):
     return _basis_matrix(*_area_quadrature(e, quad_order), e, degree)
 
 
+def _adjoint_u(U: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """U^H v, computed as conj(conj(v) U) so that no conjugate of U is made."""
+    return np.conj(np.conj(v) @ U)
+
+
 def _fit(z, basis, f) -> NumericalProjection:
-    """Least-squares fit of f on the nodes z by the weighted basis
-    (A, sqrt_w, center, scale) of _basis_matrix on those nodes, each squared
-    residual weighted by its node's quadrature weight."""
-    A, sqrt_w, center, scale = basis
+    """Least-squares fit of f on the nodes z by the factored weighted basis
+    (U, s, Vh, sqrt_w, center, scale) of _basis_matrix on those nodes, each
+    squared residual weighted by its node's quadrature weight.
+
+    The minimum-norm solution Vh^H (U^H rhs / s) of np.linalg.lstsq with
+    rcond=None: singular values at most eps*max(M, n)*s[0] count as zero."""
+    U, s, Vh, sqrt_w, center, scale = basis
     rhs = poly_values(f, z) * sqrt_w
-    coeffs, _, _, s = np.linalg.lstsq(A, rhs, rcond=None)
-    residual = float(np.linalg.norm(A @ coeffs - rhs))
-    # 2-norm condition number from the singular values lstsq already has.
+    beta = _adjoint_u(U, rhs)
+    keep = s > np.finfo(float).eps * max(U.shape[0], Vh.shape[1]) * s[0]
+    beta[~keep] = 0
+    coeffs = Vh[keep].conj().T @ (beta[keep] / s[keep])
+    residual = float(np.linalg.norm(U @ beta - rhs))
+    # 2-norm condition number of the weighted basis, from its singular values.
     cond = float(s[0] / s[-1]) if s[-1] > 0 else float("inf")
     warning = None
     if cond > CONDITION_WARN_THRESHOLD:
@@ -297,8 +323,9 @@ def bergman_residual_orthogonality(
     require_quad_order(f, proj.basis_degree(), quad_order)
     z, _ = area_quadrature(e, quad_order)
     resid = poly_values(f, z) - proj.evaluate(z)
-    A, sqrt_w, _, _ = _area_basis(e, quad_order, proj.basis_degree())
-    inner = np.conj(A.T) @ (sqrt_w * resid)
+    U, s, Vh, sqrt_w, _, _ = _area_basis(e, quad_order, proj.basis_degree())
+    # A^H v = Vh^H (s * U^H v) for the factored weighted basis A.
+    inner = Vh.conj().T @ (s * _adjoint_u(U, sqrt_w * resid))
     return float(np.max(np.abs(inner)))
 
 
@@ -346,7 +373,7 @@ class SzbarReport:
             "ellipse": self.ellipse.to_json_dict(),
             "M": self.M,
             "basis_degree": self.basis_degree,
-            "coefficients": [[c.real, c.imag] for c in self.projection.coefficients],
+            "coefficients": _float_pairs(self.projection.coefficients),
             "deviations": {
                 "from_constant": self.deviation_from_constant,
                 "from_span_1_z": self.deviation_from_span_1_z,
@@ -403,10 +430,8 @@ class HarmonicCompareReport:
             "experiment": "harmonic_szego_bergman",
             "ellipse": self.ellipse.to_json_dict(),
             "max_coeff_deviation": self.max_coeff_deviation,
-            "szego_coefficients": [[c.real, c.imag] for c in self.szego.coefficients],
-            "bergman_coefficients": [
-                [c.real, c.imag] for c in self.bergman.coefficients
-            ],
+            "szego_coefficients": _float_pairs(self.szego.coefficients),
+            "bergman_coefficients": _float_pairs(self.bergman.coefficients),
         }
 
 
@@ -452,12 +477,8 @@ class CompareReport:
             "M": self.M,
             "basis_degree": self.basis_degree,
             "max_coeff_deviation": self.max_coeff_deviation,
-            "symbolic_coefficients": [
-                [c.real, c.imag] for c in self.symbolic_coefficients
-            ],
-            "numeric_coefficients": [
-                [c.real, c.imag] for c in self.numeric.coefficients
-            ],
+            "symbolic_coefficients": _float_pairs(self.symbolic_coefficients),
+            "numeric_coefficients": _float_pairs(self.numeric.coefficients),
             "condition_estimate": self.numeric.condition_estimate,
         }
 

@@ -477,12 +477,12 @@ def test_warm_harmonic_compare_bit_identical_to_cold(disc):
 def test_memoised_results_are_read_only():
     grid = boundary_grid(E21, 64)
     z, w = area_quadrature(E21, 8)
-    A, sqrt_w, _, _ = boundary._grid_basis(grid, 4)
-    B, sqrt_area_w, _, _ = boundary._area_basis(E21, 8, 4)
+    grid_basis = boundary._grid_basis(grid, 4)
+    area_basis = boundary._area_basis(E21, 8, 4)
     arrays = (grid.t, grid.z, grid.ds, grid.omega, grid.tangent, z, w)
-    for array in (*arrays, A, sqrt_w, B, sqrt_area_w):
+    for array in (*arrays, *grid_basis[:4], *area_basis[:4]):
         with pytest.raises(ValueError):
-            array[0] = 0
+            array.flat[0] = 0
     with pytest.raises(dataclasses.FrozenInstanceError):
         grid.M = 32
     assert boundary_grid(E21, 64) is grid
@@ -490,10 +490,10 @@ def test_memoised_results_are_read_only():
     assert boundary_grid(E21, M=64, weighted=True) is grid
     assert area_quadrature(E21, 8)[0] is z
     assert area_quadrature(E21, quad_order=8)[0] is z
-    assert boundary._grid_basis(grid, 4)[0] is A
-    assert boundary._grid_basis(grid, 4)[1] is sqrt_w
-    assert boundary._area_basis(E21, 8, 4)[0] is B
-    assert boundary._area_basis(E21, 8, 4)[1] is sqrt_area_w
+    for again, first in zip(boundary._grid_basis(grid, 4)[:4], grid_basis[:4]):
+        assert again is first
+    for again, first in zip(boundary._area_basis(E21, 8, 4)[:4], area_basis[:4]):
+        assert again is first
 
 
 def test_hand_built_grid_copies_its_arrays():
@@ -544,12 +544,12 @@ def test_hand_built_grid_gets_its_own_basis():
     f = ZB * Z + ZB**3
     on_grid = numerical_szego(grid, f, 8)
     on_other = numerical_szego(other, f, 8)
-    A_other, sqrt_w, center, scale = boundary._grid_basis(other, 8)
+    U, s, Vh, sqrt_w, center, scale = boundary._grid_basis(other, 8)
     assert np.array_equal(sqrt_w, np.sqrt(other.omega * other.ds))
     V = np.vander((other.z - center) / scale, 9, increasing=True)
-    assert np.array_equal(A_other, V * sqrt_w[:, None])
-    assert not np.array_equal(A_other, boundary._grid_basis(grid, 8)[0])
-    assert not np.array_equal(sqrt_w, boundary._grid_basis(grid, 8)[1])
+    assert np.allclose((U * s) @ Vh, V * sqrt_w[:, None], rtol=1e-12, atol=0)
+    for mine, memoised in zip((U, s, Vh, sqrt_w), boundary._grid_basis(grid, 8)):
+        assert not np.array_equal(mine, memoised)
     assert not np.array_equal(on_other.coefficients, on_grid.coefficients)
     szegopoly.clear_caches()
     _assert_same_projection(numerical_szego(other, f, 8), on_other)
@@ -576,3 +576,109 @@ def test_validation_runs_before_lookup_when_warm():
         area_quadrature(E21, 0)
     # no lookup either: every hit and miss count is unchanged
     assert [memo.cache_info() for memo in boundary._MEMOS] == infos
+
+
+# -- the factored fit against np.linalg.lstsq --------------------------------------
+
+EPS = np.finfo(float).eps
+
+
+def _assert_fit_matches_lstsq(proj, z, basis, f):
+    """proj agrees with np.linalg.lstsq(rcond=None) on the weighted basis
+    rebuilt from its nodes, and both keep the same rank, which is returned.
+    Coefficients agree within 64*eps times the condition number of the kept
+    singular values times |coeffs| + |rhs|/|A|, the residual within
+    64*eps*|rhs| plus |A| times that coefficient bound, and the inverse
+    condition estimate within 64*eps; the warning is set on both or
+    neither."""
+    _, s, _, sqrt_w, center, scale = basis
+    A = np.vander((z - center) / scale, proj.basis_degree() + 1, increasing=True)
+    A *= sqrt_w[:, None]
+    rhs = poly_values(f, z) * sqrt_w
+    coeffs, _, rank, lstsq_s = np.linalg.lstsq(A, rhs, rcond=None)
+    assert np.count_nonzero(s > EPS * max(A.shape) * s[0]) == rank
+    kept_cond = lstsq_s[0] / lstsq_s[rank - 1]
+    # eps-sized relative changes to A and to rhs, through the kept singular values
+    coeff_bound = 64 * EPS * kept_cond * (
+        np.linalg.norm(coeffs) + np.linalg.norm(rhs) / lstsq_s[0]
+    )
+    assert np.linalg.norm(proj.coefficients - coeffs) <= coeff_bound
+    # |A| times the coefficient bound, for A @ coeffs on the lstsq side
+    residual_bound = 64 * EPS * np.linalg.norm(rhs) + lstsq_s[0] * coeff_bound
+    lstsq_residual = np.linalg.norm(A @ coeffs - rhs)
+    assert abs(proj.residual_norm - lstsq_residual) <= residual_bound
+    assert abs(1 / proj.condition_estimate - lstsq_s[-1] / lstsq_s[0]) <= 64 * EPS
+    lstsq_warns = lstsq_s[0] > boundary.CONDITION_WARN_THRESHOLD * lstsq_s[-1]
+    assert (proj.warning is not None) == lstsq_warns
+    return rank
+
+
+@pytest.mark.parametrize(
+    "e, M, degree, rank, warns",
+    [(SHIFTED, 1024, 12, 13, False),
+     (Ellipse(5, 1, Fraction(2, 3), 0), 1024, 40, 41, True),
+     (Ellipse(9, 1), 512, 60, 47, True)],
+    ids=["well-conditioned", "warned", "rank-deficient"],
+)
+def test_factored_fit_matches_lstsq(e, M, degree, rank, warns):
+    grid = boundary_grid(e, M)
+    proj = numerical_szego(grid, F_MIXED, degree)
+    assert (proj.warning is not None) == warns
+    basis = boundary._grid_basis(grid, degree)
+    assert _assert_fit_matches_lstsq(proj, grid.z, basis, F_MIXED) == rank
+
+
+@st.composite
+def fit_cases(draw):
+    """A rational ellipse, data f of degree <= 6 and a basis degree <= 12."""
+    def ratio(lo, hi):
+        return Fraction(draw(st.integers(lo, hi)), draw(st.integers(1, 6)))
+
+    e = Ellipse(ratio(1, 18), ratio(1, 18), ratio(-6, 6), ratio(-6, 6))
+    f = random_poly_zzbar(
+        draw(st.randoms(use_true_random=False)), draw(st.integers(0, 6)),
+        coefficient=unit_box_coefficient,
+    )
+    return e, f, draw(st.integers(0, 12)), draw(st.booleans())
+
+
+@settings(max_examples=30, deadline=None)
+@given(fit_cases())
+def test_factored_fit_matches_lstsq_on_random_ellipses(case):
+    e, f, degree, on_boundary = case
+    if on_boundary:
+        grid = boundary_grid(e, 128)
+        proj = numerical_szego(grid, f, degree)
+        _assert_fit_matches_lstsq(proj, grid.z, boundary._grid_basis(grid, degree), f)
+        return
+    order = 2 * (degree + max(f.degree(), 0)) + 4
+    z, _ = area_quadrature(e, order)
+    proj = numerical_bergman(e, f, degree, order)
+    basis = boundary._area_basis(e, order, degree)
+    _assert_fit_matches_lstsq(proj, z, basis, f)
+    # the orthogonality check's A^H v through the factors, against A itself
+    _, s, _, sqrt_w, center, scale = basis
+    A = np.vander((z - center) / scale, degree + 1, increasing=True) * sqrt_w[:, None]
+    v = sqrt_w * (poly_values(f, z) - proj.evaluate(z))
+    direct = np.max(np.abs(np.conj(A.T) @ v))
+    orthogonality = bergman_residual_orthogonality(e, f, proj, order)
+    assert abs(orthogonality - direct) <= 64 * EPS * s[0] * np.linalg.norm(v)
+
+
+def test_basis_memo_holds_one_node_sized_matrix():
+    grid = boundary_grid(E21, 256)
+    z, _ = area_quadrature(E21, 32)
+    for nodes, basis in (
+        (grid.z, boundary._grid_basis(grid, 12)),
+        (z, boundary._area_basis(E21, 32, 12)),
+    ):
+        M, n = len(nodes), 13
+        U, s, Vh, sqrt_w, center, scale = basis
+        arrays = [x for x in basis if isinstance(x, np.ndarray)]
+        assert [a is U for a in arrays if a.ndim == 2 and a.shape[0] == M] == [True]
+        # U owns exactly the bytes the weighted basis A had
+        assert U.dtype == np.complex128 and U.base is None
+        assert U.nbytes == M * n * np.dtype(np.complex128).itemsize
+        assert (sqrt_w.shape, s.shape, Vh.shape) == ((M,), (n,), (n, n))
+        assert all(a.base is None for a in arrays)
+        assert isinstance(center, complex) and isinstance(scale, float)

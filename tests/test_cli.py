@@ -139,6 +139,22 @@ def test_experiment_harmonic_compare(capsys):
     assert report["passed"] is True
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--ellipse", "2,1,1/3,-1/2", "--poly", "z^2*zbar"),
+        ("experiment", "szbar", "--ellipse", "2,1"),
+        ("experiment", "harmonic-compare", "--ellipse", "1,1", "--poly", "x^2-y^2"),
+    ],
+    ids=["verify", "szbar", "harmonic-compare"],
+)
+def test_text_output_prints_plain_floats(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv, "--nodes", "256", "--degree", "8", "--no-timestamp")
+    assert code == 0
+    assert "coefficients: [[" in out
+    assert "np." not in out
+
+
 def test_parse_error_exit_code_and_message(capsys):
     code, out, err = run_cli(capsys, "szego", "--ellipse", "2,1,0,0", "--poly", "z +")
     assert code == 2
