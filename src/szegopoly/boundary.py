@@ -21,7 +21,15 @@ degree) is built once and kept in a bounded functools.lru_cache memo, which
 szegopoly.clear_caches() empties.  A basis is kept as its thin SVD, in place
 of the matrix, so a fit is two matrix-vector products with the factors.
 The shared arrays are read-only; only the data values and those products
-are computed per call.
+are computed per call.  A grid or area rule has at most MAX_NODES nodes and
+a basis at most MAX_BASIS_CELLS entries; larger requests raise ValueError.
+
+Exact polynomials enter the float side in two ways.  Data values come from
+the ring's own evaluation loop, which computes each node power once per
+call.  An exact projection is rebased onto the phi basis by Horner's rule
+on Gaussian integers over one common denominator, and each coefficient is
+reduced once and rounded once, so it is the exact coefficient correctly
+rounded.
 """
 
 from __future__ import annotations
@@ -36,7 +44,7 @@ import numpy as np
 from .dirichlet import is_harmonic
 from .domains import Ellipse
 from .polynomials import PolyRealN, PolyZZbar, xy_to_zzbar
-from .rational import GaussianRational
+from .rational import _cleared, _reduce
 from .szego import szego_project
 
 CONDITION_WARN_THRESHOLD = 1e10
@@ -50,6 +58,15 @@ QUADRATURE_CACHE_SIZE = 4
 
 # Default order of the area rule of every Bergman fit and check.
 AREA_QUAD_ORDER = 48
+
+# Bounds on the size of a fit.  A boundary grid or area rule holds at most
+# MAX_NODES nodes, and a weighted basis at most MAX_BASIS_CELLS entries
+# (nodes times basis size), 32 MB of complex entries; the basis, its left
+# factor U of the same shape and the SVD's workspace then take about 130 MB
+# while it is factored.  Past them a request raises ValueError before
+# anything of its size is allocated.
+MAX_NODES = 1 << 16
+MAX_BASIS_CELLS = 1 << 21
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -84,13 +101,16 @@ class BoundaryGrid:
 
 
 def boundary_grid(e: Ellipse, M: int, weighted: bool = True) -> BoundaryGrid:
-    """The M-node boundary grid; M must be even and at least 16.
+    """The M-node boundary grid; M must be even, at least 16 and at most
+    MAX_NODES.
 
     Memoised per (e, M, weighted): repeated calls return the same read-only
     grid, however weighted is passed.
     """
     if M < 16 or M % 2 != 0:
         raise ValueError(f"node count must be even and >= 16, got {M}")
+    if M > MAX_NODES:
+        raise ValueError(f"node count {M} exceeds MAX_NODES = {MAX_NODES}")
     return _boundary_grid(e, M, weighted)
 
 
@@ -179,7 +199,14 @@ def _basis_matrix(z, weights, e: Ellipse, degree: int):
     the thin SVD U*diag(s)*Vh of the weighted basis A, the Vandermonde
     matrix of phi_0..phi_degree with row j scaled by sqrt_w[j], the square
     root of node j's quadrature weight.  A itself is not kept: U has its
-    shape, and the other factors are small."""
+    shape, and the other factors are small.  A has at most MAX_BASIS_CELLS
+    entries."""
+    cells = len(z) * (degree + 1)
+    if cells > MAX_BASIS_CELLS:
+        raise ValueError(
+            f"basis of {len(z)} nodes by {degree + 1} functions has {cells} "
+            f"entries, more than MAX_BASIS_CELLS = {MAX_BASIS_CELLS}"
+        )
     center = complex(float(e.h), float(e.k))
     scale = float(max(e.a, e.b))
     V = np.vander((z - center) / scale, degree + 1, increasing=True)
@@ -262,10 +289,16 @@ def area_quadrature(e: Ellipse, quad_order: int) -> tuple[np.ndarray, np.ndarray
     the trapezoid rule theta_k = 2*pi*k/quad_order, which is exact for
     trigonometric polynomials of degree < quad_order; Gauss-Legendre in theta
     is not, and fits at different orders would disagree.  Memoised per
-    (e, quad_order): repeated calls return the same read-only arrays.
+    (e, quad_order): repeated calls return the same read-only arrays.  The
+    quad_order**2 nodes may number at most MAX_NODES.
     """
     if quad_order < 1:
         raise ValueError(f"quadrature order must be positive, got {quad_order}")
+    if quad_order**2 > MAX_NODES:
+        raise ValueError(
+            f"quadrature order {quad_order} gives {quad_order**2} nodes, "
+            f"more than MAX_NODES = {MAX_NODES}"
+        )
     return _area_quadrature(e, quad_order)
 
 
@@ -337,20 +370,43 @@ def holomorphic_coeffs_in_scaled_basis(
 ) -> np.ndarray:
     """Exact coefficients of a holomorphic p in the phi basis, then floats.
 
-    Substitutes z = center + s*w with rational center and scale, expands
-    by Horner's rule in the ring, exactly, and converts at the end.
+    Substitutes z = c + s*w, for the rational center c and scale s, by
+    Horner's rule on Gaussian integers.  p's coefficients x_k are written
+    over their common denominator D, and c and s over T = den(c)*den(s),
+    so that alpha = c*T and beta = s*T are integral.  The step
+    Q <- Q*(alpha + beta*w) + D*x_k*T^(N-k), from k = N = deg p down to 0,
+    leaves D*T^N times the exact coefficients in Q; each is reduced once,
+    over D*T^N, and rounded to a complex float.
     """
     if not p.is_holomorphic():
         raise ValueError("basis conversion requires a holomorphic polynomial")
-    if p.degree() > degree:
-        raise ValueError(
-            f"polynomial degree {p.degree()} exceeds basis degree {degree}"
-        )
-    shifted = PolyZZbar({(0, 0): GaussianRational(e.h, e.k), (1, 0): max(e.a, e.b)})
-    q = PolyZZbar.zero()
-    for n in range(p.degree(), -1, -1):
-        q = q * shifted + PolyZZbar.constant(p.coefficient(n, 0))
-    return np.array([complex(q.coefficient(j, 0)) for j in range(degree + 1)])
+    n = p.degree()
+    if n > degree:
+        raise ValueError(f"polynomial degree {n} exceeds basis degree {degree}")
+    if n < 0:
+        return np.zeros(degree + 1, dtype=complex)
+    scale = max(e.a, e.b)
+    t = math.lcm(e.h.denominator, e.k.denominator) * scale.denominator
+    ar, ai, beta = int(e.h * t), int(e.k * t), int(scale * t)
+    d, xs = _cleared([p.coefficient(j, 0) for j in range(n + 1)], bounded=False)
+    re = [0] * (degree + 1)
+    im = [0] * (degree + 1)
+    t_power = 1
+    for step, (xr, xi) in enumerate(reversed(xs)):
+        if step:
+            t_power *= t
+            # Q*(alpha + beta*w) from the top coefficient down, so that
+            # Q[j - 1] still holds its old value when Q[j] reads it.
+            for j in range(step, 0, -1):
+                qr, qi = re[j], im[j]
+                re[j] = ar * qr - ai * qi + beta * re[j - 1]
+                im[j] = ar * qi + ai * qr + beta * im[j - 1]
+            qr, qi = re[0], im[0]
+            re[0], im[0] = ar * qr - ai * qi, ar * qi + ai * qr
+        re[0] += xr * t_power
+        im[0] += xi * t_power
+    d *= t_power
+    return np.array([complex(_reduce(a, b, d)) for a, b in zip(re, im)])
 
 
 # -- experiment reports --------------------------------------------------------

@@ -154,13 +154,23 @@ def _require_positive_tol(tol) -> None:
 
 
 def _require_grid_args(args) -> None:
-    """--nodes and --degree as the boundary least-squares fit needs them."""
+    """--nodes and --degree as the boundary least-squares fit needs them,
+    within the fit size bounds of szegopoly.boundary."""
+    from .boundary import MAX_BASIS_CELLS, MAX_NODES
+
     if args.nodes < 16 or args.nodes % 2:
         raise InputError(f"--nodes must be even and >= 16, got {args.nodes}")
+    if args.nodes > MAX_NODES:
+        raise InputError(f"--nodes must be at most {MAX_NODES}, got {args.nodes}")
     if not 0 <= args.degree < args.nodes // 4:
         raise InputError(
             f"--degree must be >= 0 and below nodes/4 = {args.nodes // 4}, "
             f"got {args.degree}"
+        )
+    if args.nodes * (args.degree + 1) > MAX_BASIS_CELLS:
+        raise InputError(
+            f"--nodes times (--degree + 1) must be at most {MAX_BASIS_CELLS}, "
+            f"got {args.nodes} * {args.degree + 1}"
         )
 
 
@@ -296,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--poly-file", help="path to a polynomial text file")
         if numeric:
             p.add_argument("--nodes", type=int, default=1024,
-                           help="boundary quadrature nodes (even, >= 16)")
+                           help="boundary quadrature nodes (even, 16 to 65536)")
             p.add_argument("--degree", type=int, default=12,
                            help="holomorphic basis degree")
         p.add_argument("--out", help="write the report to this path")

@@ -31,7 +31,9 @@ remainder's monomials in a heap, so finding each leading term does not
 scan the remainder, and pulls each remainder coefficient as one
 rational._minus_dot when its key leads; the n-variable Laplacian likewise
 sums each output coefficient with one rational._int_dot.  Both reduce
-each coefficient once instead of once per contribution.
+each coefficient once instead of once per contribution.  Evaluation
+computes each power of each variable once, when a term first needs it,
+and reuses it for the later terms.
 
 Both types carry the Wirtinger / Laplace differential operators.  The
 Laplacian of a z-zbar polynomial is 4 * d/dz d/dzbar, which agrees with
@@ -342,14 +344,23 @@ class _SparsePoly:
         """The value at coords, one per variable: all GaussianRational for
         an exact GaussianRational value, or all complex (scalars, or numpy
         arrays evaluated elementwise) for a complex one.  Terms are summed
-        in graded-lex order, so float values do not depend on dict order."""
+        in graded-lex order, so float values do not depend on dict order.
+
+        Each power v**e is computed once, by the first term that needs it,
+        and kept in a per-variable dict from e to v**e for the later terms;
+        every product and sum is the one a term-by-term loop makes, so the
+        value is bit for bit the same."""
         exact = isinstance(coords[0], GaussianRational)
         total = ZERO if exact else 0j
+        powers = [{} for _ in coords]
         for key, c in self.terms():
             term = c if exact else complex(c)
-            for v, e in zip(coords, key):
+            for v, e, known in zip(coords, key, powers):
                 if e:
-                    term = term * v**e
+                    power = known.get(e)
+                    if power is None:
+                        power = known[e] = v**e
+                    term = term * power
             total = total + term
         return total
 

@@ -142,7 +142,8 @@ def szego_project(
     for (part, key), c in zip(_unknowns(N), system.solve(rhs)):
         if c:
             parts[part][key] = c
-    h, p, q = map(PolyZZbar, parts)
+    # The solver's values are nonzero GaussianRationals on valid keys.
+    h, p, q = map(f._new, parts)
     return SzegoDecomposition(input=f, projection=h, preimage=p, cofactor=q, N=N)
 
 

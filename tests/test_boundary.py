@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import szegopoly
 from szegopoly import boundary
@@ -28,7 +28,13 @@ from szegopoly.boundary import (
 from szegopoly.domains import Ellipse
 from szegopoly.polynomials import PolyRealN, PolyZZbar, xy_to_zzbar
 from szegopoly.rational import GaussianRational
-from szegopoly.sampling import random_holomorphic, random_poly_zzbar, unit_box_coefficient
+from szegopoly.sampling import (
+    random_coefficient,
+    random_holomorphic,
+    random_poly_zzbar,
+    unit_box_coefficient,
+)
+from szegopoly.szego import szego_project
 
 Z = PolyZZbar.var_z()
 ZB = PolyZZbar.var_zbar()
@@ -71,6 +77,21 @@ def test_grid_rejects_bad_node_counts():
         boundary_grid(DISC, 8)
     with pytest.raises(ValueError):
         boundary_grid(DISC, 17)
+
+
+def test_fit_sizes_are_bounded():
+    with pytest.raises(ValueError, match="MAX_NODES"):
+        boundary_grid(E21, boundary.MAX_NODES + 2)
+    order = math.isqrt(boundary.MAX_NODES)
+    assert area_quadrature(E21, order)[0].shape == (order**2,)
+    with pytest.raises(ValueError, match="MAX_NODES"):
+        area_quadrature(E21, order + 1)
+    grid = boundary_grid(E21, boundary.MAX_NODES)
+    widest = boundary.MAX_BASIS_CELLS // boundary.MAX_NODES - 1
+    with pytest.raises(ValueError, match="MAX_BASIS_CELLS"):
+        numerical_szego(grid, Z, widest + 1)
+    with pytest.raises(ValueError, match="MAX_BASIS_CELLS"):
+        numerical_bergman(E21, Z, widest + 1, order)
 
 
 def test_perimeter_value_and_convergence():
@@ -313,8 +334,6 @@ def test_harmonic_compare_input_validation():
 def test_vanishing_ideal_elements_vanish_on_boundary(rng, degree):
     # The r*q part of random decompositions must evaluate to ~0 on the
     # boundary: 64 sample points, 1e-12 relative to the coefficient scale.
-    from szegopoly.szego import szego_project
-
     grid = boundary_grid(E21, 64)
     f = random_poly_zzbar(rng, degree)
     v = E21.defining_poly_zzbar() * szego_project(E21, f).cofactor
@@ -385,6 +404,40 @@ def test_scaled_basis_conversion_matches_the_binomial_expansion(e):
         assert holomorphic_coeffs_in_scaled_basis(p, e, 12).tobytes() == expected.tobytes()
 
 
+@st.composite
+def rebase_cases(draw):
+    """A rational ellipse, a holomorphic p and a basis degree in [deg p, 12].
+
+    p is zero, a random holomorphic polynomial of degree <= 12, or the exact
+    weighted projection of random data of degree <= 4 on the ellipse."""
+    def ratio(lo, hi):
+        return Fraction(draw(st.integers(lo, hi)), draw(st.integers(1, 9)))
+
+    e = Ellipse(ratio(1, 20), ratio(1, 20), ratio(-9, 9), ratio(-9, 9))
+    rng = draw(st.randoms(use_true_random=False))
+    kind = draw(st.sampled_from(["zero", "random", "projection"]))
+    if kind == "zero":
+        p = PolyZZbar.zero()
+    elif kind == "random":
+        p = random_holomorphic(rng, draw(st.integers(0, 12)))
+    else:
+        f = random_poly_zzbar(rng, draw(st.integers(0, 4)), coefficient=unit_box_coefficient)
+        p = szego_project(e, f).projection
+    return e, p, draw(st.integers(max(p.degree(), 0), 12))
+
+
+@settings(max_examples=60, deadline=None)
+@given(rebase_cases())
+@example((Ellipse(Fraction(7, 3), Fraction(5, 4), Fraction(-1, 6), Fraction(2, 5)),
+          PolyZZbar.zero(), 12))
+@example((Ellipse(Fraction(7, 3), Fraction(5, 4), Fraction(-1, 6), Fraction(2, 5)),
+          Z**12 * GaussianRational(Fraction(-3, 7), Fraction(1, 11)) + Z * 5, 12))
+def test_rebasing_matches_the_binomial_expansion_on_random_ellipses(case):
+    e, p, degree = case
+    expected = binomial_scaled_coeffs(p, e, degree)
+    assert holomorphic_coeffs_in_scaled_basis(p, e, degree).tobytes() == expected.tobytes()
+
+
 def monomial_loop_values(f, z):
     """Reference evaluation: one numpy monomial per term, summed in graded-lex order."""
     z = np.asarray(z, dtype=complex)
@@ -419,6 +472,19 @@ def test_poly_values_match_the_monomial_loop():
             values = poly_values(f, z)
             assert values.shape == z.shape
             assert values.tobytes() == monomial_loop_values(f, z).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(0, 8), st.booleans())
+def test_poly_values_match_the_monomial_loop_on_random_polynomials(rng, degree, unit_box):
+    coefficient = unit_box_coefficient if unit_box else random_coefficient
+    f = random_poly_zzbar(rng, degree, coefficient=coefficient)
+    for z in (boundary_grid(E21, 64).z, area_quadrature(Ellipse(2, 1, 1, -1), 8)[0]):
+        scalar = complex(z[rng.randrange(len(z))])
+        for points in (z, scalar):
+            values = np.asarray(poly_values(f, points))
+            assert values.shape == np.shape(points)
+            assert values.tobytes() == np.asarray(monomial_loop_values(f, points)).tobytes()
 
 
 # -- memoised grids, area rules and bases ------------------------------------------

@@ -5,13 +5,18 @@ import json
 import pytest
 
 import szegopoly
+from szegopoly import boundary
 from szegopoly.acceptance import CriterionResult
+from szegopoly.boundary import MAX_BASIS_CELLS, MAX_NODES
 from szegopoly.cli import main
 from szegopoly.parsing import parse_poly_real, parse_poly_zzbar
 from szegopoly.polynomials import PolyRealN, PolyZZbar
 
 Z = PolyZZbar.var_z()
 ZB = PolyZZbar.var_zbar()
+
+# One basis column more than MAX_NODES nodes may carry.
+TOO_WIDE = str(MAX_BASIS_CELLS // MAX_NODES)
 
 
 def run_cli(capsys, *argv):
@@ -241,16 +246,26 @@ def test_bad_nodes_rejected(capsys):
         (("experiment", "szbar", "--nodes", "0"), "--nodes"),
         (("experiment", "harmonic-compare", "--poly", "x", "--degree", "22"),
          "quadrature order"),
+        (("verify", "--poly", "z", "--nodes", str(MAX_NODES + 2)), "--nodes must be at most"),
+        (("verify", "--poly", "z", "--nodes", str(MAX_NODES), "--degree", TOO_WIDE),
+         "--nodes times (--degree + 1)"),
+        (("experiment", "szbar", "--nodes", str(MAX_NODES + 2)), "--nodes must be at most"),
+        (("experiment", "harmonic-compare", "--poly", "x", "--nodes", str(MAX_NODES),
+          "--degree", TOO_WIDE), "--nodes times (--degree + 1)"),
     ],
     ids=["nodes-0", "degree-too-large", "degree-negative", "projection-too-high",
-         "szbar-nodes-0", "quadrature-too-coarse"],
+         "szbar-nodes-0", "quadrature-too-coarse", "nodes-past-bound",
+         "basis-past-bound", "szbar-nodes-past-bound", "harmonic-basis-past-bound"],
 )
 def test_bad_numeric_arguments_are_bad_input(capsys, argv, message):
+    szegopoly.clear_caches()
     code, out, err = run_cli(capsys, *argv, "--ellipse", "1,1")
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and message in err
     assert len(err.strip().splitlines()) == 1
+    # Refused before any quadrature grid is built.
+    assert boundary._boundary_grid.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize(

@@ -64,6 +64,40 @@ def test_z_squared_to_xy():
     assert zzbar_to_xy(Z * Z) == X * X - Y * Y + X * Y * GaussianRational(0, 2)
 
 
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "complex"])
+def test_evaluate_computes_each_power_once(monkeypatch, exact):
+    calls = []
+    real_pow = GaussianRational.__pow__
+
+    def counting_pow(self, n):
+        calls.append((self, n))
+        return real_pow(self, n)
+
+    class CountingComplex(complex):
+        def __pow__(self, n):
+            calls.append((self, n))
+            return complex(self) ** n
+
+    # Terms share powers: z^2 multiplies zbar^0, zbar^1, zbar^2 and zbar^3.
+    p = (Z + ZB * Fraction(2, 3) + PolyZZbar.constant(1)) ** 4 + Z**2 * ZB**3 * I
+    z = GaussianRational(Fraction(1, 3), -2) if exact else 0.3 - 2j
+    zbar = z.conjugate()
+    reference = sum(
+        ((c if exact else complex(c)) * z**a * zbar**b for (a, b), c in p.terms()),
+        GaussianRational(0) if exact else 0j,
+    )
+    if exact:
+        coords = (z, zbar)
+        monkeypatch.setattr(GaussianRational, "__pow__", counting_pow)
+    else:
+        coords = (CountingComplex(z), CountingComplex(zbar))
+    value = p._evaluate(coords)
+    distinct = {(coords[axis], key[axis]) for key in p._terms for axis in (0, 1) if key[axis]}
+    assert len(distinct) == 4 + 4  # z^1..z^4 and zbar^1..zbar^4
+    assert sorted(calls, key=repr) == sorted(distinct, key=repr)
+    assert value == reference
+
+
 @settings(max_examples=100, deadline=None)
 @given(zzbar_polys, real_polys(2, max_degree=6))
 def test_round_trip_random(p, q):
