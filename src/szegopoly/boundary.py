@@ -25,11 +25,14 @@ are computed per call.  A grid or area rule has at most MAX_NODES nodes and
 a basis at most MAX_BASIS_CELLS entries; larger requests raise ValueError.
 
 Exact polynomials enter the float side in two ways.  Data values come from
-the ring's own evaluation loop, which computes each node power once per
-call.  An exact projection is rebased onto the phi basis by Horner's rule
-on Gaussian integers over one common denominator, and each coefficient is
-reduced once and rounded once, so it is the exact coefficient correctly
-rounded.
+the ring's own evaluation loop.  Each memoised basis keeps a table of its
+nodes' powers z**e and conj(z)**e, for e up to the basis degree, which that
+loop fills on first use; later fits and checks on the basis read them, so
+a fit computes no node power once its basis has seen the data's exponents.
+Data of higher degree computes its powers once per call.  An exact
+projection is rebased onto the phi basis by Horner's rule on Gaussian
+integers over one common denominator, and each coefficient is reduced once
+and rounded once, so it is the exact coefficient correctly rounded.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -146,16 +150,47 @@ def inner_product(fvals: np.ndarray, gvals: np.ndarray, grid: BoundaryGrid) -> c
     return complex(np.sum(fvals * np.conj(gvals) * grid.omega * grid.ds))
 
 
-def poly_values(f, z: np.ndarray) -> np.ndarray:
-    """Evaluate a PolyZZbar, PolyRealN (dim 2) or callable on complex points."""
+class _ReadOnlyPowers(dict):
+    """Exponent e -> v**e on one memoised node array v.  Each array is
+    made read-only as it is stored, so no reader can change the table."""
+
+    __slots__ = ()
+
+    def __setitem__(self, e, power):
+        super().__setitem__(e, _read_only(power))
+
+
+class _NodePowers(NamedTuple):
+    """The node-power table of one memoised basis on the nodes z: z**e and
+    conj(z)**e for 1 <= e <= degree, the basis degree, each computed by
+    numpy ** the first time poly_values needs it.  Data of higher degree
+    does not use the table, so it holds at most 2*degree node-sized
+    arrays, about twice the basis's U."""
+
+    degree: int
+    z: _ReadOnlyPowers
+    zbar: _ReadOnlyPowers
+
+
+def poly_values(f, z: np.ndarray, powers: _NodePowers | None = None) -> np.ndarray:
+    """Evaluate a PolyZZbar, PolyRealN (dim 2) or callable on complex points.
+
+    A polynomial is evaluated by the ring's loop, which computes each power
+    of z and conj(z) once per call.  powers, the node-power table of a
+    memoised basis on the nodes z, supplies and keeps those powers instead
+    when f's degree is at most powers.degree.  The value is bit for bit
+    the same either way."""
     z = np.asarray(z, dtype=complex)
     if isinstance(f, PolyRealN):
         if f.dim != 2:
             raise ValueError("only 2-variable real polynomials map to the plane")
         f = xy_to_zzbar(f)
     if isinstance(f, PolyZZbar):
+        table = None
+        if powers is not None and f.degree() <= powers.degree:
+            table = (powers.z, powers.zbar)
         # Adding the zeros keeps the shape of z for a constant or zero f.
-        return np.zeros_like(z) + f._evaluate((z, np.conj(z)))
+        return np.zeros_like(z) + f._evaluate((z, np.conj(z)), table)
     return np.asarray(f(z), dtype=complex)
 
 
@@ -194,13 +229,25 @@ class NumericalProjection:
         }
 
 
-def _basis_matrix(z, weights, e: Ellipse, degree: int):
-    """Read-only (U, s, Vh, sqrt_w, center, scale) for a fit on the nodes z:
-    the thin SVD U*diag(s)*Vh of the weighted basis A, the Vandermonde
-    matrix of phi_0..phi_degree with row j scaled by sqrt_w[j], the square
-    root of node j's quadrature weight.  A itself is not kept: U has its
-    shape, and the other factors are small.  A has at most MAX_BASIS_CELLS
-    entries."""
+class _Basis(NamedTuple):
+    """A memoised fit basis on nodes z; see _basis_matrix."""
+
+    U: np.ndarray
+    s: np.ndarray
+    Vh: np.ndarray
+    sqrt_w: np.ndarray
+    center: complex
+    scale: float
+    powers: _NodePowers
+
+
+def _basis_matrix(z, weights, e: Ellipse, degree: int) -> _Basis:
+    """The basis of a fit on the nodes z: the thin SVD U*diag(s)*Vh of the
+    weighted basis A, the Vandermonde matrix of phi_0..phi_degree with row
+    j scaled by sqrt_w[j], the square root of node j's quadrature weight,
+    and an empty node-power table for the data.  A itself is not kept: U
+    has its shape, and the other factors are small.  The arrays are
+    read-only.  A has at most MAX_BASIS_CELLS entries."""
     cells = len(z) * (degree + 1)
     if cells > MAX_BASIS_CELLS:
         raise ValueError(
@@ -214,9 +261,9 @@ def _basis_matrix(z, weights, e: Ellipse, degree: int):
     # Scaled in place, so A never exists beside V while it is factored.
     V *= sqrt_w[:, None]
     U, s, Vh = np.linalg.svd(V, full_matrices=False)
-    return (
+    return _Basis(
         _read_only(U), _read_only(s), _read_only(Vh), _read_only(sqrt_w),
-        center, scale,
+        center, scale, _NodePowers(degree, _ReadOnlyPowers(), _ReadOnlyPowers()),
     )
 
 
@@ -237,15 +284,16 @@ def _adjoint_u(U: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.conj(np.conj(v) @ U)
 
 
-def _fit(z, basis, f) -> NumericalProjection:
+def _fit(z, basis: _Basis, f) -> NumericalProjection:
     """Least-squares fit of f on the nodes z by the factored weighted basis
-    (U, s, Vh, sqrt_w, center, scale) of _basis_matrix on those nodes, each
-    squared residual weighted by its node's quadrature weight.
+    of _basis_matrix on those nodes, each squared residual weighted by its
+    node's quadrature weight.  f is evaluated through the basis's
+    node-power table.
 
     The minimum-norm solution Vh^H (U^H rhs / s) of np.linalg.lstsq with
     rcond=None: singular values at most eps*max(M, n)*s[0] count as zero."""
-    U, s, Vh, sqrt_w, center, scale = basis
-    rhs = poly_values(f, z) * sqrt_w
+    U, s, Vh, sqrt_w = basis.U, basis.s, basis.Vh, basis.sqrt_w
+    rhs = poly_values(f, z, basis.powers) * sqrt_w
     beta = _adjoint_u(U, rhs)
     keep = s > np.finfo(float).eps * max(U.shape[0], Vh.shape[1]) * s[0]
     beta[~keep] = 0
@@ -260,7 +308,7 @@ def _fit(z, basis, f) -> NumericalProjection:
             f"{CONDITION_WARN_THRESHOLD:.0e}; coefficients may be inaccurate"
         )
     return NumericalProjection(
-        coefficients=coeffs, center=center, scale=scale,
+        coefficients=coeffs, center=basis.center, scale=basis.scale,
         residual_norm=residual, condition_estimate=cond, warning=warning,
     )
 
@@ -355,10 +403,12 @@ def bergman_residual_orthogonality(
     proj is evaluated at the nodes, so the check reads any projection."""
     require_quad_order(f, proj.basis_degree(), quad_order)
     z, _ = area_quadrature(e, quad_order)
-    resid = poly_values(f, z) - proj.evaluate(z)
-    U, s, Vh, sqrt_w, _, _ = _area_basis(e, quad_order, proj.basis_degree())
+    basis = _area_basis(e, quad_order, proj.basis_degree())
+    resid = poly_values(f, z, basis.powers) - proj.evaluate(z)
     # A^H v = Vh^H (s * U^H v) for the factored weighted basis A.
-    inner = Vh.conj().T @ (s * _adjoint_u(U, sqrt_w * resid))
+    inner = basis.Vh.conj().T @ (
+        basis.s * _adjoint_u(basis.U, basis.sqrt_w * resid)
+    )
     return float(np.max(np.abs(inner)))
 
 

@@ -340,19 +340,24 @@ class _SparsePoly:
                 out[key[:axis] + (e - 1,) + key[axis + 1 :]] = c * e
         return self._new(out)
 
-    def _evaluate(self, coords: Sequence):
+    def _evaluate(self, coords: Sequence, powers: Sequence | None = None):
         """The value at coords, one per variable: all GaussianRational for
         an exact GaussianRational value, or all complex (scalars, or numpy
         arrays evaluated elementwise) for a complex one.  Terms are summed
         in graded-lex order, so float values do not depend on dict order.
 
         Each power v**e is computed once, by the first term that needs it,
-        and kept in a per-variable dict from e to v**e for the later terms;
-        every product and sum is the one a term-by-term loop makes, so the
-        value is bit for bit the same."""
+        and kept in a per-variable dict from e to v**e for the later terms.
+        powers, when given, is that list of dicts, one per coordinate; it
+        is read and filled in place, so a caller that evaluates many
+        polynomials at the same coords computes each power once in all.
+        Every product and sum is the one a term-by-term loop makes (the
+        sum accumulates in place where the type allows), so the value is
+        bit for bit the same."""
         exact = isinstance(coords[0], GaussianRational)
         total = ZERO if exact else 0j
-        powers = [{} for _ in coords]
+        if powers is None:
+            powers = [{} for _ in coords]
         for key, c in self.terms():
             term = c if exact else complex(c)
             for v, e, known in zip(coords, key, powers):
@@ -361,7 +366,7 @@ class _SparsePoly:
                     if power is None:
                         power = known[e] = v**e
                     term = term * power
-            total = total + term
+            total += term
         return total
 
 

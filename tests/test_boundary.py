@@ -540,13 +540,18 @@ def test_warm_harmonic_compare_bit_identical_to_cold(disc):
     assert cold.max_coeff_deviation == warm.max_coeff_deviation
 
 
+def _factors(basis):
+    """The arrays of a memoised basis: the SVD factors and sqrt_w."""
+    return basis.U, basis.s, basis.Vh, basis.sqrt_w
+
+
 def test_memoised_results_are_read_only():
     grid = boundary_grid(E21, 64)
     z, w = area_quadrature(E21, 8)
     grid_basis = boundary._grid_basis(grid, 4)
     area_basis = boundary._area_basis(E21, 8, 4)
     arrays = (grid.t, grid.z, grid.ds, grid.omega, grid.tangent, z, w)
-    for array in (*arrays, *grid_basis[:4], *area_basis[:4]):
+    for array in (*arrays, *_factors(grid_basis), *_factors(area_basis)):
         with pytest.raises(ValueError):
             array.flat[0] = 0
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -556,9 +561,9 @@ def test_memoised_results_are_read_only():
     assert boundary_grid(E21, M=64, weighted=True) is grid
     assert area_quadrature(E21, 8)[0] is z
     assert area_quadrature(E21, quad_order=8)[0] is z
-    for again, first in zip(boundary._grid_basis(grid, 4)[:4], grid_basis[:4]):
+    for again, first in zip(_factors(boundary._grid_basis(grid, 4)), _factors(grid_basis)):
         assert again is first
-    for again, first in zip(boundary._area_basis(E21, 8, 4)[:4], area_basis[:4]):
+    for again, first in zip(_factors(boundary._area_basis(E21, 8, 4)), _factors(area_basis)):
         assert again is first
 
 
@@ -610,11 +615,12 @@ def test_hand_built_grid_gets_its_own_basis():
     f = ZB * Z + ZB**3
     on_grid = numerical_szego(grid, f, 8)
     on_other = numerical_szego(other, f, 8)
-    U, s, Vh, sqrt_w, center, scale = boundary._grid_basis(other, 8)
+    basis = boundary._grid_basis(other, 8)
+    U, s, Vh, sqrt_w = _factors(basis)
     assert np.array_equal(sqrt_w, np.sqrt(other.omega * other.ds))
-    V = np.vander((other.z - center) / scale, 9, increasing=True)
+    V = np.vander((other.z - basis.center) / basis.scale, 9, increasing=True)
     assert np.allclose((U * s) @ Vh, V * sqrt_w[:, None], rtol=1e-12, atol=0)
-    for mine, memoised in zip((U, s, Vh, sqrt_w), boundary._grid_basis(grid, 8)):
+    for mine, memoised in zip(_factors(basis), _factors(boundary._grid_basis(grid, 8))):
         assert not np.array_equal(mine, memoised)
     assert not np.array_equal(on_other.coefficients, on_grid.coefficients)
     szegopoly.clear_caches()
@@ -657,8 +663,8 @@ def _assert_fit_matches_lstsq(proj, z, basis, f):
     64*eps*|rhs| plus |A| times that coefficient bound, and the inverse
     condition estimate within 64*eps; the warning is set on both or
     neither."""
-    _, s, _, sqrt_w, center, scale = basis
-    A = np.vander((z - center) / scale, proj.basis_degree() + 1, increasing=True)
+    s, sqrt_w = basis.s, basis.sqrt_w
+    A = np.vander((z - basis.center) / basis.scale, proj.basis_degree() + 1, increasing=True)
     A *= sqrt_w[:, None]
     rhs = poly_values(f, z) * sqrt_w
     coeffs, _, rank, lstsq_s = np.linalg.lstsq(A, rhs, rcond=None)
@@ -723,8 +729,8 @@ def test_factored_fit_matches_lstsq_on_random_ellipses(case):
     basis = boundary._area_basis(e, order, degree)
     _assert_fit_matches_lstsq(proj, z, basis, f)
     # the orthogonality check's A^H v through the factors, against A itself
-    _, s, _, sqrt_w, center, scale = basis
-    A = np.vander((z - center) / scale, degree + 1, increasing=True) * sqrt_w[:, None]
+    s, sqrt_w = basis.s, basis.sqrt_w
+    A = np.vander((z - basis.center) / basis.scale, degree + 1, increasing=True) * sqrt_w[:, None]
     v = sqrt_w * (poly_values(f, z) - proj.evaluate(z))
     direct = np.max(np.abs(np.conj(A.T) @ v))
     orthogonality = bergman_residual_orthogonality(e, f, proj, order)
@@ -739,7 +745,7 @@ def test_basis_memo_holds_one_node_sized_matrix():
         (z, boundary._area_basis(E21, 32, 12)),
     ):
         M, n = len(nodes), 13
-        U, s, Vh, sqrt_w, center, scale = basis
+        U, s, Vh, sqrt_w = _factors(basis)
         arrays = [x for x in basis if isinstance(x, np.ndarray)]
         assert [a is U for a in arrays if a.ndim == 2 and a.shape[0] == M] == [True]
         # U owns exactly the bytes the weighted basis A had
@@ -747,4 +753,95 @@ def test_basis_memo_holds_one_node_sized_matrix():
         assert U.nbytes == M * n * np.dtype(np.complex128).itemsize
         assert (sqrt_w.shape, s.shape, Vh.shape) == ((M,), (n,), (n, n))
         assert all(a.base is None for a in arrays)
-        assert isinstance(center, complex) and isinstance(scale, float)
+        assert isinstance(basis.center, complex) and isinstance(basis.scale, float)
+
+
+# -- the node-power table of each memoised basis ------------------------------------
+
+
+def _bits(proj):
+    """The bytes of every float output of a fit."""
+    scalars = np.array([proj.residual_norm, proj.condition_estimate])
+    return np.asarray(proj.coefficients).tobytes(), scalars.tobytes(), proj.warning
+
+
+@st.composite
+def power_table_cases(draw):
+    """A rational ellipse, a basis degree in [1, 8], data whose degree is
+    below, at or above it, and grid or area fit."""
+    def ratio(lo, hi):
+        return Fraction(draw(st.integers(lo, hi)), draw(st.integers(1, 6)))
+
+    e = Ellipse(ratio(1, 18), ratio(1, 18), ratio(-6, 6), ratio(-6, 6))
+    degree = draw(st.integers(1, 8))
+    top = degree + draw(st.sampled_from([-1, 0, 2]))
+    rng = draw(st.randoms(use_true_random=False))
+    terms = dict(random_poly_zzbar(rng, top, coefficient=unit_box_coefficient).terms())
+    a = draw(st.integers(0, top))
+    terms[(a, top - a)] = GaussianRational(1, Fraction(a, 8))  # so deg f == top
+    return e, PolyZZbar(terms), degree, draw(st.booleans())
+
+
+@settings(max_examples=40, deadline=None)
+@given(power_table_cases())
+def test_fits_through_the_power_table_are_bit_identical(case):
+    e, f, degree, on_boundary = case
+    szegopoly.clear_caches()
+
+    def fresh(w):  # a callable never reads a power table
+        return poly_values(f, w)
+
+    if on_boundary:
+        grid = boundary_grid(e, 64)
+        # the first fit fills the table, the second reads it
+        fits = [numerical_szego(grid, data, degree) for data in (f, f, fresh)]
+        powers = boundary._grid_basis(grid, degree).powers
+    else:
+        order = 2 * (degree + f.degree()) + 4
+        fits = [numerical_bergman(e, data, degree, order) for data in (f, f, fresh)]
+        checks = [
+            bergman_residual_orthogonality(e, data, fits[0], order)
+            for data in (f, f, fresh)
+        ]
+        assert len({np.float64(c).tobytes() for c in checks}) == 1
+        powers = boundary._area_basis(e, order, degree).powers
+    assert _bits(fits[0]) == _bits(fits[1]) == _bits(fits[2])
+    assert bool(powers.z or powers.zbar) == (0 < f.degree() <= degree)
+
+
+def _table(powers):
+    """Every array a node-power table holds."""
+    return [*powers.z.values(), *powers.zbar.values()]
+
+
+def test_power_table_fills_once_within_the_basis_degree():
+    szegopoly.clear_caches()
+    f = Z**3 * ZB + ZB**2 - Z * GaussianRational(0, 1)
+    grid = boundary_grid(E21, 64)
+    first = numerical_szego(grid, f, 6)
+    powers = boundary._grid_basis(grid, 6).powers
+    assert powers.degree == 6
+    assert (sorted(powers.z), sorted(powers.zbar)) == ([1, 3], [1, 2])
+    for nodes, e, array in ((grid.z, 3, powers.z[3]), (np.conj(grid.z), 2, powers.zbar[2])):
+        assert array.tobytes() == (nodes**e).tobytes()
+    kept = _table(powers)
+    for array in kept:
+        assert array.shape == (64,)
+        with pytest.raises(ValueError):
+            array[0] = 0
+    # a second fit adds no entry and reads the same arrays
+    _assert_same_projection(numerical_szego(grid, f, 6), first)
+    assert all(a is b for a, b in zip(_table(powers), kept, strict=True))
+    # data above the basis degree leaves the table alone
+    numerical_szego(grid, Z**7 + ZB**5 * Z**3, 6)
+    assert len(_table(powers)) == len(kept)
+    # the area fit and its orthogonality check share one table
+    proj = numerical_bergman(E21, f, 6, 24)
+    area = boundary._area_basis(E21, 24, 6).powers
+    kept = _table(area)
+    assert len(kept) == 4
+    bergman_residual_orthogonality(E21, f, proj, 24)
+    assert all(a is b for a, b in zip(_table(area), kept, strict=True))
+    szegopoly.clear_caches()
+    assert not _table(boundary._grid_basis(grid, 6).powers)
+    assert not _table(boundary._area_basis(E21, 24, 6).powers)

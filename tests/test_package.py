@@ -35,14 +35,19 @@ print(json.dumps(steps), file=sys.stderr)
 """
 
 
-def test_exact_commands_never_import_numpy():
+def _run_python(*argv: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter with this checkout's src/ on the import path."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]
     ))
-    proc = subprocess.run(
-        [sys.executable, "-c", IMPORT_PROBE], env=env, capture_output=True,
-        text=True, timeout=120, check=True,
+    return subprocess.run(
+        [sys.executable, *argv], env=env, capture_output=True, text=True, timeout=120,
     )
+
+
+def test_exact_commands_never_import_numpy():
+    proc = _run_python("-c", IMPORT_PROBE)
+    assert proc.returncode == 0, proc.stderr
     steps = json.loads(proc.stderr.strip().splitlines()[-1])
     assert steps == {
         "import": False,
@@ -108,3 +113,13 @@ def test_clear_caches_empties_memos_behind_traced_builders(monkeypatch):
 
     szegopoly.clear_caches()
     assert not any(memo.cache_info().currsize for memo in memos)
+
+
+def test_python_dash_m_runs_the_cli():
+    proc = _run_python("-m", "szegopoly", "szego", "--ellipse", "2,1", "--poly", "z",
+                       "--format", "json", "--no-timestamp")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["projection"] == "(1+0i)*z^1*zbar^0"
+    proc = _run_python("-m", "szegopoly", "szego", "--ellipse", "2,zzz", "--poly", "z")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: bad ellipse parameter")

@@ -96,6 +96,12 @@ def test_evaluate_computes_each_power_once(monkeypatch, exact):
     assert len(distinct) == 4 + 4  # z^1..z^4 and zbar^1..zbar^4
     assert sorted(calls, key=repr) == sorted(distinct, key=repr)
     assert value == reference
+    # powers kept by the caller: a second evaluation computes none
+    kept = [{}, {}]
+    assert p._evaluate(coords, kept) == value
+    calls.clear()
+    assert p._evaluate(coords, kept) == value
+    assert not calls
 
 
 @settings(max_examples=100, deadline=None)
