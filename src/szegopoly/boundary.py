@@ -23,6 +23,8 @@ of the matrix, so a fit is two matrix-vector products with the factors.
 The shared arrays are read-only; only the data values and those products
 are computed per call.  A grid or area rule has at most MAX_NODES nodes and
 a basis at most MAX_BASIS_CELLS entries; larger requests raise ValueError.
+Every builder reads the ellipse through ellipse_floats, which raises
+ValueError for an ellipse whose nodes and weights do not fit in doubles.
 
 Exact polynomials enter the float side in two ways.  Data values come from
 the ring's own evaluation loop.  Each memoised basis keeps a table of its
@@ -104,6 +106,24 @@ class BoundaryGrid:
         return float(np.sum(self.ds))
 
 
+def ellipse_floats(e: Ellipse) -> tuple[float, float, float, float]:
+    """a, b, h and k of e as doubles.  ValueError unless a**2, b**2 and their
+    reciprocals are finite and nonzero and |h|/a and |k|/b are below 2**50,
+    so that a node h + a*cos(t) keeps its offset from h to within a/4 and no
+    gradient at a node is 0."""
+    try:
+        a, b, h, k = map(float, (e.a, e.b, e.h, e.k))
+    except OverflowError:
+        a = b = h = k = math.inf
+    if not (all(0 < x < math.inf and 1 / x < math.inf for x in (a * a, b * b))
+            and abs(h) < a * 2**50 and abs(k) < b * 2**50):
+        raise ValueError(
+            "ellipse is out of double range for the float harness: a^2, b^2 and "
+            "their reciprocals must be finite and nonzero, and |h|/a and |k|/b below 2^50"
+        )
+    return a, b, h, k
+
+
 def boundary_grid(e: Ellipse, M: int, weighted: bool = True) -> BoundaryGrid:
     """The M-node boundary grid; M must be even, at least 16 and at most
     MAX_NODES.
@@ -120,8 +140,7 @@ def boundary_grid(e: Ellipse, M: int, weighted: bool = True) -> BoundaryGrid:
 
 @lru_cache(maxsize=QUADRATURE_CACHE_SIZE)
 def _boundary_grid(e: Ellipse, M: int, weighted: bool) -> BoundaryGrid:
-    a, b = float(e.a), float(e.b)
-    h, k = float(e.h), float(e.k)
+    a, b, h, k = ellipse_floats(e)
     t = 2.0 * np.pi * np.arange(M) / M
     x = h + a * np.cos(t)
     y = k + b * np.sin(t)
@@ -254,8 +273,9 @@ def _basis_matrix(z, weights, e: Ellipse, degree: int) -> _Basis:
             f"basis of {len(z)} nodes by {degree + 1} functions has {cells} "
             f"entries, more than MAX_BASIS_CELLS = {MAX_BASIS_CELLS}"
         )
-    center = complex(float(e.h), float(e.k))
-    scale = float(max(e.a, e.b))
+    a, b, h, k = ellipse_floats(e)
+    center = complex(h, k)
+    scale = max(a, b)
     V = np.vander((z - center) / scale, degree + 1, increasing=True)
     sqrt_w = np.sqrt(weights)
     # Scaled in place, so A never exists beside V while it is factored.
@@ -357,8 +377,7 @@ def _area_quadrature(e: Ellipse, quad_order: int) -> tuple[np.ndarray, np.ndarra
     w_rho = 0.5 * weights
     theta = 2.0 * np.pi * np.arange(quad_order) / quad_order
     w_theta = np.full(quad_order, 2.0 * np.pi / quad_order)
-    a, b = float(e.a), float(e.b)
-    h, k = float(e.h), float(e.k)
+    a, b, h, k = ellipse_floats(e)
     R, T = np.meshgrid(rho, theta, indexing="ij")
     z = (h + a * R * np.cos(T)) + 1j * (k + b * R * np.sin(T))
     W = a * b * R * np.outer(w_rho, w_theta)
@@ -438,7 +457,7 @@ def holomorphic_coeffs_in_scaled_basis(
     scale = max(e.a, e.b)
     t = math.lcm(e.h.denominator, e.k.denominator) * scale.denominator
     ar, ai, beta = int(e.h * t), int(e.k * t), int(scale * t)
-    d, xs = _cleared([p.coefficient(j, 0) for j in range(n + 1)], bounded=False)
+    d, xs = _cleared([p.coefficient(j, 0) for j in range(n + 1)])
     re = [0] * (degree + 1)
     im = [0] * (degree + 1)
     t_power = 1

@@ -10,7 +10,7 @@ Subcommands:
 Exit codes: 0 all checks passed, 1 a check failed or the library failed
 (an error message, never a traceback), 2 bad input (parse errors carry the
 offending column).  Every argument is validated before the library runs,
-so a ValueError from inside the library is a failure, not bad input.
+so a ValueError or OverflowError from inside the library is a failure.
 
 `dirichlet` and `szego` are exact and never import numpy; `verify`,
 `experiment` and `suite` import the float harness when they run.
@@ -153,10 +153,11 @@ def _require_positive_tol(tol) -> None:
         raise InputError(f"tolerance must be finite and positive, got {tol}")
 
 
-def _require_grid_args(args) -> None:
-    """--nodes and --degree as the boundary least-squares fit needs them,
-    within the fit size bounds of szegopoly.boundary."""
-    from .boundary import MAX_BASIS_CELLS, MAX_NODES
+def _load_float_ellipse(args) -> Ellipse:
+    """The ellipse of a float command, once --nodes and --degree are within
+    the fit size bounds of szegopoly.boundary; an ellipse out of double
+    range (boundary.ellipse_floats) is bad input."""
+    from .boundary import MAX_BASIS_CELLS, MAX_NODES, ellipse_floats
 
     if args.nodes < 16 or args.nodes % 2:
         raise InputError(f"--nodes must be even and >= 16, got {args.nodes}")
@@ -172,6 +173,12 @@ def _require_grid_args(args) -> None:
             f"--nodes times (--degree + 1) must be at most {MAX_BASIS_CELLS}, "
             f"got {args.nodes} * {args.degree + 1}"
         )
+    e = _load_ellipse(args)
+    try:
+        ellipse_floats(e)
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
+    return e
 
 
 def _cmd_verify(args) -> int:
@@ -179,8 +186,7 @@ def _cmd_verify(args) -> int:
 
     start = time.perf_counter()
     _require_positive_tol(args.tol)
-    _require_grid_args(args)
-    e = _load_ellipse(args)
+    e = _load_float_ellipse(args)
     f = parse_poly_zzbar(_read_poly_source(args))
     # deg h <= deg f, so the projection is computed here only when it may
     # not fit the basis; the cross-check reuses its cached system.
@@ -219,8 +225,7 @@ def _cmd_experiment(args) -> int:
         if unread:
             raise InputError(f"experiment szbar takes no {', '.join(unread)}")
     _require_positive_tol(args.tol)
-    _require_grid_args(args)
-    e = _load_ellipse(args)
+    e = _load_float_ellipse(args)
     if args.kind == "szbar":
         rep = szbar_constancy_experiment(e, M=args.nodes, basis_degree=args.degree)
         report = rep.to_json_dict()
@@ -349,7 +354,7 @@ def main(argv: list[str] | None = None) -> int:
     except (InputError, ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except InternalCheckError as exc:

@@ -25,15 +25,14 @@ parenthesised sums.  _mul_terms is the one product routine: a one-term
 operand shifts the other's keys and scales its coefficients; otherwise it
 writes each operand over one common denominator (rational._cleared), sums
 the Gaussian-integer numerator products per output monomial and reduces
-each output coefficient once.  Operands whose denominators are too
-unrelated for that are multiplied term by term.  Exact division keeps the
-remainder's monomials in a heap, so finding each leading term does not
-scan the remainder, and pulls each remainder coefficient as one
-rational._minus_dot when its key leads; the n-variable Laplacian likewise
-sums each output coefficient with one rational._int_dot.  Both reduce
-each coefficient once instead of once per contribution.  Evaluation
-computes each power of each variable once, when a term first needs it,
-and reuses it for the later terms.
+each output coefficient once.  Exact division keeps the remainder's
+monomials in a heap, so finding each leading term does not scan the
+remainder, and pulls each remainder coefficient as one rational._minus_dot
+when its key leads; the n-variable Laplacian likewise sums each output
+coefficient with one rational._int_dot.  Both reduce each coefficient once
+instead of once per contribution.  Evaluation computes each power of each
+variable once, when a term first needs it, and reuses it for the later
+terms.
 
 Both types carry the Wirtinger / Laplace differential operators.  The
 Laplacian of a z-zbar polynomial is 4 * d/dz d/dzbar, which agrees with
@@ -97,14 +96,13 @@ def _mul_terms(a: dict, b: dict) -> dict:
 
     A one-term operand c*m shifts the other operand's keys by m and scales
     its coefficients by c, which it skips when c is ONE: distinct keys stay
-    distinct and no coefficient cancels.  When both operands have several
-    terms and _cleared writes each over one common denominator, the
-    Gaussian-integer numerator products are summed per output monomial in
-    plain ints and each output coefficient is reduced once, over da*db.  A
-    sum that cancels is dropped on the spot, as the per-term loop drops it.
-    Either way the output dict has the per-term loop's keys in its order.
-    Operands whose denominators are too unrelated to clear (see _cleared)
-    take the per-term loop.
+    distinct and no coefficient cancels.  Otherwise _cleared writes each
+    operand over one common denominator, the Gaussian-integer numerator
+    products are summed per output monomial in plain ints and each output
+    coefficient is reduced once, over da*db.  A sum that cancels is dropped
+    on the spot and a later pair on its key enters it again at the end, so
+    the output dict has the keys, values and order of the sum of term
+    products taken pair by pair in iteration order.
     """
     if not a or not b:
         return {}
@@ -119,36 +117,22 @@ def _mul_terms(a: dict, b: dict) -> dict:
         if c == ONE:
             return {tuple(map(add, k, key)): v for k, v in terms.items()}
         return {tuple(map(add, k, key)): v * c for k, v in terms.items()}
-    cleared_a = _cleared(a.values())
-    cleared_b = cleared_a if b is a else cleared_a and _cleared(b.values())
-    if cleared_b:
-        (da, na), (db, nb) = cleared_a, cleared_b
-        acc: dict = {}
-        for ka, (a1, b1) in zip(a, na):
-            for kb, (a2, b2) in zip(b, nb):
-                k = tuple(map(add, ka, kb))
-                s = acc.get(k)
-                if s is None:
-                    acc[k] = [a1 * a2 - b1 * b2, a1 * b2 + b1 * a2]
-                else:
-                    s[0] += a1 * a2 - b1 * b2
-                    s[1] += a1 * b2 + b1 * a2
-                    if not (s[0] or s[1]):
-                        del acc[k]
-        d = da * db
-        return {k: _reduce(re, im, d) for k, (re, im) in acc.items()}
-    out: dict = {}
-    for ka, ca in a.items():
-        for kb, cb in b.items():
+    da, na = _cleared(a.values())
+    db, nb = (da, na) if b is a else _cleared(b.values())
+    acc: dict = {}
+    for ka, (a1, b1) in zip(a, na):
+        for kb, (a2, b2) in zip(b, nb):
             k = tuple(map(add, ka, kb))
-            c = ca * cb
-            s = out.get(k)
-            s = c if s is None else s + c
-            if s:
-                out[k] = s
+            s = acc.get(k)
+            if s is None:
+                acc[k] = [a1 * a2 - b1 * b2, a1 * b2 + b1 * a2]
             else:
-                out.pop(k, None)
-    return out
+                s[0] += a1 * a2 - b1 * b2
+                s[1] += a1 * b2 + b1 * a2
+                if not (s[0] or s[1]):
+                    del acc[k]
+    d = da * db
+    return {k: _reduce(re, im, d) for k, (re, im) in acc.items()}
 
 
 def _pow_terms(terms: dict, n: int, dim: int) -> dict:

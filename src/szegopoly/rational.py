@@ -29,11 +29,8 @@ ints live in private slots and no public operation ever changes them.
 Sums of many products, as in a polynomial product, need not reduce every
 partial result: _cleared writes a collection of values over the lcm of
 their denominators, so the caller can add integer numerators and reduce
-each total once with _reduce.  Unless the caller asks for the unbounded
-form, it declines (returns None) when that lcm would have more than twice
-the bits of the longest denominator, where the cleared numerators would
-outgrow the reduced ones.  _minus_dot (base minus a sum of products) and
-_int_dot (a sum of integer multiples) likewise add numerators over a
+each total once with _reduce.  _minus_dot (base minus a sum of products)
+and _int_dot (a sum of integer multiples) likewise add numerators over a
 growing common denominator and reduce the total once.
 
 Exact text has no size limit.  CPython refuses an int <-> str conversion
@@ -48,7 +45,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd, inf
+from math import gcd
 from typing import Union
 
 RationalLike = Union[int, Fraction]
@@ -395,27 +392,17 @@ def _scale(a: int, b: int, d: int, n: int, m: int) -> GaussianRational:
     return _make(a * n, b * n, d * m)
 
 
-def _cleared(
-    values, *, bounded: bool = True
-) -> tuple[int, list[tuple[int, int]]] | None:
+def _cleared(values) -> tuple[int, list[tuple[int, int]]]:
     """A nonempty collection of GaussianRationals over one denominator.
 
     Returns (d, [(a, b), ...]) with each value equal to (a + b*i)/d, in
-    iteration order, where d is the lcm of the denominators; or None once
-    d has more than twice the bits of the longest single denominator.  The
-    guard keeps cleared arithmetic for values whose denominators nearly
-    all divide one common value; for unrelated denominators the lcm grows
-    with every value and the cleared numerators with it.  bounded=False
-    drops the guard, for a caller that has no other route.
+    iteration order, where d is the lcm of the denominators.
     """
-    limit = 2 * max(g._d for g in values).bit_length() if bounded else inf
     d = 1
     for g in values:
         x = g._d
         if d % x:
             d = d // gcd(d, x) * x
-            if d.bit_length() > limit:
-                return None
     return d, [(g._a * (m := d // g._d), g._b * m) for g in values]
 
 

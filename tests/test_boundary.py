@@ -16,6 +16,7 @@ from szegopoly.boundary import (
     bergman_residual_orthogonality,
     boundary_grid,
     compare_symbolic_numeric,
+    ellipse_floats,
     harmonic_szego_bergman_check,
     holomorphic_coeffs_in_scaled_basis,
     inner_product,
@@ -70,6 +71,48 @@ def test_grid_weight_positive_and_matches_gradient():
     assert np.all(g.omega > 0)
     # at t=0: z = 2, dbar r = (x/a^2) = 1/2, so omega = 2
     assert g.omega[0] == pytest.approx(2.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.tuples(st.integers(1, 20), st.integers(1, 20), st.integers(-9, 9), st.integers(-9, 9)),
+    st.tuples(*[st.integers(1, 9)] * 4),
+    st.sampled_from([16, 64, 1024]),
+)
+@example((7, 1, 1, -1), (3, 9, 3, 2), 1024)
+def test_weighted_measure_is_ab_dt(numerators, denominators, M):
+    # For r = (x-h)^2/a^2 + (y-k)^2/b^2 - 1, |dbar r| = |dz/dt|/(ab) on the
+    # boundary, so dsigma/|dbar r| = a*b*dt at every node.
+    e = Ellipse(*map(Fraction, numerators, denominators))
+    g = boundary_grid(e, M)
+    np.testing.assert_allclose(g.omega * g.ds, float(e.a * e.b) * 2 * np.pi / M, rtol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "e",
+    [
+        Ellipse(Fraction(10**400), 1),
+        Ellipse(1, 1, Fraction(10**400)),
+        Ellipse(Fraction(10**200), Fraction(10**200)),
+        Ellipse(Fraction(1, 10**300), 1),
+        Ellipse(1, Fraction(1, 10**400)),
+        Ellipse(1, 1, Fraction(10**308)),
+        Ellipse(1, 1, 0, -(2**51)),
+    ],
+)
+def test_ellipses_out_of_double_range_are_refused(e):
+    with pytest.raises(ValueError, match="out of double range"):
+        ellipse_floats(e)
+    with pytest.raises(ValueError, match="out of double range"):
+        boundary_grid(e, 16)
+    with pytest.raises(ValueError, match="out of double range"):
+        area_quadrature(e, 4)
+
+
+def test_ellipse_floats_are_the_rounded_parameters():
+    e = Ellipse(Fraction(1, 9), Fraction(7, 3), Fraction(-1, 6), 2**49)
+    assert ellipse_floats(e) == (1 / 9, 7 / 3, -1 / 6, 2.0**49)
+    assert ellipse_floats(Ellipse(Fraction(10**150), Fraction(1, 10**150))) == (1e150, 1e-150, 0, 0)
 
 
 def test_grid_rejects_bad_node_counts():

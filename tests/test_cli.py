@@ -323,6 +323,17 @@ def test_library_value_error_exits_1_without_traceback(capsys, monkeypatch):
     assert err == "error: solver fault\n"
 
 
+def test_library_overflow_error_exits_1_without_traceback(capsys, monkeypatch):
+    def failing(*args, **kwargs):
+        raise OverflowError("integer division result too large for a float")
+
+    monkeypatch.setattr(boundary, "compare_symbolic_numeric", failing)
+    code, out, err = run_cli(capsys, "verify", "--ellipse", "2,1", "--poly", "z")
+    assert code == 1
+    assert out == ""
+    assert err == "error: integer division result too large for a float\n"
+
+
 def test_nonharmonic_data_rejected(capsys):
     code, _, err = run_cli(
         capsys, "experiment", "harmonic-compare", "--ellipse", "1,1,0,0",

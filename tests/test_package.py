@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import szegopoly
 from szegopoly import szego
 from szegopoly.domains import Ellipse
@@ -123,3 +125,33 @@ def test_python_dash_m_runs_the_cli():
     proc = _run_python("-m", "szegopoly", "szego", "--ellipse", "2,zzz", "--poly", "z")
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: bad ellipse parameter")
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["verify", "--ellipse", "1e400,1", "--poly", "z"], 2),
+        (["experiment", "szbar", "--ellipse", "1e400,1"], 2),
+        (["experiment", "harmonic-compare", "--ellipse", "1e400,1e400", "--poly", "x"], 2),
+        (["verify", "--ellipse", "1e200,1e200", "--poly", "zbar"], 2),
+        (["verify", "--ellipse", "1e-300,1", "--poly", "zbar"], 2),
+        (["verify", "--ellipse", "1e-400,1", "--poly", "z"], 2),
+        (["verify", "--ellipse", "1,1,1e308,0", "--poly", "z"], 2),
+        # the ellipse is in range; a coefficient of the data is not
+        (["verify", "--ellipse", "2,1", "--poly", "10^400*z"], 1),
+    ],
+)
+def test_float_commands_out_of_double_range_fail_in_one_line(argv, code):
+    proc = _run_python("-m", "szegopoly", *argv)
+    assert proc.returncode == code, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert ("out of double range" in proc.stderr) == (code == 2)
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+
+
+@pytest.mark.parametrize("command, poly", [("szego", "z"), ("dirichlet", "x")])
+def test_exact_commands_take_ellipses_out_of_double_range(command, poly):
+    proc = _run_python("-m", "szegopoly", command, "--ellipse", "1e400,1", "--poly", poly)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""

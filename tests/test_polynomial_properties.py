@@ -298,8 +298,8 @@ def product_by_pairs(p, q):
 def kernel_operands(draw):
     kind, dim = draw(st.sampled_from([(PolyZZbar, 2), *((PolyRealN, n) for n in range(1, 5))]))
     base = draw(st.integers(1, 10**12))
-    # Small or sharing one large factor, the denominators clear over one
-    # value; unrelated 40-bit ones outgrow the bound and take the term loop.
+    # Small, sharing one large factor, or unrelated 40-bit ones, whose lcm
+    # grows with every coefficient: all three are cleared over their lcm.
     denominators = draw(st.sampled_from([
         st.integers(1, 12),
         st.integers(1, 12).map(lambda k: base * k),

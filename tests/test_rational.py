@@ -245,16 +245,13 @@ def test_real_values_agree_with_int_and_fraction(x):
 
 @settings(max_examples=200)
 @given(st.lists(pairs.map(lambda x: GaussianRational(*x)), min_size=1, max_size=8))
-def test_cleared_values_share_one_denominator_within_the_bound(values):
-    denominators = [g._d for g in values]
-    lcm = math.lcm(*denominators)
-    cleared = _cleared(values)
-    if lcm.bit_length() > 2 * max(denominators).bit_length():
-        assert cleared is None
-    else:
-        d, numerators = cleared
-        assert d == lcm
-        assert [GaussianRational(Fraction(a, d), Fraction(b, d)) for a, b in numerators] == values
+# unrelated denominators: the lcm has far more bits than any one of them
+@example([GaussianRational(Fraction(1, 2**61 - 1)), GaussianRational(0, Fraction(-3, 2**89 - 1)),
+          GaussianRational(Fraction(5, 10**20 + 39), Fraction(1, 7))])
+def test_cleared_values_share_one_denominator(values):
+    d, numerators = _cleared(values)
+    assert d == math.lcm(*(g._d for g in values))
+    assert [GaussianRational(Fraction(a, d), Fraction(b, d)) for a, b in numerators] == values
 
 
 @settings(max_examples=200)
