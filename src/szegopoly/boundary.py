@@ -532,10 +532,15 @@ def matched_disc_floor(e: Ellipse, M: int = 1024, basis_degree: int = 12) -> flo
 
     The comparison disc has the same perimeter (hence comparable node
     spacing) and the same node count; its true projection is constant, so
-    anything nonzero is numerical noise.
+    anything nonzero is numerical noise.  The radius is the matched one
+    with a denominator of at most 10**6, or exactly the float where that
+    rounding would lose more than 1e-9 of it (a radius below about 1e-3).
     """
     perimeter = boundary_grid(e, M).perimeter()
-    radius = Fraction(perimeter / (2.0 * math.pi)).limit_denominator(10**6)
+    exact = Fraction(perimeter / (2.0 * math.pi))
+    radius = exact.limit_denominator(10**6)
+    if abs(radius - exact) > exact * Fraction(1, 10**9):
+        radius = exact
     disc = Ellipse(radius, radius)
     return szbar_constancy_experiment(disc, M, basis_degree).deviation_from_constant
 

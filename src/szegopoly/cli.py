@@ -13,12 +13,16 @@ offending column).  Every argument is validated before the library runs,
 so a ValueError or OverflowError from inside the library is a failure.
 
 `dirichlet` and `szego` are exact and never import numpy; `verify`,
-`experiment` and `suite` import the float harness when they run.
+`experiment` and `suite` import the float harness when they run.  `verify`
+and `experiment` run under a numpy error state in which overflow and
+invalid values raise FloatingPointError, so data too large for doubles is
+a one-line failure, not warnings and a nan or inf report.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -181,6 +185,21 @@ def _load_float_ellipse(args) -> Ellipse:
     return e
 
 
+def _float_errors_raise(command):
+    """Run a float command with numpy overflow and invalid values raising
+    FloatingPointError, which main reports as a failure."""
+
+    @functools.wraps(command)
+    def run(args) -> int:
+        import numpy as np
+
+        with np.errstate(over="raise", invalid="raise"):
+            return command(args)
+
+    return run
+
+
+@_float_errors_raise
 def _cmd_verify(args) -> int:
     from .boundary import compare_symbolic_numeric
 
@@ -209,6 +228,7 @@ def _cmd_verify(args) -> int:
     return 0 if passed else 1
 
 
+@_float_errors_raise
 def _cmd_experiment(args) -> int:
     from .boundary import (
         AREA_QUAD_ORDER,
@@ -354,7 +374,7 @@ def main(argv: list[str] | None = None) -> int:
     except (InputError, ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OverflowError) as exc:
+    except (ValueError, OverflowError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except InternalCheckError as exc:

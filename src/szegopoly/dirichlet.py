@@ -17,9 +17,9 @@ degree <= d, and its degree-d part comes only from the top homogeneous
 part of r; the entries in rows of lower degree come from the linear and
 constant parts of r (at most three per column in the plane).  So the
 system is a linalg.GradedSystem, the same type as the Szego system: its
-dense diagonal blocks, the sparse entries of each row in columns of
-higher degree, a determinant certified as the product of the block
-determinants, and a graded back-substitution solve.  Harmonic input (Lap p = 0) is returned
+dense diagonal blocks, each certified invertible when it is built, the
+sparse entries of each row in columns of higher degree, and a graded
+back-substitution solve.  Harmonic input (Lap p = 0) is returned
 as it is, with no system at all, since its q is zero.  Any other input
 builds and certifies its system afresh.
 """

@@ -32,14 +32,31 @@ of higher degree.  Its determinant is the product of the block
 determinants, and a solve is graded back-substitution from the top
 degree down: each block's right-hand side is pulled from the unknowns
 already solved, then one solve_exact call solves the block.
+
+graded_system certifies every diagonal block invertible without exact
+elimination.  Z[i] -> Z/PRIME, i -> SQRT_MINUS_ONE, is a ring map, so it
+carries a block's determinant to the determinant of the block's image,
+and a nonzero image determinant proves the exact one nonzero (the
+small-prime certificate).  Eliminating the image costs machine-size ints
+only, and it shares no code with the exact solve.  Only when the check is
+inconclusive, because PRIME divides a denominator or the image is
+singular, is the block decided by det_exact, so the certificate is never
+weaker than the exact determinant.  The exact determinant itself is
+computed only when GradedSystem.determinant is read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .rational import GaussianRational, ZERO, ONE, _minus_dot
+from .rational import GaussianRational, ZERO, ONE, _images_mod, _minus_dot
+
+# The certificate's prime: PRIME = 1 (mod 4), so -1 has the square root
+# SQRT_MINUS_ONE modulo PRIME, which is the image of i.
+PRIME = 2147483629
+SQRT_MINUS_ONE = 629208553
 
 
 class InternalCheckError(RuntimeError):
@@ -192,6 +209,34 @@ def det_exact(matrix: Matrix) -> GaussianRational:
     return factor_exact(matrix).determinant
 
 
+def _nonsingular_mod_prime(matrix: Matrix) -> bool:
+    """True when the image of a square matrix modulo PRIME is nonsingular,
+    which proves det(matrix) != 0; False when that is inconclusive: PRIME
+    divides a denominator, or the image is singular.
+
+    Elimination on the image runs in place and visits only the nonzero
+    entries of each pivot row.
+    """
+    rows = _images_mod(matrix, PRIME, SQRT_MINUS_ONE)
+    if rows is None:
+        return False
+    n = len(rows)
+    for c in range(n):
+        i = next((i for i in range(c, n) if rows[i][c]), None)
+        if i is None:
+            return False
+        rows[c], rows[i] = rows[i], rows[c]
+        pivot_row = rows[c]
+        inverse = pow(pivot_row[c], -1, PRIME)
+        tail = [(j, v * inverse % PRIME) for j in range(c + 1, n) if (v := pivot_row[j])]
+        for row in rows[c + 1:]:
+            f = row[c]
+            if f:
+                for j, v in tail:
+                    row[j] = (row[j] - f * v) % PRIME
+    return True
+
+
 @dataclass(frozen=True)
 class GradedSystem:
     """A square matrix M, block upper triangular on graded index ranges.
@@ -202,19 +247,24 @@ class GradedSystem:
     degree.  M is kept in two parts: diagonal[d] is the dense degree-d
     block, diagonal[d][i - start][j - start] = M[i][j], and rows[i] holds
     only the entries of row i in columns of higher degree, as {j: M[i][j]}.
-    determinant is the product of the determinants of the diagonal blocks,
-    each checked nonzero when the system is built (graded_system).
+    Every diagonal block is certified invertible when the system is built
+    (graded_system).
     """
 
     basis_order: tuple[tuple[int, ...], ...]
     blocks: tuple[tuple[int, int], ...]
     diagonal: tuple[tuple[tuple[GaussianRational, ...], ...], ...]
     rows: tuple[dict[int, GaussianRational], ...]
-    determinant: GaussianRational
 
     @property
     def size(self) -> int:
         return len(self.basis_order)
+
+    @property
+    def determinant(self) -> GaussianRational:
+        """The exact determinant of M, the product of the diagonal blocks'
+        det_exact, computed on each read."""
+        return prod(map(det_exact, self.diagonal), start=ONE)
 
     def solve(self, rhs: Sequence[GaussianRational]) -> list[GaussianRational]:
         """The unique x with M @ x = rhs, by graded back-substitution.
@@ -248,7 +298,8 @@ def graded_system(
     basis is graded (ascending total degree), and images[j] maps row keys
     to the nonzero entries of column j.  InternalCheckError if a column
     reaches a row of higher degree than its own or a diagonal block is
-    singular.
+    singular.  A block is certified by its image modulo PRIME, and by
+    det_exact only when that image is inconclusive.
     """
     size = len(basis)
     degrees = [sum(key) for key in basis]
@@ -256,7 +307,7 @@ def graded_system(
     blocks = tuple(zip(starts, starts[1:] + [size]))
     index = {key: i for i, key in enumerate(basis)}
     images = iter(images)
-    diagonal, rows, det = [], [{} for _ in range(size)], ONE
+    diagonal, rows = [], [{} for _ in range(size)]
     for start, stop in blocks:
         block = [[ZERO] * (stop - start) for _ in range(start, stop)]
         for j in range(start, stop):
@@ -271,14 +322,11 @@ def graded_system(
                 else:
                     rows[i][j] = c
         diagonal.append(tuple(map(tuple, block)))
-        block_det = det_exact(diagonal[-1])
-        if not block_det:
+        if not (_nonsingular_mod_prime(block) or det_exact(diagonal[-1])):
             raise InternalCheckError(f"singular diagonal block of degree {degrees[start]}")
-        det = det * block_det
     return GradedSystem(
         basis_order=tuple(basis),
         blocks=blocks,
         diagonal=tuple(diagonal),
         rows=tuple(rows),
-        determinant=det,
     )

@@ -31,7 +31,8 @@ partial result: _cleared writes a collection of values over the lcm of
 their denominators, so the caller can add integer numerators and reduce
 each total once with _reduce.  _minus_dot (base minus a sum of products)
 and _int_dot (a sum of integer multiples) likewise add numerators over a
-growing common denominator and reduce the total once.
+growing common denominator and reduce the total once.  _images_mod maps a
+matrix into Z/p, where a determinant is cheap to decide.
 
 Exact text has no size limit.  CPython refuses an int <-> str conversion
 of more than sys.get_int_max_str_digits() digits (4,300 by default), so
@@ -461,6 +462,33 @@ def _int_dot(pairs: list) -> GaussianRational:
             b = b * t + g._b * n * s
             d *= t
     return _reduce(a, b, d)
+
+
+def _images_mod(matrix, p: int, root: int) -> list[list[int]] | None:
+    """The image of a matrix of GaussianRationals in Z/p, for a prime p and
+    a root of root**2 = -1 mod p: (a + b*i)/d maps to (a + b*root)/d mod p.
+
+    This is a ring map wherever it is defined, so it carries a determinant
+    to the determinant of the image.  None when p divides a denominator,
+    which has no image.
+    """
+    inverses = {1: 1}
+    image = []
+    for row in matrix:
+        out = []
+        for g in row:
+            a, b, d = g._a, g._b, g._d
+            if not (a or b):
+                out.append(0)
+                continue
+            t = inverses.get(d)
+            if t is None:
+                if d % p == 0:
+                    return None
+                t = inverses[d] = pow(d, -1, p)
+            out.append((a + b * root) * t % p)
+        image.append(out)
+    return image
 
 
 ZERO = _make(0, 0, 1)

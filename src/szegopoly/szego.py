@@ -28,9 +28,10 @@ So the linear system for (h, c, q) is square and injective, with
 monomials of degree d - 2) have columns of degree d, so in the graded basis
 it is block upper triangular with one (d+1)x(d+1) diagonal block per
 degree: the same linalg.GradedSystem as the Fischer systems, solved by
-the same graded back-substitution.  The builder checks every block's
-determinant nonzero, so the exact determinant certifies uniqueness.  The
-system depends only on (ellipse, N) and is cached per pair.
+the same graded back-substitution.  The builder certifies every block
+invertible by its determinant modulo a prime (exactly, in the rare case
+that is inconclusive), which certifies uniqueness.  The system depends
+only on (ellipse, N) and is cached per pair.
 verify_decomposition re-checks every claim, with operator_A extending the
 preimage on its own path.
 """

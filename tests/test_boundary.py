@@ -350,6 +350,25 @@ def test_szbar_experiment_eccentric_far_from_constant():
     assert rep.deviation_from_span_1_z > max(1e3 * floor, 0.01)
 
 
+@pytest.mark.parametrize("a, b", [(2, 1), (9, 1), (Fraction(1, 10**6), Fraction(1, 10**6)),
+                                  (Fraction(1, 10**150), Fraction(3, 10**150)), (10**100, 10**100)])
+def test_matched_disc_keeps_the_radius_at_every_scale(monkeypatch, a, b):
+    discs = []
+
+    def measured(disc, M, basis_degree):
+        discs.append(disc)
+        return szbar_constancy_experiment(disc, M, basis_degree)
+
+    monkeypatch.setattr(boundary, "szbar_constancy_experiment", measured)
+    e = Ellipse(a, b)
+    assert math.isfinite(matched_disc_floor(e, M=64, basis_degree=4))
+    (disc,) = discs
+    radius = Fraction(boundary_grid(e, 64).perimeter() / (2 * math.pi))
+    assert abs(disc.a - radius) <= radius / 10**9
+    if a >= 1:  # a radius this large keeps its short rounding
+        assert disc.a.denominator <= 10**6
+
+
 def test_harmonic_compare_examples():
     x = PolyRealN.variable(2, 0)
     y = PolyRealN.variable(2, 1)

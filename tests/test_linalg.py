@@ -1,12 +1,18 @@
 """Exact solver: correctness, consistency detection, determinants."""
 
+import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+from szegopoly import dirichlet, linalg, szego
+from szegopoly.domains import Ellipse
 from szegopoly.linalg import (
+    PRIME,
+    SQRT_MINUS_ONE,
     InternalCheckError,
     det_exact,
     factor_exact,
@@ -14,6 +20,7 @@ from szegopoly.linalg import (
     solve_exact,
 )
 from szegopoly.rational import GaussianRational, ZERO
+from szegopoly.sampling import random_ellipsoid
 
 
 def gr(re, im=0):
@@ -258,3 +265,102 @@ def test_graded_system_solves_and_rejects_a_singular_block_or_a_raised_degree():
         graded_system(basis, [{(0, 0): one}, {(0, 1): one}, {(0, 1): one}])
     with pytest.raises(InternalCheckError, match="higher degree"):
         graded_system(basis, [{(1, 0): one}, {(0, 1): one}, {(1, 0): one}])
+
+
+# -- the block certificate modulo PRIME --------------------------------------------
+
+
+def test_certificate_prime_has_a_square_root_of_minus_one():
+    assert all(PRIME % q for q in range(2, isqrt(PRIME) + 1))
+    assert PRIME % 4 == 1
+    assert SQRT_MINUS_ONE**2 % PRIME == PRIME - 1
+
+
+def one_block(M):
+    """The basis and column images of a one-block graded system with block M."""
+    basis = [(k, len(M) - 1 - k) for k in range(len(M))]
+    images = [
+        {basis[i]: row[j] for i, row in enumerate(M) if row[j]} for j in range(len(M))
+    ]
+    return basis, images
+
+
+@st.composite
+def gaussian_blocks(draw):
+    """A square block with small, shared and unrelated large denominators;
+    some are made singular by a repeated row or a combination of rows."""
+    n = draw(st.integers(1, 6))
+    shared = draw(st.integers(2, 10**30))
+    denominators = st.one_of(st.integers(1, 6), st.just(shared), st.integers(1, 10**40))
+    numerators = st.one_of(st.integers(-5, 5), st.integers(-(10**40), 10**40))
+    entry = st.one_of(
+        st.just(ZERO),
+        st.builds(
+            lambda a, b, d: GaussianRational(Fraction(a, d), Fraction(b, d)),
+            numerators, numerators, denominators,
+        ),
+    )
+    M = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    kind = draw(st.sampled_from(("any", "repeat", "combination")))
+    if n > 1 and kind != "any":
+        k = draw(st.integers(0, n - 1))
+        others = [i for i in range(n) if i != k]
+        if kind == "repeat":
+            M[k] = list(M[draw(st.sampled_from(others))])
+        else:
+            weights = draw(st.lists(entries, min_size=n - 1, max_size=n - 1))
+            M[k] = [
+                sum((w * M[i][j] for w, i in zip(weights, others)), start=ZERO)
+                for j in range(n)
+            ]
+    return M
+
+
+@settings(max_examples=200, deadline=None)
+@given(gaussian_blocks())
+def test_a_block_is_certified_exactly_when_its_determinant_is_nonzero(M):
+    basis, images = one_block(M)
+    if det_exact(M):
+        system = graded_system(basis, images)
+        assert [list(row) for row in system.diagonal[0]] == M
+        assert system.determinant == det_exact(M)
+    else:
+        with pytest.raises(InternalCheckError, match="singular"):
+            graded_system(basis, images)
+
+
+@pytest.fixture
+def det_exact_calls(monkeypatch):
+    """The matrices passed to linalg.det_exact while the test runs."""
+    calls = []
+
+    def counting(matrix):
+        calls.append(matrix)
+        return det_exact(matrix)
+
+    monkeypatch.setattr(linalg, "det_exact", counting)
+    return calls
+
+
+def test_inconclusive_images_fall_back_to_the_exact_determinant(det_exact_calls):
+    # Degree 1 has an entry 1/PRIME, which has no image; degree 2 is
+    # diag(PRIME, 1, 1), nonsingular with an image of determinant 0.
+    one, p = gr(1), gr(PRIME)
+    basis = [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0)]
+    images = [
+        {(0, 0): one},
+        {(0, 1): gr(Fraction(1, PRIME))},
+        {(1, 0): one, (0, 0): one},
+        {(0, 2): p},
+        {(1, 1): one},
+        {(2, 0): one},
+    ]
+    system = graded_system(basis, images)
+    assert det_exact_calls == [system.diagonal[1], system.diagonal[2]]
+    assert system.determinant == gr(Fraction(1, PRIME)) * p
+
+
+def test_szego_and_fischer_systems_are_certified_without_exact_elimination(det_exact_calls):
+    szego._square_system.__wrapped__(Ellipse(Fraction(3), Fraction(2), Fraction(1, 3)), 10)
+    dirichlet.fischer_system(random_ellipsoid(random.Random(6), 3), 6)
+    assert det_exact_calls == []

@@ -139,6 +139,10 @@ def test_python_dash_m_runs_the_cli():
         (["verify", "--ellipse", "1,1,1e308,0", "--poly", "z"], 2),
         # the ellipse is in range; a coefficient of the data is not
         (["verify", "--ellipse", "2,1", "--poly", "10^400*z"], 1),
+        # in range, but the float harness overflows inside numpy
+        (["verify", "--ellipse", "1e154,1e154", "--poly", "zbar"], 1),
+        (["experiment", "harmonic-compare", "--ellipse", "1e100,1e100",
+          "--poly", "x^4-6*x^2*y^2+y^4"], 1),
     ],
 )
 def test_float_commands_out_of_double_range_fail_in_one_line(argv, code):
