@@ -318,7 +318,15 @@ def _fit(z, basis: _Basis, f) -> NumericalProjection:
     keep = s > np.finfo(float).eps * max(U.shape[0], Vh.shape[1]) * s[0]
     beta[~keep] = 0
     coeffs = Vh[keep].conj().T @ (beta[keep] / s[keep])
-    residual = float(np.linalg.norm(U @ beta - rhs))
+    r = U @ beta - rhs
+    with np.errstate(over="ignore"):
+        residual = float(np.linalg.norm(r))
+    if not math.isfinite(residual):
+        # The squares overflowed (from about a = 1e77): scale by the largest
+        # |r|, unless r itself is not finite.
+        big = float(np.max(np.abs(r)))
+        if math.isfinite(big):
+            residual = big * float(np.linalg.norm(r / big))
     # 2-norm condition number of the weighted basis, from its singular values.
     cond = float(s[0] / s[-1]) if s[-1] > 0 else float("inf")
     warning = None

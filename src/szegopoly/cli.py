@@ -321,11 +321,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p, *, poly: bool, numeric: bool, ellipse: bool = True,
                    ellipsoid: bool = False):
-        domain = p.add_mutually_exclusive_group()
         if ellipse:
+            # An empty group would make argparse fail to format the usage.
+            domain = p.add_mutually_exclusive_group()
             domain.add_argument("--ellipse", help="ellipse as 'a,b[,h,k]' with rational entries")
-        if ellipsoid:
-            domain.add_argument("--ellipsoid", help="path to an ellipsoid JSON descriptor")
+            if ellipsoid:
+                domain.add_argument("--ellipsoid", help="path to an ellipsoid JSON descriptor")
         if poly:
             p.add_argument("--poly", help="polynomial text (z/zbar or x/y syntax)")
             p.add_argument("--poly-file", help="path to a polynomial text file")

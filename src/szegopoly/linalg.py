@@ -28,8 +28,7 @@ positions, and back substitution takes one _minus_dot per unknown.
 A GradedSystem is a square matrix that is block upper triangular in a
 graded monomial basis, such as the Fischer and Szego systems: it keeps
 its dense diagonal degree blocks and, per row, the few entries in columns
-of higher degree.  Its determinant is the product of the block
-determinants, and a solve is graded back-substitution from the top
+of higher degree.  A solve is graded back-substitution from the top
 degree down: each block's right-hand side is pulled from the unknowns
 already solved, then one solve_exact call solves the block.
 
@@ -41,14 +40,12 @@ small-prime certificate).  Eliminating the image costs machine-size ints
 only, and it shares no code with the exact solve.  Only when the check is
 inconclusive, because PRIME divides a denominator or the image is
 singular, is the block decided by det_exact, so the certificate is never
-weaker than the exact determinant.  The exact determinant itself is
-computed only when GradedSystem.determinant is read.
+weaker than the exact determinant.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import prod
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .rational import GaussianRational, ZERO, ONE, _images_mod, _minus_dot
@@ -87,7 +84,7 @@ class _Step(NamedTuple):
 class ExactFactorization:
     """The recorded elimination of one matrix, replayable on any right-hand side."""
 
-    __slots__ = ("rows", "cols", "steps", "_swaps", "_lower")
+    __slots__ = ("rows", "cols", "steps", "_lower")
 
     def __init__(
         self, rows: int, cols: int, steps: list[_Step], lower: list[dict[int, GaussianRational]]
@@ -95,7 +92,6 @@ class ExactFactorization:
         self.rows = rows
         self.cols = cols
         self.steps = tuple(steps)
-        self._swaps = sum(1 for r, step in enumerate(steps) if step.swap != r)
         self._lower = lower  # lower[k] = {r: L[k][r]} for the row at final position k
 
     @property
@@ -122,18 +118,6 @@ class ExactFactorization:
             _, col, pivot, tail = self.steps[r]
             x[col] = _minus_dot(b[r], [(v, x[j]) for j, v in tail if x[j]]) / pivot
         return x
-
-    @property
-    def determinant(self) -> GaussianRational:
-        """Exact determinant of a square matrix: +-(product of the pivots)."""
-        if self.rows != self.cols:
-            raise ValueError("determinant requires a square matrix")
-        if self.rank < self.cols:
-            return ZERO
-        det = -ONE if self._swaps % 2 else ONE
-        for step in self.steps:
-            det = det * step.pivot
-        return det
 
 
 def factor_exact(matrix: Matrix) -> ExactFactorization:
@@ -205,8 +189,18 @@ def solve_exact(
 
 
 def det_exact(matrix: Matrix) -> GaussianRational:
-    """Exact determinant of a square matrix of GaussianRationals."""
-    return factor_exact(matrix).determinant
+    """Exact determinant of a square matrix of GaussianRationals:
+    +-(product of the pivots), the sign from the row swaps."""
+    factorization = factor_exact(matrix)
+    if factorization.rows != factorization.cols:
+        raise ValueError("determinant requires a square matrix")
+    if factorization.rank < factorization.cols:
+        return ZERO
+    steps = factorization.steps
+    det = -ONE if sum(step.swap != r for r, step in enumerate(steps)) % 2 else ONE
+    for step in steps:
+        det = det * step.pivot
+    return det
 
 
 def _nonsingular_mod_prime(matrix: Matrix) -> bool:
@@ -259,12 +253,6 @@ class GradedSystem:
     @property
     def size(self) -> int:
         return len(self.basis_order)
-
-    @property
-    def determinant(self) -> GaussianRational:
-        """The exact determinant of M, the product of the diagonal blocks'
-        det_exact, computed on each read."""
-        return prod(map(det_exact, self.diagonal), start=ONE)
 
     def solve(self, rhs: Sequence[GaussianRational]) -> list[GaussianRational]:
         """The unique x with M @ x = rhs, by graded back-substitution.

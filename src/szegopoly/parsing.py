@@ -31,7 +31,8 @@ be of any length.
 
 Parse errors carry the 1-based column of the offending token; an exponent
 that overflows the 32-bit bound is reported at the '^' or '*' whose power
-or product overflows.
+or product overflows.  The text has no division, and a '/' outside a
+number ("x/4", or the exponent "2/4" of "x^2/4") is reported as such.
 """
 
 from __future__ import annotations
@@ -74,6 +75,11 @@ _TOKEN_RE = re.compile(
 )
 
 
+# The hint of a parse error at a '/' that no number token takes, as in
+# "x/4" or the exponent "2/4" of "x^2/4": the grammar has no division.
+_NO_DIVISION = " (polynomial text has no division: write 1/4*x^2, not x^2/4)"
+
+
 def _tokenize(text: str) -> list[tuple]:
     """(kind, text, start, value) per token, then ("end", "", len(text), None).
 
@@ -91,7 +97,9 @@ def _tokenize(text: str) -> list[tuple]:
             tokens.append((kind, "(", m.start(kind), _reduce(a, b, q * s)))
             continue
         if kind == "bad":
-            raise ParseError(f"unexpected character {m.group(kind)!r}", m.start(kind))
+            bad = m.group(kind)
+            hint = _NO_DIVISION if bad == "/" else ""
+            raise ParseError(f"unexpected character {bad!r}{hint}", m.start(kind))
         tokens.append((kind, m.group(kind), m.start(kind), None))
     tokens.append(("end", "", len(text), None))
     return tokens
@@ -273,7 +281,8 @@ class _Parser:
         """The exponent at token i, after a '^', and the index past it."""
         kind, text, pos, _ = self.tokens[i]
         if kind != "number" or "/" in text:
-            raise ParseError("expected a nonnegative integer exponent after '^'", pos)
+            hint = _NO_DIVISION if "/" in text else ""
+            raise ParseError(f"expected a nonnegative integer exponent after '^'{hint}", pos)
         n = _int_from_text(text)
         if n > MAX_EXPONENT:
             raise _overflow(n, pos)

@@ -291,7 +291,12 @@ class GaussianRational:
 
     def __complex__(self) -> complex:
         # int / int is correctly rounded, so this equals float(re), float(im).
-        return complex(self._a / self._d, self._b / self._d)
+        try:
+            return complex(self._a / self._d, self._b / self._d)
+        except OverflowError:
+            raise OverflowError(
+                f"a Gaussian rational of {self.bit_size()} bits is too large for a double"
+            ) from None
 
     def bit_size(self) -> int:
         """Symbolic magnitude: total bit length of numerators and denominators.

@@ -137,6 +137,18 @@ def test_fit_sizes_are_bounded():
         numerical_bergman(E21, Z, widest + 1, order)
 
 
+def test_fit_residual_past_the_square_range_is_finite():
+    # On a disc of radius 1e100 the weighted residual of zbar is about
+    # sqrt(2 pi) * 1e200, so its squares overflow: the norm is scaled by the
+    # largest |residual| and matches the unit disc's times a^2.
+    unit = numerical_szego(boundary_grid(DISC, 1024), ZB, 12).residual_norm
+    with np.errstate(over="raise", invalid="raise"):
+        big = numerical_szego(boundary_grid(Ellipse(10**100, 10**100), 1024), ZB, 12)
+    assert math.isfinite(big.residual_norm)
+    assert big.residual_norm == pytest.approx(unit * 1e200, rel=1e-13)
+    assert unit == pytest.approx(math.sqrt(2 * math.pi), rel=1e-13)
+
+
 def test_perimeter_value_and_convergence():
     values = {M: boundary_grid(E21, M).perimeter() for M in (64, 128, 256, 1024, 8192)}
     assert values[1024] == pytest.approx(PERIMETER_21, abs=1e-12)

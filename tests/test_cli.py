@@ -1,8 +1,14 @@
 """CLI behavior: outputs, round trips, exit codes, determinism."""
 
+import contextlib
+import io
 import json
+import re
+import warnings
+from datetime import timedelta
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import szegopoly
 from szegopoly import boundary
@@ -164,6 +170,16 @@ def test_parse_error_exit_code_and_message(capsys):
     code, out, err = run_cli(capsys, "szego", "--ellipse", "2,1,0,0", "--poly", "z +")
     assert code == 2
     assert "column" in err
+
+
+@pytest.mark.parametrize("poly, column", [("x^2/4", 3), ("x/4", 2)])
+def test_division_is_bad_input_that_shows_the_coefficient_form(capsys, poly, column):
+    code, out, err = run_cli(capsys, "dirichlet", "--ellipse", "2,1", "--poly", poly)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: parse error at column {column}: ")
+    assert err.endswith("(polynomial text has no division: write 1/4*x^2, not x^2/4)\n")
+    assert len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize(
@@ -334,6 +350,41 @@ def test_library_overflow_error_exits_1_without_traceback(capsys, monkeypatch):
     assert err == "error: integer division result too large for a float\n"
 
 
+def test_verify_names_a_coefficient_too_large_for_a_double(capsys):
+    code, out, err = run_cli(
+        capsys, "verify", "--ellipse", "7,1e10", "--poly", "2^1000*zbar",
+        "--nodes", "16", "--degree", "1",
+    )
+    assert code == 1
+    assert out == ""
+    assert re.fullmatch(r"error: a Gaussian rational of \d+ bits is too large for a double\n", err)
+
+
+@pytest.mark.parametrize("scale", ["1e77", "1e100", "1e154"])
+def test_verify_reports_past_the_square_range_of_doubles(capsys, scale):
+    # The fit's residual squares overflow from about a = 1e77; the report
+    # is still written, with a relative deviation at rounding level.
+    code, report, err = run_json(capsys, "verify", "--ellipse", f"{scale},{scale}", "--poly", "zbar")
+    assert code in (0, 1)
+    assert err == ""
+    assert report["max_coeff_deviation"] < 1e-12 * float(scale)
+
+
+@pytest.mark.parametrize("argv", [["suite", "--format", "yaml"], ["suite", "-h"]])
+def test_suite_usage_is_printed_without_a_traceback(capsys, argv):
+    # suite has no domain option, so it must not get an empty option group,
+    # which argparse cannot format.
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert (out + err).startswith("usage: szegopoly suite [-h]")
+    if argv[1] == "-h":
+        assert exc.value.code == 0
+    else:
+        assert exc.value.code == 2
+        assert err.splitlines()[-1].startswith("szegopoly suite: error: argument --format")
+
+
 def test_nonharmonic_data_rejected(capsys):
     code, _, err = run_cli(
         capsys, "experiment", "harmonic-compare", "--ellipse", "1,1,0,0",
@@ -429,3 +480,133 @@ def test_suite_no_timestamp_output_is_byte_identical(capsys, monkeypatch, fmt):
         outputs.append(out)
     assert outputs[0] == outputs[1]
     assert "0.12" not in outputs[0]
+
+
+# -- the CLI contract over random argument lists ------------------------------------
+
+def _mostly(valid, malformed):
+    """A value from valid, or about one time in ten from malformed.  The
+    choice is a middle value of 0..9, which hypothesis draws less often than
+    the ends."""
+    return st.integers(0, 9).flatmap(lambda k: st.sampled_from(malformed if k == 5 else valid))
+
+
+# Half the draws keep a^2 within double range, for the float commands.
+POWERS_OF_TEN = st.one_of(st.integers(-150, 154), st.integers(-150, 308)).map(
+    lambda k: f"1e{k}"
+)
+SMALL_RATIONALS = st.sampled_from(["1", "2", "3/2", "7", "1/100000", "5"])
+MALFORMED_FIELDS = ["", "0", "-2", "x", "1/0", "nan", "inf", "1e400", "2^3"]
+
+
+@st.composite
+def ellipse_text(draw, disc=False):
+    """'a,b' or 'a,b,h,k' with a, b from 1e-150 to 1e308 and small rationals,
+    b = a for a disc; sometimes a malformed field or a wrong field count."""
+    def field(centre):
+        if draw(_mostly([False], [True])):
+            return draw(st.sampled_from(MALFORMED_FIELDS))
+        if centre and draw(st.booleans()):
+            return draw(st.sampled_from(["0", "-1/3", "1"]))
+        return draw(st.one_of(POWERS_OF_TEN, SMALL_RATIONALS))
+
+    fields = [field(k >= 2) for k in range(draw(_mostly([2, 4], [1, 3, 5])))]
+    if disc and len(fields) > 1:
+        fields[1] = fields[0]
+    return ",".join(fields)
+
+
+COEFFICIENTS = ["", "", "2*", "-3/2*", "2^1000*", "(1/2+3/4i)*", "i*"]
+MALFORMED_POLYS = ["", "z +", "x^2/4", "x/4", "(z", "z^99999999999", "w", "z+x", "1e5*z"]
+
+
+@st.composite
+def poly_text(draw, variables):
+    """A sum of up to four monomials of degree <= 4 in the two variables,
+    each with a coefficient from COEFFICIENTS; sometimes malformed."""
+    if draw(_mostly([False], [True])):
+        return draw(st.sampled_from(MALFORMED_POLYS))
+    terms = []
+    for _ in range(draw(st.integers(1, 4))):
+        p = draw(st.integers(0, 4))
+        q = draw(st.integers(0, 4 - p))
+        monomial = "*".join(
+            [f"{v}^{e}" for v, e in zip(variables, (p, q)) if e] or ["1"]
+        )
+        terms.append(draw(st.sampled_from(COEFFICIENTS)) + monomial)
+    return "+".join(terms)
+
+
+HARMONIC = ["x^2-y^2", "x", "x^3-3*x*y^2", "2^1000*x*y", "1", "x^4-6*x^2*y^2+y^4"]
+NODES, BAD_NODES = ["64", "32", "256", "18", "16"], ["-2", "0", "14", "15", "17", "255"]
+DEGREES, BAD_DEGREES = ["4", "3", "2", "1", "0"], ["-1"]
+TOLERANCES = ["1e-8", "1", "1e308", "5e-324", "1e-300"]
+BAD_TOLERANCES = ["nan", "inf", "-inf", "0", "-1"]
+
+
+@st.composite
+def cli_arguments(draw):
+    """(argv, suite): a random argument list of szego, dirichlet, verify or
+    either experiment kind, or a bad-input form of suite."""
+    command = draw(st.sampled_from(
+        ["szego", "dirichlet", "verify", "szbar", "harmonic-compare", "suite"]
+    ))
+    if command == "suite":
+        extra = draw(st.sampled_from([
+            ["--ellipse", "2,1"], ["--poly", "z"], ["--nodes", "16"],
+            ["--format", "yaml"], ["extra"], ["--tol", "1"],
+        ]))
+        return ["suite", *extra], True
+    argv = ["experiment", command] if command in ("szbar", "harmonic-compare") else [command]
+    # --flag=value, so that a value starting with '-' is not read as a flag.
+    argv.append(f"--ellipse={draw(ellipse_text(disc=command == 'harmonic-compare'))}")
+    if command in ("szego", "verify"):
+        argv.append(f"--poly={draw(poly_text(('z', 'zbar')))}")
+    elif command == "dirichlet":
+        argv.append(f"--poly={draw(poly_text(('x', 'y')))}")
+    elif command == "harmonic-compare":
+        poly = draw(st.one_of(st.sampled_from(HARMONIC), poly_text(("x", "y"))))
+        argv.append(f"--poly={poly}")
+    if command in ("verify", "szbar", "harmonic-compare"):
+        argv.append(f"--nodes={draw(_mostly(NODES, BAD_NODES))}")
+        argv.append(f"--degree={draw(_mostly(DEGREES, BAD_DEGREES))}")
+    if command in ("verify", "harmonic-compare") and draw(st.booleans()):
+        argv.append(f"--tol={draw(_mostly(TOLERANCES, BAD_TOLERANCES))}")
+    argv += ["--format", draw(st.sampled_from(["json", "text"])), "--no-timestamp"]
+    return argv, False
+
+
+@settings(max_examples=600, deadline=timedelta(seconds=5))
+@given(cli_arguments())
+def test_every_argument_list_exits_0_1_or_2_with_one_error_line(case):
+    # Run in process: an exception out of main is the traceback a user would
+    # see.  A nonzero exit is a failed check, with its report and nothing on
+    # stderr, or an error, with one stderr line and no report.  Only suite's
+    # forms are refused by argparse itself, which prints its usage block
+    # before the one error line.
+    argv, suite = case
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            assert suite, f"argparse refused {argv}: {err.getvalue()}"
+            code = exc.code
+    assert caught == []
+    assert code in (0, 1, 2)
+    lines = err.getvalue().splitlines()
+    assert "Traceback" not in err.getvalue()
+    if suite:
+        assert code == 2 and out.getvalue() == ""
+        errors = [line for line in lines if "error:" in line]
+        assert len(errors) == 1 and lines[-1] == errors[0]
+        assert lines[0].startswith("usage: ")
+    elif lines:
+        # an error: one line, no report
+        assert code in (1, 2) and out.getvalue() == ""
+        assert len(lines) == 1 and lines[0].startswith(("error: ", "internal check failed: "))
+    else:
+        # a report; exit 1 is a check that failed
+        assert code in (0, 1) and out.getvalue()

@@ -107,6 +107,18 @@ def test_error_carries_column():
         parse_polynomial("z^1/2")
 
 
+@pytest.mark.parametrize(
+    "text, column",
+    [("x^2/4", 3), ("x/4", 2), ("(z+zbar)/2", 9), ("z^1/2", 3), ("1/2/3*z", 4)],
+)
+def test_division_is_named_in_the_parse_error(text, column):
+    # A '/' that no number token takes: polynomial text has no division,
+    # and the message shows the coefficient form instead.
+    message = rf"column {column}: .*no division: write 1/4\*x\^2, not x\^2/4\)$"
+    with pytest.raises(ParseError, match=message):
+        parse_polynomial(text)
+
+
 def test_fractional_exponent_rejected():
     with pytest.raises(ParseError):
         parse_polynomial("z^(1/2)")

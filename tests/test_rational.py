@@ -90,6 +90,14 @@ def test_complex_conversion():
     assert complex(GaussianRational(Fraction(1, 2), Fraction(-1, 4))) == 0.5 - 0.25j
 
 
+def test_complex_conversion_too_large_for_a_double_names_the_value():
+    huge = GaussianRational(2**1100, 1)
+    with pytest.raises(OverflowError, match=f"of {huge.bit_size()} bits is too large for a double"):
+        complex(huge)
+    with pytest.raises(OverflowError, match="too large for a double"):
+        complex(GaussianRational(0, Fraction(-(2**2000), 3)))
+
+
 def test_mixed_int_fraction_operands():
     c = GaussianRational(1, 1)
     assert 2 * c == GaussianRational(2, 2)
