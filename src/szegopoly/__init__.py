@@ -99,8 +99,9 @@ def __dir__() -> list[str]:
 
 
 def clear_caches() -> None:
-    """Empty the package's memo tables: the exact Szego systems, and the
-    float quadrature grids, area rules and Vandermonde bases.
+    """Empty the package's memo tables: the exact Szego systems, with the
+    block factorisations they keep, and the float quadrature grids, area
+    rules and Vandermonde bases.
 
     The float memos exist only once the harness has been imported; before
     that there is nothing to empty, and this does not import it.  Each

@@ -16,7 +16,9 @@ so a ValueError or OverflowError from inside the library is a failure.
 `experiment` and `suite` import the float harness when they run.  `verify`
 and `experiment` run under a numpy error state in which overflow and
 invalid values raise FloatingPointError, so data too large for doubles is
-a one-line failure, not warnings and a nan or inf report.
+a one-line failure, not warnings and a nan or inf report; when a term of
+the data is beyond the largest double on the boundary, the message names
+it.
 """
 
 from __future__ import annotations
@@ -34,12 +36,13 @@ from .domains import Ellipse, Ellipsoid
 from .linalg import InternalCheckError
 from .parsing import (
     ParseError,
+    _real_var_names,
     format_poly_real,
     parse_poly_real,
     parse_poly_zzbar,
     poly_real_to_json,
 )
-from .polynomials import divide_exact
+from .polynomials import PolyZZbar, divide_exact
 from .szego import szego_project, verify_decomposition
 
 
@@ -185,6 +188,39 @@ def _load_float_ellipse(args) -> Ellipse:
     return e
 
 
+def _raise_for_overflowing_term(e: Ellipse, data) -> None:
+    """After a float command overflowed: raise a FloatingPointError naming
+    the term of data with the largest bound |c|*(|centre| + max(a, b))^deg
+    on the boundary of e, when that bound is beyond the largest double;
+    return when it is not, since the data alone then does not explain
+    the overflow."""
+    from .boundary import ellipse_floats
+
+    if data.is_zero():
+        return
+    a, b, h, k = ellipse_floats(e)
+    log_radius = math.log10(math.hypot(h, k) + max(a, b))
+
+    def log_bound(key, c):
+        norm = c.norm()
+        log_c = (math.log10(norm.numerator) - math.log10(norm.denominator)) / 2
+        return log_c + sum(key) * log_radius
+
+    log_size, key = max((log_bound(key, c), key) for key, c in data.terms())
+    if log_size <= math.log10(sys.float_info.max):
+        return
+    names = ("z", "zbar") if isinstance(data, PolyZZbar) else _real_var_names(data.dim)
+    term = "*".join(f"{n}^{p}" if p > 1 else n for n, p in zip(names, key) if p) or "1"
+    exponent = math.floor(log_size)
+    mantissa = round(10 ** (log_size - exponent))
+    if mantissa == 10:
+        mantissa, exponent = 1, exponent + 1
+    raise FloatingPointError(
+        f"term {term} of the data reaches about {mantissa}e{exponent} on the "
+        "boundary, beyond the largest double"
+    )
+
+
 def _float_errors_raise(command):
     """Run a float command with numpy overflow and invalid values raising
     FloatingPointError, which main reports as a failure."""
@@ -214,9 +250,13 @@ def _cmd_verify(args) -> int:
         and szego_project(e, f).projection.degree() > args.degree
     ):
         raise InputError(f"--degree {args.degree} is below the degree of the projection")
-    report_obj = compare_symbolic_numeric(
-        e, f, M=args.nodes, basis_degree=args.degree
-    )
+    try:
+        report_obj = compare_symbolic_numeric(
+            e, f, M=args.nodes, basis_degree=args.degree
+        )
+    except FloatingPointError:
+        _raise_for_overflowing_term(e, f)
+        raise
     passed = report_obj.max_coeff_deviation < args.tol
     report = {
         "command": "verify",
@@ -264,7 +304,11 @@ def _cmd_experiment(args) -> int:
         require_quad_order(p, args.degree, AREA_QUAD_ORDER)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    rep = harmonic_szego_bergman_check(e, p, basis_degree=args.degree, M=args.nodes)
+    try:
+        rep = harmonic_szego_bergman_check(e, p, basis_degree=args.degree, M=args.nodes)
+    except FloatingPointError:
+        _raise_for_overflowing_term(e, p)
+        raise
     report = rep.to_json_dict()
     passed = True
     if args.tol is not None:

@@ -30,7 +30,11 @@ graded monomial basis, such as the Fischer and Szego systems: it keeps
 its dense diagonal degree blocks and, per row, the few entries in columns
 of higher degree.  A solve is graded back-substitution from the top
 degree down: each block's right-hand side is pulled from the unknowns
-already solved, then one solve_exact call solves the block.
+already solved, then the block is solved.  A block's first solve is one
+solve_exact call; its second factors the block and keeps the
+factorisation, which every later solve replays.  So a system solved once,
+as most are, keeps nothing, and a cached system used for many right-hand
+sides eliminates each block once more, not once per solve.
 
 graded_system certifies every diagonal block invertible without exact
 elimination.  Z[i] -> Z/PRIME, i -> SQRT_MINUS_ONE, is a ring map, so it
@@ -45,7 +49,7 @@ weaker than the exact determinant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .rational import GaussianRational, ZERO, ONE, _images_mod, _minus_dot
@@ -243,12 +247,20 @@ class GradedSystem:
     only the entries of row i in columns of higher degree, as {j: M[i][j]}.
     Every diagonal block is certified invertible when the system is built
     (graded_system).
+
+    _kept is solve's memory of the blocks, by degree: absent for a block
+    never solved, None after its first solve, and its ExactFactorization
+    from its second solve on.  It is no part of the matrix, so it takes no
+    part in == or repr.
     """
 
     basis_order: tuple[tuple[int, ...], ...]
     blocks: tuple[tuple[int, int], ...]
     diagonal: tuple[tuple[tuple[GaussianRational, ...], ...], ...]
     rows: tuple[dict[int, GaussianRational], ...]
+    _kept: dict[int, ExactFactorization | None] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
 
     @property
     def size(self) -> int:
@@ -259,19 +271,28 @@ class GradedSystem:
 
         From the top degree down: pull each right-hand side entry of the
         diagonal block, rhs[i] minus row i's entries times the unknowns of
-        higher degree, as one _minus_dot, then solve the block (one
-        solve_exact call).  A block whose right-hand side is zero has zero
-        unknowns.
+        higher degree, as one _minus_dot, then solve the block: one
+        solve_exact call the first time, factor_exact and a replay the
+        second, kept for a replay alone every time after.  A block whose
+        right-hand side is zero has zero unknowns and is not solved.
         """
         x = [ZERO] * self.size
-        for (start, stop), block in zip(reversed(self.blocks), reversed(self.diagonal)):
+        kept = self._kept
+        for d in reversed(range(len(self.blocks))):
+            start, stop = self.blocks[d]
             part = [
                 _minus_dot(rhs[i], [(a, x[j]) for j, a in self.rows[i].items() if x[j]])
                 for i in range(start, stop)
             ]
             if not any(part):
                 continue
-            solution = solve_exact(block, part)
+            if d not in kept:
+                kept[d] = None
+                solution = solve_exact(self.diagonal[d], part)
+            else:
+                if kept[d] is None:
+                    kept[d] = factor_exact(self.diagonal[d])
+                solution = kept[d].solve(part)
             if solution is None:
                 raise InternalCheckError("certified-invertible diagonal block failed to solve")
             x[start:stop] = solution

@@ -31,7 +31,9 @@ degree: the same linalg.GradedSystem as the Fischer systems, solved by
 the same graded back-substitution.  The builder certifies every block
 invertible by its determinant modulo a prime (exactly, in the rare case
 that is inconclusive), which certifies uniqueness.  The system depends
-only on (ellipse, N) and is cached per pair.
+only on (ellipse, N) and is cached per pair; the cached system factors a
+block once, from its second solve, and replays that factorisation on
+every projection after, while a system solved once keeps nothing.
 verify_decomposition re-checks every claim, with operator_A extending the
 preimage on its own path.
 """

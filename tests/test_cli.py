@@ -4,8 +4,10 @@ import contextlib
 import io
 import json
 import re
+import shlex
 import warnings
 from datetime import timedelta
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -358,6 +360,49 @@ def test_verify_names_a_coefficient_too_large_for_a_double(capsys):
     assert code == 1
     assert out == ""
     assert re.fullmatch(r"error: a Gaussian rational of \d+ bits is too large for a double\n", err)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "--ellipse", "1e100,1e100", "--poly", "zbar^4"],
+         "term zbar^4 of the data reaches about 1e400 on the boundary, "
+         "beyond the largest double"),
+        (["verify", "--ellipse", "1e100,1e100", "--poly", "zbar-2*zbar^4"],
+         "term zbar^4 of the data reaches about 2e400 on the boundary, "
+         "beyond the largest double"),
+        (["experiment", "harmonic-compare", "--ellipse", "1e120,1e120",
+          "--poly", "x^4-6*x^2*y^2+y^4"],
+         "term x^2*y^2 of the data reaches about 6e480 on the boundary, "
+         "beyond the largest double"),
+    ],
+)
+def test_float_overflow_names_the_term_beyond_the_largest_double(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_float_overflow_within_the_data_bound_keeps_numpy_message(capsys):
+    # 2*z*zbar^2 is at most about 2e300 on this boundary, a double; the
+    # harness overflows elsewhere, so no term of the data is named.
+    code, out, err = run_cli(capsys, "verify", "--ellipse", "1e100,1e-57", "--poly", "2*z*zbar^2")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: overflow encountered") and err.count("\n") == 1
+
+
+def test_readme_form_for_a_value_that_starts_with_a_dash(capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    example = re.search(r"`szegopoly (szego [^`]*--poly=-[^`]*)`", readme).group(1)
+    code, report, _ = run_json(capsys, *shlex.split(example))
+    assert code == 0
+    assert parse_poly_zzbar(report["projection"]) == parse_poly_zzbar("-3/2*z")
+    # Given separately, argparse reads the value as an option.
+    with pytest.raises(SystemExit) as exc:
+        main(["szego", "--ellipse", "2,1", "--poly", "-3/2*z"])
+    assert exc.value.code == 2
 
 
 @pytest.mark.parametrize("scale", ["1e77", "1e100", "1e154"])

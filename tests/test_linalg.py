@@ -6,8 +6,9 @@ from math import isqrt, prod
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, reject, settings, strategies as st
 
+import szegopoly
 from szegopoly import dirichlet, linalg, szego
 from szegopoly.domains import Ellipse
 from szegopoly.linalg import (
@@ -360,3 +361,109 @@ def test_szego_and_fischer_systems_are_certified_without_exact_elimination(det_e
     szego._square_system.__wrapped__(Ellipse(Fraction(3), Fraction(2), Fraction(1, 3)), 10)
     dirichlet.fischer_system(random_ellipsoid(random.Random(6), 3), 6)
     assert det_exact_calls == []
+
+
+# -- kept block factorisations -------------------------------------------------------
+
+
+@st.composite
+def graded_systems_with_rhs(draw):
+    """A graded system on the monomials of degree <= 3 in two variables,
+    its dense matrix, and 4 to 6 right-hand sides, some zero on whole
+    blocks so that those blocks are skipped."""
+    top = draw(st.integers(0, 3))
+    basis = [(a, d - a) for d in range(top + 1) for a in range(d + 1)]
+    n = len(basis)
+    sparse = st.one_of(st.just(ZERO), entries)
+    dense = [[ZERO] * n for _ in range(n)]
+    for j, col in enumerate(basis):
+        for i, row in enumerate(basis):
+            if sum(row) < sum(col):
+                dense[i][j] = draw(sparse)
+            elif sum(row) == sum(col):
+                dense[i][j] = draw(entries)
+    images = [{basis[i]: dense[i][j] for i in range(n) if dense[i][j]} for j in range(n)]
+    try:
+        system = graded_system(basis, images)
+    except InternalCheckError:
+        reject()
+    rhs = draw(st.lists(st.lists(sparse, min_size=n, max_size=n), min_size=4, max_size=6))
+    return basis, images, system, dense, rhs
+
+
+@settings(max_examples=40, deadline=None)
+@given(graded_systems_with_rhs())
+def test_kept_factorisations_solve_as_a_fresh_system_and_the_dense_matrix(case):
+    basis, images, system, dense, rhs = case
+    for b in rhs:
+        x = system.solve(b)
+        assert x == solve_exact(dense, b) == graded_system(basis, images).solve(b)
+
+
+@pytest.fixture
+def elimination_calls(monkeypatch):
+    """The blocks passed to linalg.solve_exact and linalg.factor_exact while
+    the test runs, by name; solve_exact's own factorisation is not counted."""
+    calls = {"solve_exact": [], "factor_exact": []}
+
+    def counting_solve(matrix, rhs):
+        calls["solve_exact"].append(matrix)
+        return factor_exact(matrix).solve(rhs)
+
+    def counting_factor(matrix):
+        calls["factor_exact"].append(matrix)
+        return factor_exact(matrix)
+
+    monkeypatch.setattr(linalg, "solve_exact", counting_solve)
+    monkeypatch.setattr(linalg, "factor_exact", counting_factor)
+    return calls
+
+
+def test_a_block_is_solved_once_then_factored_once_then_replayed(elimination_calls):
+    e = Ellipse(Fraction(3), Fraction(2), Fraction(1, 3), Fraction(-2, 3))
+    system = szego._square_system.__wrapped__(e, 4)
+    # zbar^3 + z has no degree-4 term, so the degree-4 block is not reached.
+    low = [gr(1) if key in ((0, 3), (1, 0)) else ZERO for key in system.basis_order]
+    x = system.solve(low)
+    reached = [
+        block for (start, stop), block in zip(system.blocks, system.diagonal)
+        if any(x[start:stop])
+    ][::-1]
+    assert reached and len(reached) < len(system.blocks)
+    assert elimination_calls == {"solve_exact": reached, "factor_exact": []}
+    assert system.solve(low) == x
+    assert elimination_calls == {"solve_exact": reached, "factor_exact": reached}
+    assert system.solve(low) == x
+    assert elimination_calls == {"solve_exact": reached, "factor_exact": reached}
+    # The unreached block starts its own count: its first solve is one-shot.
+    top = [gr(1) if key == (0, 4) else ZERO for key in system.basis_order]
+    system.solve(top)
+    assert elimination_calls["solve_exact"] == [*reached, system.diagonal[-1]]
+    assert elimination_calls["factor_exact"] == reached
+
+
+def test_a_solved_system_equals_an_unsolved_one():
+    e = Ellipse(Fraction(2), Fraction(1))
+    solved, unsolved = (szego._square_system.__wrapped__(e, 3) for _ in range(2))
+    rhs = [gr(1)] * solved.size
+    for _ in range(3):
+        solved.solve(rhs)
+    assert solved == unsolved
+    assert repr(solved) == repr(unsolved)
+
+
+def test_cleared_caches_solve_the_szego_system_afresh(elimination_calls):
+    e = Ellipse(Fraction(5, 2), Fraction(1), Fraction(1, 2), Fraction(1, 3))
+    szegopoly.clear_caches()
+    system = szego._square_system(e, 10)
+    rhs = [gr(k + 1, -k) for k in range(system.size)]
+    solutions = [system.solve(rhs) for _ in range(3)]
+    assert solutions[0] == solutions[1] == solutions[2]
+    once = len(elimination_calls["solve_exact"])
+    assert once == len(system.blocks) == len(elimination_calls["factor_exact"])
+    szegopoly.clear_caches()
+    fresh = szego._square_system(e, 10)
+    assert fresh is not system
+    assert fresh.solve(rhs) == solutions[0]
+    assert len(elimination_calls["solve_exact"]) == 2 * once
+    assert len(elimination_calls["factor_exact"]) == once
