@@ -304,16 +304,32 @@ def _adjoint_u(U: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.conj(np.conj(v) @ U)
 
 
+def _scaled_down(linear, values: np.ndarray) -> tuple[np.ndarray, float]:
+    """(linear(values), 1.0), or, when that is not finite while the values
+    are, (linear(values / 2^k), 2^k) for the power of two 2^k at or below
+    the largest real or imaginary part of the values: the division is
+    exact and the map linear, so 2^k times the result is linear(values)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = linear(values)
+    if np.isfinite(out).all() or not np.isfinite(values).all():
+        return out, 1.0
+    big = max(np.abs(values.real).max(), np.abs(values.imag).max())
+    scale = 2.0 ** (math.frexp(big)[1] - 1)
+    return linear(values / scale), scale
+
+
 def _fit(z, basis: _Basis, f) -> NumericalProjection:
     """Least-squares fit of f on the nodes z by the factored weighted basis
     of _basis_matrix on those nodes, each squared residual weighted by its
     node's quadrature weight.  f is evaluated through the basis's
-    node-power table.
+    node-power table.  Data whose weighted values overflow are fitted
+    over a power of two (_scaled_down), and the coefficients and the
+    residual norm are scaled back.
 
     The minimum-norm solution Vh^H (U^H rhs / s) of np.linalg.lstsq with
     rcond=None: singular values at most eps*max(M, n)*s[0] count as zero."""
     U, s, Vh, sqrt_w = basis.U, basis.s, basis.Vh, basis.sqrt_w
-    rhs = poly_values(f, z, basis.powers) * sqrt_w
+    rhs, data_scale = _scaled_down(lambda v: v * sqrt_w, poly_values(f, z, basis.powers))
     beta = _adjoint_u(U, rhs)
     keep = s > np.finfo(float).eps * max(U.shape[0], Vh.shape[1]) * s[0]
     beta[~keep] = 0
@@ -336,8 +352,8 @@ def _fit(z, basis: _Basis, f) -> NumericalProjection:
             f"{CONDITION_WARN_THRESHOLD:.0e}; coefficients may be inaccurate"
         )
     return NumericalProjection(
-        coefficients=coeffs, center=basis.center, scale=basis.scale,
-        residual_norm=residual, condition_estimate=cond, warning=warning,
+        coefficients=coeffs * data_scale, center=basis.center, scale=basis.scale,
+        residual_norm=residual * data_scale, condition_estimate=cond, warning=warning,
     )
 
 
@@ -427,16 +443,19 @@ def bergman_residual_orthogonality(
     e: Ellipse, f, proj: NumericalProjection, quad_order: int = AREA_QUAD_ORDER
 ) -> float:
     """Max |<f - proj, phi_k>| over the basis, in the area inner product.
-    proj is evaluated at the nodes, so the check reads any projection."""
+    proj is evaluated at the nodes, so the check reads any projection.  A
+    residual whose inner products overflow is taken over a power of two
+    (_scaled_down), so a value beyond the largest double reads inf."""
     require_quad_order(f, proj.basis_degree(), quad_order)
     z, _ = area_quadrature(e, quad_order)
     basis = _area_basis(e, quad_order, proj.basis_degree())
     resid = poly_values(f, z, basis.powers) - proj.evaluate(z)
     # A^H v = Vh^H (s * U^H v) for the factored weighted basis A.
-    inner = basis.Vh.conj().T @ (
-        basis.s * _adjoint_u(basis.U, basis.sqrt_w * resid)
+    inner, data_scale = _scaled_down(
+        lambda v: basis.Vh.conj().T @ (basis.s * _adjoint_u(basis.U, basis.sqrt_w * v)),
+        resid,
     )
-    return float(np.max(np.abs(inner)))
+    return float(np.max(np.abs(inner))) * data_scale
 
 
 # -- exact-to-float basis conversion -------------------------------------------
@@ -578,7 +597,6 @@ def harmonic_szego_bergman_check(
     p: PolyRealN,
     basis_degree: int = 12,
     M: int = 1024,
-    quad_order: int = AREA_QUAD_ORDER,
 ) -> HarmonicCompareReport:
     """On a disc, the (unweighted) Szego and Bergman projections of harmonic
     data agree; measure the numerical deviation."""
@@ -588,7 +606,7 @@ def harmonic_szego_bergman_check(
         raise ValueError("input polynomial is not harmonic")
     grid = boundary_grid(disc, M, weighted=False)
     s_proj = numerical_szego(grid, p, basis_degree)
-    b_proj = numerical_bergman(disc, p, basis_degree, quad_order)
+    b_proj = numerical_bergman(disc, p, basis_degree)
     deviation = float(np.max(np.abs(s_proj.coefficients - b_proj.coefficients)))
     return HarmonicCompareReport(
         ellipse=disc, szego=s_proj, bergman=b_proj,

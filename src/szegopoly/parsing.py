@@ -44,7 +44,7 @@ from .rational import (
     GaussianRational, ONE, ZERO, _int_from_text, _int_text, _reduce, rational_from_json,
 )
 from .polynomials import (
-    MAX_EXPONENT, PolyRealN, PolyZZbar, _mul_terms, _pow_terms, xy_to_zzbar,
+    MAX_EXPONENT, PolyRealN, PolyZZbar, _add_into, _mul_terms, _pow_terms, xy_to_zzbar,
     zzbar_to_xy,
 )
 
@@ -178,14 +178,7 @@ class _Parser:
         tokens = self.tokens
         while (op := tokens[self.index][1]) in ("+", "-"):
             self.index += 1
-            for k, c in self.term(op == "-").items():
-                s = out.get(k)
-                if s is None:
-                    out[k] = c
-                elif s := s + c:
-                    out[k] = s
-                else:
-                    del out[k]
+            _add_into(out, self.term(op == "-"))
         return out
 
     def term(self, negate: bool) -> dict:

@@ -19,9 +19,9 @@ validate, checking every exponent and coercing every coefficient.  Ring
 operations, derivatives, conjugation and exact division build clean term
 dicts and wrap them with the private same-type constructor _new; a product
 checks for exponent overflow once, from the per-variable maximum exponents
-of its two operands.  The term-dict functions _add_terms, _mul_terms and
+of its two operands.  The term-dict functions _add_into, _mul_terms and
 _pow_terms are the ring arithmetic itself; the text parser uses them for
-parenthesised sums.  _mul_terms is the one product routine: a one-term
+sums and parenthesised sums.  _mul_terms is the one product routine: a one-term
 operand shifts the other's keys and scales its coefficients; otherwise it
 writes each operand over one common denominator (rational._cleared), sums
 the Gaussian-integer numerator products per output monomial and reduces
@@ -79,15 +79,16 @@ def _grlex_key(exps: tuple) -> tuple:
     return (sum(exps), exps)
 
 
-def _add_terms(a: dict, b: dict) -> dict:
-    out = dict(a)
+def _add_into(out: dict, b: dict) -> dict:
+    """Add the clean term dict b into out, in place; a sum that cancels is deleted."""
     for k, c in b.items():
         s = out.get(k)
-        s = c if s is None else s + c
-        if s:
+        if s is None:
+            out[k] = c
+        elif s := s + c:
             out[k] = s
         else:
-            out.pop(k, None)
+            del out[k]
     return out
 
 
@@ -284,13 +285,13 @@ class _SparsePoly:
     def __add__(self, other):
         if not self._same_ring(other):
             return NotImplemented
-        return self._new(_add_terms(self._terms, other._terms))
+        return self._new(_add_into(dict(self._terms), other._terms))
 
     def __sub__(self, other):
         if not self._same_ring(other):
             return NotImplemented
         return self._new(
-            _add_terms(self._terms, {k: -c for k, c in other._terms.items()})
+            _add_into(dict(self._terms), {k: -c for k, c in other._terms.items()})
         )
 
     def __neg__(self):

@@ -10,7 +10,7 @@ import random
 from fractions import Fraction
 
 from .domains import Ellipsoid
-from .polynomials import PolyRealN, PolyZZbar, monomials_real, monomials_zzbar
+from .polynomials import PolyRealN, PolyZZbar, monomials_real, monomials_zzbar, zzbar_to_xy
 from .rational import GaussianRational
 
 
@@ -30,36 +30,34 @@ def unit_box_coefficient(rng: random.Random) -> GaussianRational:
     )
 
 
+def _random_terms(rng: random.Random, keys, density: float, coefficient) -> dict:
+    """Each key drawn with probability density; the first, constant, key if none is."""
+    terms = {}
+    for key in keys:
+        if rng.random() < density:
+            terms[key] = coefficient(rng)
+    if not terms:
+        terms[keys[0]] = coefficient(rng)
+    return terms
+
+
 def random_poly_zzbar(
     rng: random.Random,
     max_degree: int,
     density: float = 0.5,
     coefficient=random_coefficient,
 ) -> PolyZZbar:
-    terms = {}
-    for key in monomials_zzbar(max_degree):
-        if rng.random() < density:
-            terms[key] = coefficient(rng)
-    if not terms:
-        terms[(0, 0)] = coefficient(rng)
-    return PolyZZbar(terms)
+    return PolyZZbar(_random_terms(rng, monomials_zzbar(max_degree), density, coefficient))
 
 
 def random_holomorphic(rng: random.Random, max_degree: int) -> PolyZZbar:
     """Each z^k up to max_degree present with probability 0.7."""
-    terms = {}
-    for k in range(max_degree + 1):
-        if rng.random() < 0.7:
-            terms[(k, 0)] = random_coefficient(rng)
-    if not terms:
-        terms[(0, 0)] = random_coefficient(rng)
-    return PolyZZbar(terms)
+    keys = [(k, 0) for k in range(max_degree + 1)]
+    return PolyZZbar(_random_terms(rng, keys, 0.7, random_coefficient))
 
 
 def random_harmonic_xy(rng: random.Random, max_degree: int) -> PolyRealN:
     """Random planar harmonic polynomial, built as f(z) + conj(g(z))."""
-    from .polynomials import zzbar_to_xy
-
     f = random_holomorphic(rng, max_degree)
     g = random_holomorphic(rng, max_degree)
     return zzbar_to_xy(f + g.conjugate())
@@ -67,13 +65,8 @@ def random_harmonic_xy(rng: random.Random, max_degree: int) -> PolyRealN:
 
 def random_poly_real(rng: random.Random, dim: int, max_degree: int) -> PolyRealN:
     """Each monomial up to max_degree present with probability 0.4."""
-    terms = {}
-    for alpha in monomials_real(dim, max_degree):
-        if rng.random() < 0.4:
-            terms[alpha] = random_coefficient(rng)
-    if not terms:
-        terms[(0,) * dim] = random_coefficient(rng)
-    return PolyRealN(dim, terms)
+    keys = monomials_real(dim, max_degree)
+    return PolyRealN(dim, _random_terms(rng, keys, 0.4, random_coefficient))
 
 
 def random_ellipsoid(rng: random.Random, dim: int) -> Ellipsoid:

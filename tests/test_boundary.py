@@ -149,6 +149,52 @@ def test_fit_residual_past_the_square_range_is_finite():
     assert unit == pytest.approx(math.sqrt(2 * math.pi), rel=1e-13)
 
 
+def _power_of_two_below(values):
+    """The largest power of two at or below every real and imaginary part."""
+    return 2.0 ** (math.frexp(max(np.abs(values.real).max(), np.abs(values.imag).max()))[1] - 1)
+
+
+@pytest.mark.parametrize("kind", ["szego", "bergman"])
+def test_fit_of_data_whose_weighted_values_overflow_scales_exactly(kind):
+    # 2*z*zbar^2 reaches about 2e300 on this ellipse and the square roots of
+    # the quadrature weights about 2.5e20 (boundary) or 1.7e20 (area), so
+    # the weighted data overflow.  The fit divides the data by a power of
+    # two 2^k and scales the result back; both steps are exact, so it is 2^k
+    # times the fit of the data's values over 2^k, bit for bit.  (The exact
+    # f/2^k would not do: evaluating it underflows small partial products.)
+    e = Ellipse.from_string("1e100,1e-57")
+    f = PolyZZbar({(1, 2): 2})
+    if kind == "szego":
+        grid = boundary_grid(e, 1024)
+        nodes, fit = grid.z, lambda data: numerical_szego(grid, data, 12)
+    else:
+        nodes, fit = area_quadrature(e, 48)[0], lambda data: numerical_bergman(e, data, 8)
+    two_k = _power_of_two_below(poly_values(f, nodes))
+    with np.errstate(over="raise", invalid="raise"):
+        big = fit(f)
+        small = fit(lambda z: poly_values(f, z) / two_k)
+    assert np.array_equal(big.coefficients, small.coefficients * two_k)
+    assert big.residual_norm == small.residual_norm * two_k
+    assert big.coefficients[3].real == pytest.approx(2e300, rel=1e-12)
+
+
+def test_orthogonality_of_data_whose_weighted_values_overflow_is_finite():
+    # C*zbar^9 is area-orthogonal to 1, z, ..., z^8 on a disc, so its inner
+    # products are rounding-level although the weighted values overflow.
+    e = Ellipse(10**4, 10**4)
+    zero = boundary.NumericalProjection(
+        coefficients=np.zeros(9, dtype=complex), center=0j, scale=1e4,
+        residual_norm=0.0, condition_estimate=1.0,
+    )
+    data = lambda z: 1e270 * np.conj(z) ** 9
+    two_k = _power_of_two_below(data(area_quadrature(e, 48)[0]))
+    with np.errstate(over="raise", invalid="raise"):
+        big = bergman_residual_orthogonality(e, data, zero)
+        small = bergman_residual_orthogonality(e, lambda z: data(z) / two_k, zero)
+    assert math.isfinite(big) and big < 1e-13 * 1e270 * 1e4**9 * math.pi * 1e8
+    assert big == small * two_k
+
+
 def test_perimeter_value_and_convergence():
     values = {M: boundary_grid(E21, M).perimeter() for M in (64, 128, 256, 1024, 8192)}
     assert values[1024] == pytest.approx(PERIMETER_21, abs=1e-12)

@@ -16,7 +16,8 @@ import szegopoly
 from szegopoly import boundary
 from szegopoly.acceptance import CriterionResult
 from szegopoly.boundary import MAX_BASIS_CELLS, MAX_NODES
-from szegopoly.cli import main
+from szegopoly.cli import _raise_for_overflowing_term, main
+from szegopoly.domains import Ellipse
 from szegopoly.parsing import parse_poly_real, parse_poly_zzbar
 from szegopoly.polynomials import PolyRealN, PolyZZbar
 
@@ -384,13 +385,19 @@ def test_float_overflow_names_the_term_beyond_the_largest_double(capsys, argv, m
     assert err == f"error: {message}\n"
 
 
-def test_float_overflow_within_the_data_bound_keeps_numpy_message(capsys):
-    # 2*z*zbar^2 is at most about 2e300 on this boundary, a double; the
-    # harness overflows elsewhere, so no term of the data is named.
-    code, out, err = run_cli(capsys, "verify", "--ellipse", "1e100,1e-57", "--poly", "2*z*zbar^2")
-    assert code == 1
-    assert out == ""
-    assert err.startswith("error: overflow encountered") and err.count("\n") == 1
+def test_float_overflow_within_the_data_bound_writes_the_report(capsys):
+    # 2*z*zbar^2 is at most about 2e300 on this boundary, a double, so no
+    # term of the data is named; the fit scales the data by a power of two
+    # instead of overflowing when it weights them by sqrt(omega*ds) ~ 2.5e20.
+    e = Ellipse.from_string("1e100,1e-57")
+    assert _raise_for_overflowing_term(e, parse_poly_zzbar("2*z*zbar^2")) is None
+    code, report, err = run_json(capsys, "verify", "--ellipse", "1e100,1e-57", "--poly", "2*z*zbar^2")
+    assert err == ""
+    # Fails only on the absolute tolerance: the deviation is about 1e288
+    # against a coefficient of 2e300.
+    assert code == 1 and report["passed"] is False
+    assert report["numeric_coefficients"][3][0] == pytest.approx(2e300, rel=1e-12)
+    assert report["max_coeff_deviation"] < 1e-10 * 2e300
 
 
 def test_readme_form_for_a_value_that_starts_with_a_dash(capsys):

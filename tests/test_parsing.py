@@ -1,5 +1,7 @@
 """Polynomial text/JSON round trips and parse errors."""
 
+import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -138,8 +140,17 @@ def test_json_rejects_duplicates():
         {"a": 1, "b": 0, "re": "1", "im": "0"},
         {"a": 1, "b": 0, "re": "2", "im": "0"},
     ]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^duplicate exponent pair \(1, 0\) in JSON polynomial$"):
         poly_zzbar_from_json(items)
+    obj = {
+        "dim": 2,
+        "terms": [
+            {"alpha": [0, 2], "re": "1", "im": "0"},
+            {"alpha": [0, 2], "re": "2", "im": "0"},
+        ],
+    }
+    with pytest.raises(ValueError, match=r"^duplicate multi-index \(0, 2\) in JSON polynomial$"):
+        poly_real_from_json(obj)
 
 
 @pytest.mark.parametrize(
@@ -535,3 +546,40 @@ def test_parser_agrees_with_ring_arithmetic(expression):
     value = parse_polynomial(text)
     assert type(value) is type(expected) and value._dim == expected._dim
     assert list(value._terms.items()) == list(expected._terms.items())
+
+
+def test_exact_text_round_trips_at_the_smallest_digit_limit():
+    # CPython accepts int <-> str digit limits down to 640; every exact text
+    # and JSON form must work under it for numbers of any length.
+    n = 3**12600  # 6,012 digits
+    c = GaussianRational(Fraction(n, n + 2), Fraction(-n - 1, 7))
+    p = PolyZZbar({(0, 0): 1, (2, 1): c})
+    q = PolyRealN(3, {(1, 0, 2): c, (0, 0, 0): -c})
+    axis = Fraction(10**701 + 1, 3)  # a 702-digit numerator
+
+    def texts():
+        return (
+            format_poly_zzbar(p),
+            format_poly_real(q),
+            json.dumps(poly_zzbar_to_json(p)),
+            json.dumps(poly_real_to_json(q)),
+            repr(c),
+        )
+
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(0)  # no limit: the reference texts
+        expected = texts()
+        axis_text = f"{axis.numerator}/{axis.denominator}"
+        sys.set_int_max_str_digits(640)
+        assert texts() == expected
+        zzbar_text, real_text, zzbar_json, real_json, _ = expected
+        assert parse_poly_zzbar(zzbar_text) == p
+        assert parse_poly_real(real_text) == q
+        assert poly_zzbar_from_json(json.loads(zzbar_json)) == p
+        assert poly_real_from_json(json.loads(real_json)) == q
+        e = Ellipse.from_string(f"{axis_text},1")
+        assert e.a == axis
+        assert e.to_json_dict()["a"] == axis_text
+    finally:
+        sys.set_int_max_str_digits(limit)
