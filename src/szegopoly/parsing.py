@@ -17,17 +17,28 @@ x1..xn gives PolyRealN in n variables, n the largest index named.  The
 families cannot be mixed in one expression, and text with no variable is
 a PolyZZbar constant.
 
-Text is read a term at a time.  The complex literal "(p/q+r/si)" that
-format_coefficient writes is one token, valued with one reduction; the
-same text with a space inside, or with a zero denominator, is read as a
-parenthesised sum of general tokens.  A term folds its numbers, literals
-and variables, with their ^n, into one coefficient and one exponent
-tuple, and multiplies term dicts (polynomials._mul_terms, _pow_terms)
-only for parenthesised sums; a sum adds its terms into one dict.  The
-result is the ring's left-to-right +, -, *, ** on the same text, with the
-same terms in the same dict order.  Parentheses nest at most MAX_NESTING
-deep, and numbered variables run up to x100 (MAX_VARIABLES).  Numbers may
-be of any length.
+Canonical text, as format_poly_zzbar and format_poly_real write it, is
+read with one compiled pattern match per term.  A term is its ring's
+template (_term_template, which the writers fill in): a coefficient
+"(p[/q]+r[/s]i)" or "(p[/q]-r[/s]i)", then "*" and every variable of the
+ring in order with its exponent; terms are joined by " + ".  Every
+denominator is nonzero, and every exponent has at most 9 digits, so it
+is within the 32-bit bound.  The first term names the ring: z/zbar if it
+has "zbar", else the real ring with one variable per '^'.  Each
+coefficient is valued with one reduction and each term added with
+polynomials._add_into, so the ring, terms and dict order are those the
+grammar gives.  Any other text (a space elsewhere, a trailing newline, a
+variable skipped or swapped, a longer exponent, the z/zbar zero "0") is
+read by the grammar alone, which gives every result and error for it.
+
+The grammar reads text a term at a time.  A term folds its numbers and
+variables, with their ^n, into one coefficient and one exponent tuple,
+and multiplies term dicts (polynomials._mul_terms, _pow_terms) only for
+parenthesised sums, such as a complex coefficient "(1/2+3/4i)"; a sum
+adds its terms into one dict.  The result is the ring's left-to-right
++, -, *, ** on the same text, with the same terms in the same dict
+order.  Parentheses nest at most MAX_NESTING deep, and numbered
+variables run up to x100 (MAX_VARIABLES).  Numbers may be of any length.
 
 Parse errors carry the 1-based column of the offending token; an exponent
 that overflows the 32-bit bound is reported at the '^' or '*' whose power
@@ -38,6 +49,7 @@ number ("x/4", or the exponent "2/4" of "x^2/4") is reported as such.
 from __future__ import annotations
 
 import re
+from functools import cache
 from operator import add
 
 from .rational import (
@@ -57,15 +69,11 @@ class ParseError(ValueError):
         self.pos = pos
 
 
-# A complex literal "(p[/q]+r[/s]i)" as format_coefficient writes it is one
-# token; with a space inside, or a zero denominator, it falls through to the
-# general tokens.  The operators other than "(", the most frequent tokens,
-# are tried first: no other token starts with one of them.
+# The operators other than "(", the most frequent tokens, are tried first:
+# no other token starts with one of them.
 _TOKEN_RE = re.compile(
     r"\s*(?:"
     r"(?P<op>[-+*^)])"
-    r"|(?P<literal>\((?P<re>-?\d+)(?:/(?P<red>0*[1-9]\d*))?"
-    r"(?P<im>[-+]\d+)(?:/(?P<imd>0*[1-9]\d*))?i\))"
     r"|(?P<open>\()"
     r"|(?P<imag>(?:\d+(?:/\d+)?)?i\b)"
     r"|(?P<number>\d+(?:/\d+)?)"
@@ -81,27 +89,16 @@ _NO_DIVISION = " (polynomial text has no division: write 1/4*x^2, not x^2/4)"
 
 
 def _tokenize(text: str) -> list[tuple]:
-    """(kind, text, start, value) per token, then ("end", "", len(text), None).
-
-    Only a literal has a value, its GaussianRational.  Its text is "(", the
-    token that the general grammar would see first.
-    """
+    """(kind, text, start) per token, then ("end", "", len(text))."""
     tokens = []
     for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        if kind == "literal":
-            re_num, re_den, im_num, im_den = m.group("re", "red", "im", "imd")
-            q = _int_from_text(re_den) if re_den else 1
-            s = _int_from_text(im_den) if im_den else 1
-            a, b = _int_from_text(re_num) * s, _int_from_text(im_num) * q
-            tokens.append((kind, "(", m.start(kind), _reduce(a, b, q * s)))
-            continue
         if kind == "bad":
             bad = m.group(kind)
             hint = _NO_DIVISION if bad == "/" else ""
             raise ParseError(f"unexpected character {bad!r}{hint}", m.start(kind))
-        tokens.append((kind, m.group(kind), m.start(kind), None))
-    tokens.append(("end", "", len(text), None))
+        tokens.append((kind, m.group(kind), m.start(kind)))
+    tokens.append(("end", "", len(text)))
     return tokens
 
 
@@ -121,7 +118,7 @@ def _pick_ring(tokens: list[tuple]):
     z/zbar constants.
     """
     names: dict[str, int] = {}
-    for kind, value, pos, _ in tokens:
+    for kind, value, pos in tokens:
         if kind == "name":
             names.setdefault(value, pos)
     numbered = {n: _int_from_text(m.group(1)) - 1 for n in names if (m := _REAL_VAR_RE.match(n))}
@@ -145,7 +142,7 @@ def _pick_ring(tokens: list[tuple]):
 
 
 # Bound on nested parentheses; deeper text is rejected instead of running
-# the recursive descent out of stack.  A literal counts as one level.
+# the recursive descent out of stack.
 MAX_NESTING = 100
 
 
@@ -153,7 +150,7 @@ class _Parser:
     """Recursive descent over the tokens, building term dicts of one ring.
 
     Only op tokens have the text "+", "-", "*", "^" or ")", so the grammar
-    tests a token's text alone; a "(" is told from a literal by its kind.
+    tests a token's text alone.
     """
 
     def __init__(self, text: str):
@@ -167,7 +164,7 @@ class _Parser:
         if self.tokens[0][0] == "end":
             raise ParseError("empty polynomial", 0)
         terms = self.expr()
-        kind, text, pos, _ = self.tokens[self.index]
+        kind, text, pos = self.tokens[self.index]
         if kind != "end":
             raise ParseError(f"unexpected token {text!r}", pos)
         return self.zero._new(terms)
@@ -184,7 +181,7 @@ class _Parser:
     def term(self, negate: bool) -> dict:
         """A product of factors, negated when negate is set.
 
-        Numbers, literals and variables, each with its ^n, fold into one
+        Numbers and variables, each with its ^n, fold into one
         coefficient and one exponent list.  Only parenthesised sums are
         multiplied as term dicts; the folded monomial scales their product
         at the end, which moves no key of it, so the key order is that of
@@ -201,15 +198,15 @@ class _Parser:
         zero = False
         star = 0  # column of the '*' before the factor
         while True:
-            kind, text, pos, value = tokens[i]
+            kind, text, pos = tokens[i]
             while text in ("+", "-"):
                 negate ^= text == "-"
                 i += 1
-                kind, text, pos, value = tokens[i]
+                kind, text, pos = tokens[i]
             i += 1
-            if (kind == "open" or kind == "literal") and self.depth == MAX_NESTING:
-                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", pos)
             if kind == "open":
+                if self.depth == MAX_NESTING:
+                    raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", pos)
                 self.depth += 1
                 self.index = i
                 value = self.expr()
@@ -220,7 +217,7 @@ class _Parser:
                 i += 1
             elif kind == "number" or kind == "imag":
                 value = _number(text, kind, pos)
-            elif kind != "literal" and kind != "name":
+            elif kind != "name":
                 if kind == "end":
                     raise ParseError("unexpected end of input", pos)
                 raise ParseError(f"unexpected token {text!r}", pos)
@@ -272,7 +269,7 @@ class _Parser:
 
     def exponent(self, i: int) -> tuple[int, int]:
         """The exponent at token i, after a '^', and the index past it."""
-        kind, text, pos, _ = self.tokens[i]
+        kind, text, pos = self.tokens[i]
         if kind != "number" or "/" in text:
             hint = _NO_DIVISION if "/" in text else ""
             raise ParseError(f"expected a nonnegative integer exponent after '^'{hint}", pos)
@@ -297,13 +294,67 @@ def _number(text: str, kind: str, pos: int) -> GaussianRational:
     return _reduce(0, p, q) if kind == "imag" else _reduce(p, 0, q)
 
 
+# A coefficient as str(GaussianRational) writes it, "p[/q]+r[/s]i" or with
+# "-r", every denominator nonzero.
+_CANONICAL_COEFFICIENT = r"(-?[0-9]+)(?:/(0*[1-9][0-9]*))?([-+][0-9]+)(?:/(0*[1-9][0-9]*))?i"
+
+
+@cache
+def _canonical_term(dim: int):
+    """The zero polynomial of a ring and the pattern of one canonical term.
+
+    dim 0 is the z/zbar ring, and dim is at most MAX_VARIABLES, so the
+    cache holds at most 101 entries.  A term ends the text or is followed
+    by " + " and another term, so a trailing separator is not canonical.
+    """
+    if dim:
+        zero, names = PolyRealN.zero(dim), _real_var_names(dim)
+    else:
+        zero, names = PolyZZbar.zero(), _ZZBAR_NAMES
+    term = re.escape(_term_template(names))
+    term = term.replace("%s", _CANONICAL_COEFFICIENT, 1).replace("%s", "([0-9]{1,9})")
+    return zero, re.compile(term + r"(?: \+ (?=\()|\Z)")
+
+
+def _read_canonical(text: str):
+    """The polynomial of canonical text, or None for any other text.
+
+    The first term names the ring: z/zbar if it has "zbar", else the real
+    ring with one variable per '^'.  Every term must match that ring's
+    pattern.
+    """
+    end = text.find(" + ")
+    if end < 0:
+        end = len(text)
+    if "zbar" in text[:end]:
+        dim = 0
+    elif not 0 < (dim := text.count("^", 0, end)) <= MAX_VARIABLES:
+        return None
+    zero, term = _canonical_term(dim)
+    match, pos, n = term.match, 0, len(text)
+    out = {}
+    while pos < n:
+        m = match(text, pos)
+        if m is None:
+            return None
+        re_num, re_den, im_num, im_den, *exps = m.groups()
+        q = _int_from_text(re_den) if re_den else 1
+        s = _int_from_text(im_den) if im_den else 1
+        c = _reduce(_int_from_text(re_num) * s, _int_from_text(im_num) * q, q * s)
+        if c:
+            _add_into(out, {tuple(map(int, exps)): c})
+        pos = m.end()
+    return zero._new(out)
+
+
 def parse_polynomial(text: str):
     """Parse text into a PolyZZbar or PolyRealN depending on its variables.
 
     The ring is chosen from the variable names the text contains, whatever
     their exponents and coefficients.  Pure constants come back as PolyZZbar.
     """
-    return _Parser(text).parse()
+    p = _read_canonical(text)
+    return p if p is not None else _Parser(text).parse()
 
 
 def parse_poly_zzbar(text: str) -> PolyZZbar:
@@ -350,17 +401,7 @@ def parse_poly_real(text: str, dim: int | None = None) -> PolyRealN:
 # -- canonical emission ------------------------------------------------------
 
 
-def format_coefficient(c: GaussianRational) -> str:
-    return f"({c})"
-
-
-def format_poly_zzbar(p: PolyZZbar) -> str:
-    if p.is_zero():
-        return "0"
-    parts = [
-        f"{format_coefficient(c)}*z^{a}*zbar^{b}" for (a, b), c in p.terms()
-    ]
-    return " + ".join(parts)
+_ZZBAR_NAMES = ("z", "zbar")
 
 
 def _real_var_names(dim: int) -> list[str]:
@@ -369,15 +410,30 @@ def _real_var_names(dim: int) -> list[str]:
     return [f"x{i + 1}" for i in range(dim)]
 
 
+def _term_template(names) -> str:
+    """The canonical term in the variables names, with "%s" for each part.
+
+    The first "%s" takes the coefficient and the others the exponents.  The
+    writers fill it in; _canonical_term reads it back.
+    """
+    return "(%s)*" + "*".join(f"{n}^%s" for n in names)
+
+
+_ZZBAR_TERM = _term_template(_ZZBAR_NAMES)
+
+
+def format_poly_zzbar(p: PolyZZbar) -> str:
+    if p.is_zero():
+        return "0"
+    return " + ".join([_ZZBAR_TERM % (c, a, b) for (a, b), c in p.terms()])
+
+
 def format_poly_real(p: PolyRealN) -> str:
     # A zero is written as a zero constant term, which still names every
     # variable and so keeps the dimension.
-    names = _real_var_names(p.dim)
-    parts = []
-    for alpha, c in list(p.terms()) or [((0,) * p.dim, ZERO)]:
-        vars_part = "*".join(f"{n}^{e}" for n, e in zip(names, alpha))
-        parts.append(f"{format_coefficient(c)}*{vars_part}")
-    return " + ".join(parts)
+    term = _term_template(_real_var_names(p.dim))
+    terms = list(p.terms()) or [((0,) * p.dim, ZERO)]
+    return " + ".join([term % (c, *alpha) for alpha, c in terms])
 
 
 # -- JSON forms ---------------------------------------------------------------

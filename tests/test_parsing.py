@@ -13,6 +13,8 @@ from szegopoly.parsing import (
     MAX_NESTING,
     MAX_VARIABLES,
     ParseError,
+    _Parser,
+    _read_canonical,
     format_poly_real,
     format_poly_zzbar,
     parse_polynomial,
@@ -546,6 +548,86 @@ def test_parser_agrees_with_ring_arithmetic(expression):
     value = parse_polynomial(text)
     assert type(value) is type(expected) and value._dim == expected._dim
     assert list(value._terms.items()) == list(expected._terms.items())
+
+
+# -- the canonical reader against the grammar ------------------------------------
+
+# Numerators and denominators of 641 to 661 digits, past the smallest int/str
+# digit limit the interpreter accepts, beside small ones.
+LONG_INTEGERS = st.integers(10**640, 10**660)
+long_rationals = st.builds(
+    Fraction, LONG_INTEGERS | LONG_INTEGERS.map(lambda n: -n), st.integers(1, 9) | LONG_INTEGERS
+)
+canonical_coefficients = st.builds(
+    GaussianRational, small_rationals | long_rationals, small_rationals | long_rationals
+)
+
+
+def _same_as_the_grammar(text):
+    """parse_polynomial(text) is the grammar's polynomial, or raises its ParseError."""
+    try:
+        expected = _Parser(text).parse()
+    except ParseError as exc:
+        with pytest.raises(ParseError) as raised:
+            parse_polynomial(text)
+        assert (str(raised.value), raised.value.pos) == (str(exc), exc.pos)
+        return
+    value = parse_polynomial(text)
+    assert type(value) is type(expected) and value._dim == expected._dim
+    assert list(value._terms.items()) == list(expected._terms.items())
+
+
+@st.composite
+def canonical_sums(draw):
+    """(text, parts): 1 to 3 canonical texts of p, -p, q or 0, joined by " + ".
+
+    dim 0 is the z/zbar ring.  Repeating p makes keys repeat, p then -p makes
+    them cancel, and p, -p, p makes them come back.
+    """
+    dim = draw(st.sampled_from([0, 1, 2, 3, 5]))
+    keys = st.sampled_from(monomials_real(dim or 2, 3))
+    terms = st.dictionaries(keys, canonical_coefficients, max_size=6)
+    if dim:
+        p, q, write = PolyRealN(dim, draw(terms)), PolyRealN(dim, draw(terms)), format_poly_real
+    else:
+        p, q, write = PolyZZbar(draw(terms)), PolyZZbar(draw(terms)), format_poly_zzbar
+    polys = draw(st.lists(st.sampled_from([p, -p, q, p - p]), min_size=1, max_size=3))
+    parts = [write(f) for f in polys]
+    return " + ".join(parts), parts
+
+
+@settings(max_examples=200, deadline=None)
+@given(canonical_sums())
+def test_canonical_text_reads_as_the_grammar_reads_it(sum_and_parts):
+    text, parts = sum_and_parts
+    _same_as_the_grammar(text)
+    if "0" not in parts:  # the z/zbar zero "0" is not a canonical term
+        assert _read_canonical(text) is not None
+
+
+TERM = "(1+0i)*z^1*zbar^0"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        TERM + " + ",
+        TERM + "\n",
+        TERM + " - (2+0i)*z^0*zbar^1",
+        "(1+0i)*z^2147483648*zbar^0",
+        "(1+0i)*z^1000000000*zbar^0",
+        "(1/0+2i)*z^1*zbar^0",
+        "(1+0i)*x1^1*x3^2",
+        "(1+0i)*x1^1*x2^0",
+        "(1+0i)*zbar^1*z^0",
+        "(1+0i)*z^1*zbar^2^2",
+        "(1+0i)*z^1*zbar^0*z^1",
+        TERM + " + (1+0i)*x^1*y^0",
+    ],
+)
+def test_text_near_the_canonical_form_is_left_to_the_grammar(text):
+    assert _read_canonical(text) is None
+    _same_as_the_grammar(text)
 
 
 def test_exact_text_round_trips_at_the_smallest_digit_limit():
