@@ -27,18 +27,18 @@ is within the 32-bit bound.  The first term names the ring: z/zbar if it
 has "zbar", else the real ring with one variable per '^'.  Each
 coefficient is valued with one reduction and each term added with
 polynomials._add_into, so the ring, terms and dict order are those the
-grammar gives.  Any other text (a space elsewhere, a trailing newline, a
-variable skipped or swapped, a longer exponent, the z/zbar zero "0") is
-read by the grammar alone, which gives every result and error for it.
+grammar gives.  The reader takes the text with its surrounding
+whitespace stripped; any other text (a space elsewhere, a variable
+skipped or swapped, a longer exponent, the z/zbar zero "0") is read, as
+given, by the grammar alone, which gives every result and error for it.
 
-The grammar reads text a term at a time.  A term folds its numbers and
-variables, with their ^n, into one coefficient and one exponent tuple,
-and multiplies term dicts (polynomials._mul_terms, _pow_terms) only for
-parenthesised sums, such as a complex coefficient "(1/2+3/4i)"; a sum
-adds its terms into one dict.  The result is the ring's left-to-right
-+, -, *, ** on the same text, with the same terms in the same dict
-order.  Parentheses nest at most MAX_NESTING deep, and numbered
-variables run up to x100 (MAX_VARIABLES).  Numbers may be of any length.
+The grammar is the ring's term-dict arithmetic, left to right: each
+number, variable or parenthesised sum is a term dict, each '^' one
+polynomials._pow_terms, each '*' one _mul_terms and each '+' or '-' one
+_add_into, so the result has the terms and dict order of the ring's
++, -, *, ** on the same text.  Parentheses nest at most MAX_NESTING deep,
+and numbered variables run up to x100 (MAX_VARIABLES).  Numbers may be of
+any length.
 
 Parse errors carry the 1-based column of the offending token; an exponent
 that overflows the 32-bit bound is reported at the '^' or '*' whose power
@@ -50,7 +50,6 @@ from __future__ import annotations
 
 import re
 from functools import cache
-from operator import add
 
 from .rational import (
     GaussianRational, ONE, ZERO, _int_from_text, _int_text, _reduce, rational_from_json,
@@ -170,102 +169,74 @@ class _Parser:
         return self.zero._new(terms)
 
     def expr(self) -> dict:
-        """A sum of terms, added into the first term's dict in place."""
-        out = self.term(False)
+        """A sum of terms, added into the first term's dict in place.
+
+        The '+' or '-' between two terms is read as a sign of the second.
+        """
+        out = self.term()
         tokens = self.tokens
-        while (op := tokens[self.index][1]) in ("+", "-"):
-            self.index += 1
-            _add_into(out, self.term(op == "-"))
+        while tokens[self.index][1] in ("+", "-"):
+            _add_into(out, self.term())
         return out
 
-    def term(self, negate: bool) -> dict:
-        """A product of factors, negated when negate is set.
+    def term(self) -> dict:
+        """A product of factors, multiplied left to right."""
+        out = self.factor()
+        tokens = self.tokens
+        while (token := tokens[self.index])[1] == "*":
+            self.index += 1
+            value = self.factor()
+            try:
+                out = _mul_terms(out, value)
+            except OverflowError as exc:
+                raise ParseError(str(exc), token[2]) from None
+        return out
 
-        Numbers and variables, each with its ^n, fold into one
-        coefficient and one exponent list.  Only parenthesised sums are
-        multiplied as term dicts; the folded monomial scales their product
-        at the end, which moves no key of it, so the key order is that of
-        the left-to-right product.  Each '*' checks the 32-bit exponent
-        bound as that product would: unless a factor so far is zero, the
-        top exponent of each variable in it is the sum of the factors' tops.
+    def factor(self) -> dict:
+        """Signs, then a number, a variable or a parenthesised sum, with its ^n.
+
+        A sign binds looser than '^': "-z^2" is -(z^2).
         """
-        tokens, axes = self.tokens, self.axes
+        tokens = self.tokens
         i = self.index
-        coef = ONE
-        exps = [0] * self.dim  # exponents of the folded variables
-        tops = [0] * self.dim  # top exponent of each variable in the product
-        sums = None  # product of the parenthesised sums
-        zero = False
-        star = 0  # column of the '*' before the factor
-        while True:
+        negate = False
+        kind, text, pos = tokens[i]
+        while text in ("+", "-"):
+            negate ^= text == "-"
+            i += 1
             kind, text, pos = tokens[i]
-            while text in ("+", "-"):
-                negate ^= text == "-"
-                i += 1
-                kind, text, pos = tokens[i]
-            i += 1
-            if kind == "open":
-                if self.depth == MAX_NESTING:
-                    raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", pos)
-                self.depth += 1
-                self.index = i
-                value = self.expr()
-                i = self.index
-                if tokens[i][1] != ")":
-                    raise ParseError("expected ')'", tokens[i][2])
-                self.depth -= 1
-                i += 1
-            elif kind == "number" or kind == "imag":
-                value = _number(text, kind, pos)
-            elif kind != "name":
-                if kind == "end":
-                    raise ParseError("unexpected end of input", pos)
-                raise ParseError(f"unexpected token {text!r}", pos)
-            n = 1
-            if tokens[i][1] == "^":
-                caret = tokens[i][2]
-                n, i = self.exponent(i + 1)
-            if kind == "name":
-                if not zero:
-                    axis = axes[text]
-                    exps[axis] += n
-                    tops[axis] += n
-                    if tops[axis] > MAX_EXPONENT:
-                        raise _overflow(tops[axis], star)
-            elif kind == "open":
-                if n != 1:
-                    try:
-                        value = _pow_terms(value, n, self.dim)
-                    except OverflowError as exc:
-                        raise ParseError(str(exc), caret) from None
-                if not value:
-                    zero = True
-                elif not zero:
-                    tops = list(map(add, tops, map(max, zip(*value))))
-                    if max(tops) > MAX_EXPONENT:
-                        raise _overflow(max(tops), star)
-                    sums = value if sums is None else _mul_terms(sums, value)
-            else:
-                if n != 1:
-                    value = value**n
-                if not value:
-                    zero = True
-                elif not zero:
-                    coef = value if coef is ONE else coef * value
-            if tokens[i][1] != "*":
-                break
-            star = tokens[i][2]
-            i += 1
-        self.index = i
-        if zero:
-            return {}
+        self.index = i + 1
+        if kind == "open":
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", pos)
+            self.depth += 1
+            value = self.expr()
+            kind, text, pos = tokens[self.index]
+            if text != ")":
+                raise ParseError("expected ')'", pos)
+            self.depth -= 1
+            self.index += 1
+        elif kind == "name":
+            key = [0] * self.dim
+            key[self.axes[text]] = 1
+            value = {tuple(key): ONE}
+        elif kind == "number" or kind == "imag":
+            c = _number(text, kind, pos)
+            value = {(0,) * self.dim: c} if c else {}
+        elif kind == "end":
+            raise ParseError("unexpected end of input", pos)
+        else:
+            raise ParseError(f"unexpected token {text!r}", pos)
+        kind, text, pos = tokens[self.index]
+        if text == "^":
+            n, self.index = self.exponent(self.index + 1)
+            try:
+                value = _pow_terms(value, n, self.dim)
+            except OverflowError as exc:
+                raise ParseError(str(exc), pos) from None
         if negate:
-            coef = -coef
-        if sums is None:
-            return {tuple(exps): coef}
-        if coef is ONE and not any(exps):
-            return sums
-        return _mul_terms(sums, {tuple(exps): coef})
+            value = {k: -c for k, c in value.items()}
+        return value
 
     def exponent(self, i: int) -> tuple[int, int]:
         """The exponent at token i, after a '^', and the index past it."""
@@ -275,12 +246,8 @@ class _Parser:
             raise ParseError(f"expected a nonnegative integer exponent after '^'{hint}", pos)
         n = _int_from_text(text)
         if n > MAX_EXPONENT:
-            raise _overflow(n, pos)
+            raise ParseError(f"exponent {_int_text(n)} exceeds the 32-bit bound", pos)
         return n, i + 1
-
-
-def _overflow(top: int, pos: int) -> ParseError:
-    return ParseError(f"exponent {_int_text(top)} exceeds the 32-bit bound", pos)
 
 
 def _number(text: str, kind: str, pos: int) -> GaussianRational:
@@ -352,8 +319,10 @@ def parse_polynomial(text: str):
 
     The ring is chosen from the variable names the text contains, whatever
     their exponents and coefficients.  Pure constants come back as PolyZZbar.
+    Canonical text may have whitespace around it; the grammar reads any
+    other text as given, so its error columns are those of text.
     """
-    p = _read_canonical(text)
+    p = _read_canonical(text.strip())
     return p if p is not None else _Parser(text).parse()
 
 

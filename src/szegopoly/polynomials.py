@@ -21,7 +21,7 @@ dicts and wrap them with the private same-type constructor _new; a product
 checks for exponent overflow once, from the per-variable maximum exponents
 of its two operands.  The term-dict functions _add_into, _mul_terms and
 _pow_terms are the ring arithmetic itself; the text parser uses them for
-sums and parenthesised sums.  _mul_terms is the one product routine: a one-term
+every sum, product and power.  _mul_terms is the one product routine: a one-term
 operand shifts the other's keys and scales its coefficients; otherwise it
 writes each operand over one common denominator (rational._cleared), sums
 the Gaussian-integer numerator products per output monomial and reduces

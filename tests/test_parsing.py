@@ -630,6 +630,70 @@ def test_text_near_the_canonical_form_is_left_to_the_grammar(text):
     _same_as_the_grammar(text)
 
 
+@pytest.mark.parametrize("space", ["\n", "\t", "\u3000"])
+@pytest.mark.parametrize(
+    "text",
+    [TERM + " + (-2/3+5/7i)*z^0*zbar^2", "(1/2+0i)*x1^1*x2^0*x3^2 + (0-1i)*x1^0*x2^3*x3^0"],
+    ids=["zzbar", "real"],
+)
+def test_canonical_text_with_surrounding_whitespace_takes_the_reader(text, space, monkeypatch):
+    expected = _Parser(text).parse()
+
+    def grammar(self):
+        raise AssertionError("the grammar read canonical text")
+
+    monkeypatch.setattr(_Parser, "parse", grammar)
+    for padded in (space + text, text + space, space + text + space):
+        value = parse_polynomial(padded)
+        assert type(value) is type(expected) and value._dim == expected._dim
+        assert list(value._terms.items()) == list(expected._terms.items())
+
+
+def test_text_the_reader_refuses_keeps_its_columns_after_stripping():
+    # The grammar reads the text as given, surrounding whitespace included.
+    with pytest.raises(ParseError, match="column 5: expected a nonnegative integer exponent"):
+        parse_polynomial("  z^2/4\n")
+    with pytest.raises(ParseError, match="column 5: unexpected end of input"):
+        parse_polynomial("\tz+\n")
+
+
+# Free-form edge cases of the grammar: (text, type, dim, terms) for a
+# polynomial, or (text, column, message) for a parse error.
+GRAMMAR_EDGE_CASES = [
+    ("0^0*z", PolyZZbar, 2, [((1, 0), 1)]),
+    ("0^2*z", PolyZZbar, 2, []),
+    ("(z-z)^0", PolyZZbar, 2, [((0, 0), 1)]),
+    ("i^2*z", PolyZZbar, 2, [((1, 0), -1)]),
+    ("-z^2", PolyZZbar, 2, [((2, 0), -1)]),  # a sign binds looser than '^'
+    ("2*-z*--zbar", PolyZZbar, 2, [((1, 1), -2)]),
+    ("3/4i^2", PolyZZbar, 2, [((0, 0), Fraction(-9, 16))]),
+    ("x1^0 + 0*x3", PolyRealN, 3, [((0, 0, 0), 1)]),
+    ("2^3^2", 4, "unexpected token '^'"),
+    ("z*", 3, "unexpected end of input"),
+    ("(z", 3, "expected ')'"),
+    ("z**2", 3, "unexpected token '*'"),
+    ("z^-1", 3, "expected a nonnegative integer exponent after '^'"),
+    ("+", 2, "unexpected end of input"),
+    ("   ", 1, "empty polynomial"),
+]
+
+
+@pytest.mark.parametrize("case", GRAMMAR_EDGE_CASES, ids=[c[0] for c in GRAMMAR_EDGE_CASES])
+def test_grammar_edge_cases(case):
+    text, *expected = case
+    if len(expected) == 2:
+        column, message = expected
+        with pytest.raises(ParseError) as raised:
+            parse_polynomial(text)
+        assert str(raised.value) == f"parse error at column {column}: {message}"
+        assert raised.value.pos == column - 1
+        return
+    ring, dim, terms = expected
+    value = parse_polynomial(text)
+    assert type(value) is ring and value._dim == dim
+    assert list(value._terms.items()) == [(k, GaussianRational(c)) for k, c in terms]
+
+
 def test_exact_text_round_trips_at_the_smallest_digit_limit():
     # CPython accepts int <-> str digit limits down to 640; every exact text
     # and JSON form must work under it for numbers of any length.
