@@ -42,17 +42,21 @@ any length.
 
 Parse errors carry the 1-based column of the offending token; an exponent
 that overflows the 32-bit bound is reported at the '^' or '*' whose power
-or product overflows.  The text has no division, and a '/' outside a
-number ("x/4", or the exponent "2/4" of "x^2/4") is reported as such.
+or product overflows, and a power whose coefficients would pass
+MAX_POWER_BITS is refused at its '^' before it is computed.  The text has
+no division, and a '/' outside a number ("x/4", or the exponent "2/4" of
+"x^2/4") is reported as such.
 """
 
 from __future__ import annotations
 
 import re
 from functools import cache
+from math import log2
 
 from .rational import (
-    GaussianRational, ONE, ZERO, _int_from_text, _int_text, _reduce, rational_from_json,
+    GaussianRational, ONE, ZERO, _gaussian_text, _int_from_text, _int_text, _reduce,
+    rational_from_json,
 )
 from .polynomials import (
     MAX_EXPONENT, PolyRealN, PolyZZbar, _add_into, _mul_terms, _pow_terms, xy_to_zzbar,
@@ -144,6 +148,10 @@ def _pick_ring(tokens: list[tuple]):
 # the recursive descent out of stack.
 MAX_NESTING = 100
 
+# Bound on the coefficient size, in bits, that one '^' may make; a larger
+# power is refused before it is computed (_refuse_large_power).
+MAX_POWER_BITS = 2**18
+
 
 class _Parser:
     """Recursive descent over the tokens, building term dicts of one ring.
@@ -230,6 +238,7 @@ class _Parser:
         kind, text, pos = tokens[self.index]
         if text == "^":
             n, self.index = self.exponent(self.index + 1)
+            _refuse_large_power(value, n, pos)
             try:
                 value = _pow_terms(value, n, self.dim)
             except OverflowError as exc:
@@ -248,6 +257,27 @@ class _Parser:
         if n > MAX_EXPONENT:
             raise ParseError(f"exponent {_int_text(n)} exceeds the 32-bit bound", pos)
         return n, i + 1
+
+
+def _refuse_large_power(terms: dict, n: int, pos: int) -> None:
+    """ParseError at pos if the n-th power of terms passes MAX_POWER_BITS.
+
+    The size of a coefficient (a + b*i)/d to the n is taken as
+    n*log2((|a| + |b|)*d), which bounds the bits of the power's numerator
+    parts and of its denominator together; a power of +-1 or +-i, so of a
+    monomial with such a coefficient, has size 0.  A one-term power whose
+    exponents overflow is left to _pow_terms, which reports the overflow
+    before any arithmetic.
+    """
+    if len(terms) == 1 and max(next(iter(terms))) * n > MAX_EXPONENT:
+        return
+    bits = n * max((log2((abs(c._a) + abs(c._b)) * c._d) for c in terms.values()), default=0)
+    if bits > MAX_POWER_BITS:
+        raise ParseError(
+            f"power makes a coefficient of about {int(bits)} bits, past the bound of"
+            f" {MAX_POWER_BITS}",
+            pos,
+        )
 
 
 def _number(text: str, kind: str, pos: int) -> GaussianRational:
@@ -415,6 +445,16 @@ def _coefficient_json(c: GaussianRational) -> dict:
 
 def poly_zzbar_to_json(p: PolyZZbar) -> list[dict]:
     return [{"a": a, "b": b, **_coefficient_json(c)} for (a, b), c in p.terms()]
+
+
+def _zzbar_text_and_json(p: PolyZZbar) -> tuple[str, list[dict]]:
+    """(format_poly_zzbar(p), poly_zzbar_to_json(p)), one text_parts() per term."""
+    texts, items = [], []
+    for (a, b), c in p.terms():
+        re, im = c.text_parts()
+        texts.append(_ZZBAR_TERM % (_gaussian_text(re, im), a, b))
+        items.append({"a": a, "b": b, "re": re, "im": im})
+    return " + ".join(texts) or "0", items
 
 
 def _coefficient_from_json(item: dict) -> GaussianRational:

@@ -21,16 +21,18 @@ dicts and wrap them with the private same-type constructor _new; a product
 checks for exponent overflow once, from the per-variable maximum exponents
 of its two operands.  The term-dict functions _add_into, _mul_terms and
 _pow_terms are the ring arithmetic itself; the text parser uses them for
-every sum, product and power.  _mul_terms is the one product routine: a one-term
-operand shifts the other's keys and scales its coefficients; otherwise it
-writes each operand over one common denominator (rational._cleared), sums
-the Gaussian-integer numerator products per output monomial and reduces
-each output coefficient once.  Exact division keeps the remainder's
-monomials in a heap, so finding each leading term does not scan the
-remainder, and pulls each remainder coefficient as one rational._minus_dot
-when its key leads; the n-variable Laplacian likewise sums each output
-coefficient with one rational._int_dot.  Both reduce each coefficient once
-instead of once per contribution.  Evaluation computes each power of each
+every sum, product and power.  _mul_terms is the ring's product: a
+one-term operand shifts the other's keys and scales its coefficients, and
+any other product is the one-item case of _sum_of_products, the one
+cleared-denominator product loop, which writes each operand over one
+common denominator (rational._cleared), sums the Gaussian-integer
+numerators of all its weighted products and term dicts per output monomial
+and reduces each output coefficient once.  Exact division keeps the
+remainder's monomials in a heap, so finding each leading term does not
+scan the remainder, and pulls each remainder coefficient as one
+rational._minus_dot when its key leads; the n-variable Laplacian likewise
+sums each output coefficient with one rational._int_dot.  Both reduce each
+coefficient once instead of once per contribution.  Evaluation computes each power of each
 variable once, when a term first needs it, and reuses it for the later
 terms.
 
@@ -52,6 +54,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from math import gcd
 from operator import add, neg
 from typing import Iterator, Mapping, Sequence, Union
 
@@ -97,43 +100,91 @@ def _mul_terms(a: dict, b: dict) -> dict:
 
     A one-term operand c*m shifts the other operand's keys by m and scales
     its coefficients by c, which it skips when c is ONE: distinct keys stay
-    distinct and no coefficient cancels.  Otherwise _cleared writes each
-    operand over one common denominator, the Gaussian-integer numerator
-    products are summed per output monomial in plain ints and each output
-    coefficient is reduced once, over da*db.  A sum that cancels is dropped
-    on the spot and a later pair on its key enters it again at the end, so
-    the output dict has the keys, values and order of the sum of term
-    products taken pair by pair in iteration order.
+    distinct and no coefficient cancels.  Otherwise the product is the one
+    item of _sum_of_products, with the keys, values and order of the sum of
+    term products taken pair by pair in iteration order.
     """
     if not a or not b:
         return {}
-    # The largest exponent of each variable in the product comes from the
-    # two terms holding the largest exponents in a and b, so checking those
-    # sums covers every pair of terms.
+    if len(a) > 1 and len(b) > 1:
+        return _sum_of_products([(a, b, 1)])
+    _check_product(a, b)
+    ((key, c),), terms = (a.items(), b) if len(a) == 1 else (b.items(), a)
+    if c == ONE:
+        return {tuple(map(add, k, key)): v for k, v in terms.items()}
+    return {tuple(map(add, k, key)): v * c for k, v in terms.items()}
+
+
+def _check_product(a: dict, b: dict) -> None:
+    """OverflowError if a product of a term of a and one of b has an
+    exponent past the 32-bit bound.
+
+    The largest exponent of each variable in the product comes from the
+    two terms holding the largest exponents in a and b, so checking those
+    sums covers every pair of terms.
+    """
     top = max(map(add, map(max, zip(*a)), map(max, zip(*b))))
     if top > MAX_EXPONENT:
         raise OverflowError(f"exponent {top} exceeds the 32-bit bound")
-    if len(a) == 1 or len(b) == 1:
-        ((key, c),), terms = (a.items(), b) if len(a) == 1 else (b.items(), a)
-        if c == ONE:
-            return {tuple(map(add, k, key)): v for k, v in terms.items()}
-        return {tuple(map(add, k, key)): v * c for k, v in terms.items()}
-    da, na = _cleared(a.values())
-    db, nb = (da, na) if b is a else _cleared(b.values())
+
+
+def _sum_of_products(items) -> dict:
+    """The terms of sum(s * a * b) over items (a, b, s), or s * a over (a, s).
+
+    a and b are clean term dicts of one ring and s a nonzero int; every
+    product is checked for exponent overflow (_check_product) before its
+    terms are multiplied.  _cleared writes each operand over one
+    denominator, an item's Gaussian-integer numerators (of a alone, or the
+    products of a's and b's) are scaled by s times the factor that lifts
+    the item's denominator to the lcm d of all items' denominators, and
+    summed per output monomial in plain ints; each output coefficient is
+    reduced once, over d.  A sum that cancels is dropped on the spot and
+    a later contribution to its key enters it again at the end, so one
+    product item gives the keys, values and order of the sum of term
+    products taken pair by pair in iteration order.
+    """
+    cleared, d = [], 1
+    for *factors, s in items:
+        if not all(factors):
+            continue
+        a, b = factors if len(factors) == 2 else (factors[0], None)
+        e, na = _cleared(a.values())
+        nb = None
+        if b is not None:
+            _check_product(a, b)
+            db, nb = (e, na) if b is a else _cleared(b.values())
+            e *= db
+        cleared.append((a, na, b, nb, s, e))
+        if d % e:
+            d = d // gcd(d, e) * e
     acc: dict = {}
-    for ka, (a1, b1) in zip(a, na):
-        for kb, (a2, b2) in zip(b, nb):
-            k = tuple(map(add, ka, kb))
-            s = acc.get(k)
-            if s is None:
-                acc[k] = [a1 * a2 - b1 * b2, a1 * b2 + b1 * a2]
-            else:
-                s[0] += a1 * a2 - b1 * b2
-                s[1] += a1 * b2 + b1 * a2
-                if not (s[0] or s[1]):
-                    del acc[k]
-    d = da * db
-    return {k: _reduce(re, im, d) for k, (re, im) in acc.items()}
+    for a, na, b, nb, s, e in cleared:
+        m = s * (d // e)
+        if m != 1:
+            na = [(x * m, y * m) for x, y in na]
+        if b is None:
+            for k, (x, y) in zip(a, na):
+                t = acc.get(k)
+                if t is None:
+                    acc[k] = [x, y]
+                else:
+                    t[0] += x
+                    t[1] += y
+                    if not (t[0] or t[1]):
+                        del acc[k]
+            continue
+        for ka, (a1, b1) in zip(a, na):
+            for kb, (a2, b2) in zip(b, nb):
+                k = tuple(map(add, ka, kb))
+                t = acc.get(k)
+                if t is None:
+                    acc[k] = [a1 * a2 - b1 * b2, a1 * b2 + b1 * a2]
+                else:
+                    t[0] += a1 * a2 - b1 * b2
+                    t[1] += a1 * b2 + b1 * a2
+                    if not (t[0] or t[1]):
+                        del acc[k]
+    return {k: _reduce(x, y, d) for k, (x, y) in acc.items()}
 
 
 def _pow_terms(terms: dict, n: int, dim: int) -> dict:

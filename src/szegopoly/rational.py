@@ -319,10 +319,12 @@ class GaussianRational:
         return f"GaussianRational({re}, {im})"
 
     def __str__(self):
-        re, im = self.text_parts()
-        if im[0] == "-":
-            return f"{re}-{im[1:]}i"
-        return f"{re}+{im}i"
+        return _gaussian_text(*self.text_parts())
+
+
+def _gaussian_text(re: str, im: str) -> str:
+    """str(GaussianRational) from its text_parts(): "re+imi" or "re-imi"."""
+    return f"{re}{im}i" if im[0] == "-" else f"{re}+{im}i"
 
 
 _new = object.__new__

@@ -28,14 +28,18 @@ So the linear system for (h, c, q) is square and injective, with
 monomials of degree d - 2) have columns of degree d, so in the graded basis
 it is block upper triangular with one (d+1)x(d+1) diagonal block per
 degree: the same linalg.GradedSystem as the Fischer systems, solved by
-the same graded back-substitution.  The builder certifies every block
-invertible by its determinant modulo a prime (exactly, in the rare case
-that is inconclusive), which certifies uniqueness.  The system depends
+the same graded back-substitution.  Every column is z^d or a shifted copy
+of the terms of d r or r, written with no ring product.  The builder
+certifies every block invertible by its determinant modulo a prime
+(exactly, in the rare case that is inconclusive), which certifies
+uniqueness.  The system depends
 only on (ellipse, N) and is cached per pair; the cached system factors a
 block once, from its second solve, and replays that factorisation on
 every projection after, while a system solved once keeps nothing.
 verify_decomposition re-checks every claim, with operator_A extending the
-preimage on its own path.
+preimage on its own path; the residual f - h - A(p) - r*q is one sum of
+products over one common denominator (polynomials._sum_of_products), so
+each of its coefficients is reduced once.
 """
 
 from __future__ import annotations
@@ -46,7 +50,8 @@ from functools import lru_cache
 from .dirichlet import harmonic_extension_zzbar
 from .domains import Ellipse
 from .linalg import GradedSystem, graded_system
-from .polynomials import PolyZZbar, monomials_zzbar
+from .polynomials import PolyZZbar, _sum_of_products, monomials_zzbar
+from .rational import ONE
 
 
 def operator_A(e: Ellipse, p: PolyZZbar) -> PolyZZbar:
@@ -65,15 +70,16 @@ class SzegoDecomposition:
     N: int
 
     def to_json_dict(self) -> dict:
-        from .parsing import format_poly_zzbar, poly_zzbar_to_json
+        from .parsing import format_poly_zzbar, _zzbar_text_and_json
 
+        projection, projection_terms = _zzbar_text_and_json(self.projection)
         return {
             "N": self.N,
             "input": format_poly_zzbar(self.input),
-            "projection": format_poly_zzbar(self.projection),
+            "projection": projection,
             "preimage": format_poly_zzbar(self.preimage),
             "cofactor": format_poly_zzbar(self.cofactor),
-            "projection_terms": poly_zzbar_to_json(self.projection),
+            "projection_terms": projection_terms,
         }
 
 
@@ -99,17 +105,25 @@ def _unknowns(N: int):
 @lru_cache(maxsize=64)
 def _square_system(e: Ellipse, N: int) -> GradedSystem:
     """The square system of f = h + sum_k c_k A(zbar^k) + r*q on the rows
-    monomials_zzbar(N): the column of an unknown is z^d, A(zbar^d) or r*m."""
-    d_r, r = e.d_r(), e.defining_poly_zzbar()
+    monomials_zzbar(N): the column of an unknown is z^d, A(zbar^d) or r*m.
+
+    Each column is written straight from term dicts, with no ring product:
+    z^d is one term, A(zbar^k) = k * (d r) * zbar^(k-1) is the terms of d r
+    shifted by zbar^(k-1) and scaled by k, and r*z^a*zbar^b is the terms of
+    r shifted by z^a*zbar^b.
+    """
+    d_r = e.d_r()._terms.items()
+    r = e.defining_poly_zzbar()._terms.items()
 
     def column(part, key):
+        a, b = key
         if part == 0:
-            return PolyZZbar.monomial(*key)
-        if part == 1:  # A(zbar^k) = k * (d r) * zbar^(k-1)
-            return d_r * PolyZZbar.monomial(0, key[1] - 1, key[1])
-        return r * PolyZZbar.monomial(*key)
+            return {key: ONE}
+        if part == 1:
+            return {(i, j + b - 1): c * b for (i, j), c in d_r}
+        return {(i + a, j + b): c for (i, j), c in r}
 
-    images = (column(part, key)._terms for part, key in _unknowns(N))
+    images = (column(part, key) for part, key in _unknowns(N))
     return graded_system(monomials_zzbar(N), images)
 
 
@@ -184,8 +198,12 @@ class DecompositionCertificate:
 
 def verify_decomposition(d: SzegoDecomposition, e: Ellipse) -> DecompositionCertificate:
     """Exactly re-check every invariant the decomposition claims."""
-    r = e.defining_poly_zzbar()
-    residual = d.input - d.projection - operator_A(e, d.preimage) - r * d.cofactor
+    residual = d.input._new(_sum_of_products([
+        (d.input._terms, 1),
+        (d.projection._terms, -1),
+        (operator_A(e, d.preimage)._terms, -1),
+        (e.defining_poly_zzbar()._terms, d.cofactor._terms, -1),
+    ]))
     checks = {
         "residual_zero": residual.is_zero(),
         "projection_holomorphic": d.projection.is_holomorphic(),

@@ -2,6 +2,7 @@
 
 import json
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -11,10 +12,12 @@ from szegopoly.cli import main
 from szegopoly.domains import Ellipse
 from szegopoly.parsing import (
     MAX_NESTING,
+    MAX_POWER_BITS,
     MAX_VARIABLES,
     ParseError,
     _Parser,
     _read_canonical,
+    _zzbar_text_and_json,
     format_poly_real,
     format_poly_zzbar,
     parse_polynomial,
@@ -729,3 +732,63 @@ def test_exact_text_round_trips_at_the_smallest_digit_limit():
         assert e.to_json_dict()["a"] == axis_text
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+# -- one text_parts() per term for a report's projection -------------------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.dictionaries(st.sampled_from(monomials_real(2, 4)), canonical_coefficients, max_size=8))
+def test_text_and_json_together_are_the_two_writers(terms):
+    p = PolyZZbar(terms)
+    assert _zzbar_text_and_json(p) == (format_poly_zzbar(p), poly_zzbar_to_json(p))
+
+
+# -- the size bound on powers ------------------------------------------------------
+
+
+def test_a_power_past_the_coefficient_bound_fails_fast_at_its_caret():
+    # Computed, this power takes seconds and makes one 5.5-million-bit coefficient.
+    start = time.perf_counter()
+    with pytest.raises(ParseError, match=(
+        r"column 11: power makes a coefficient of about 2946\d{3} bits,"
+        f" past the bound of {MAX_POWER_BITS}$"
+    )):
+        parse_polynomial("(1/3+2/5i)^400000*z")
+    assert time.perf_counter() - start < 0.1
+
+
+def test_a_power_past_the_coefficient_bound_is_bad_input(capsys):
+    code = main(["szego", "--ellipse", "2,1", "--poly", "(1/3+2/5i)^400000*z"])
+    assert code == 2
+    assert "column 11: power makes a coefficient" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, column", [
+    (f"2^{MAX_POWER_BITS + 1}*z", 2),
+    ("(z+3)^200000", 6),  # the sum's coefficients are sized like 3^200000's
+    ("zbar*(1/2 - z)^300000", 15),
+    ("((1/3)^100000)^2", 15),  # a power of a power is sized on the inner value
+])
+def test_power_bound_cases(text, column):
+    with pytest.raises(ParseError, match=f"column {column}: power makes a coefficient"):
+        parse_polynomial(text)
+
+
+@pytest.mark.parametrize("text, expected", [
+    # The bound itself passes: log2(2) * 2^18 bits.
+    (f"2^{MAX_POWER_BITS}*z", Z * 2**MAX_POWER_BITS),
+    # Powers of +-1, +-i and their monomials have size 0, at any exponent.
+    ("(-i*z)^2000000000", PolyZZbar.monomial(2000000000, 0, 1)),
+    ("i^2147483647*zbar", ZB * GaussianRational(0, -1)),
+    ("(zbar)^2147483647", PolyZZbar.monomial(0, 2147483647)),
+    ("(-1)^2147483647 * x^2", PolyRealN.monomial((2, 0), -1)),
+])
+def test_powers_within_the_bound_parse(text, expected):
+    assert parse_polynomial(text) == expected
+
+
+def test_exponent_overflow_keeps_its_message_past_the_coefficient_bound():
+    # The one-term power overflows its exponent, which is reported first.
+    with pytest.raises(ParseError, match="column 8: exponent 4000000000 exceeds the 32-bit bound"):
+        parse_polynomial("(2*z^2)^2000000000")

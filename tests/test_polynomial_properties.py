@@ -11,12 +11,14 @@ from szegopoly.polynomials import (
     MAX_EXPONENT,
     PolyRealN,
     PolyZZbar,
+    _mul_terms,
+    _sum_of_products,
     divide_exact,
     monomials_real,
     xy_to_zzbar,
     zzbar_to_xy,
 )
-from szegopoly.rational import GaussianRational
+from szegopoly.rational import GaussianRational, _cleared, _reduce
 
 small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 gaussian_rationals = st.builds(GaussianRational, small_rationals, small_rationals)
@@ -356,6 +358,93 @@ def test_product_is_the_sum_of_term_products(operands):
     # Same keys, values and dict order: float evaluation sums in that order.
     assert list(product.items()) == list(product_by_pairs(p, q).items())
     for c in product.values():
+        a, b, d = c._a, c._b, c._d
+        assert (a or b) and d > 0 and math.gcd(a, b, d) == 1
+
+
+def cleared_product_loop(a, b):
+    """The multi-term product loop _mul_terms had before _sum_of_products:
+    both operands over their own lcm, numerator products summed per key, a
+    key that cancels deleted, each coefficient reduced once over da*db."""
+    da, na = _cleared(a.values())
+    db, nb = (da, na) if b is a else _cleared(b.values())
+    acc = {}
+    for ka, (a1, b1) in zip(a, na):
+        for kb, (a2, b2) in zip(b, nb):
+            k = tuple(x + y for x, y in zip(ka, kb))
+            s = acc.get(k)
+            if s is None:
+                acc[k] = [a1 * a2 - b1 * b2, a1 * b2 + b1 * a2]
+            else:
+                s[0] += a1 * a2 - b1 * b2
+                s[1] += a1 * b2 + b1 * a2
+                if not (s[0] or s[1]):
+                    del acc[k]
+    return {k: _reduce(re, im, da * db) for k, (re, im) in acc.items()}
+
+
+@settings(max_examples=200, deadline=None)
+@given(kernel_operands())
+def test_one_product_item_is_the_former_product_loop(operands):
+    p, q = operands
+    for a, b in ((p._terms, q._terms), (p._terms, p._terms)):
+        if len(a) > 1 and len(b) > 1:
+            expected = list(cleared_product_loop(a, b).items())
+            assert list(_mul_terms(a, b).items()) == expected
+            assert list(_sum_of_products([(a, b, 1)]).items()) == expected
+
+
+@st.composite
+def sum_of_products_items(draw):
+    """(kind, dim, items) for _sum_of_products: lone polynomials and pairs,
+    some empty or of one term, each with a small nonzero int weight, on
+    small, shared large or unrelated large denominators; sometimes a pair
+    and its negated product, which cancel."""
+    kind, dim = draw(st.sampled_from(DIVISION_RINGS))
+    base = draw(st.integers(1, 10**12))
+    denominators = draw(st.sampled_from([
+        st.integers(1, 12),
+        st.integers(1, 12).map(lambda k: base * k),
+        st.integers(1, 10**12),
+    ]))
+    parts = st.builds(Fraction, st.integers(-(10**12), 10**12), denominators)
+    coefs = st.builds(GaussianRational, parts, st.one_of(st.just(0), parts))
+    keys = st.sampled_from(monomials_real(dim, 3))
+    size = st.sampled_from([0, 1, 1, 2, 4, 6])
+    # At most four keys: dimension 1 has only four monomials of degree <= 3.
+    polys = size.flatmap(lambda n: st.dictionaries(keys, coefs, min_size=min(n, 4), max_size=n)).map(
+        lambda terms: build(kind, dim, terms)
+    )
+    weights = st.integers(-3, 3).filter(bool)
+    items = draw(st.lists(
+        st.one_of(st.tuples(polys, weights), st.tuples(polys, polys, weights)), max_size=5
+    ))
+    if draw(st.booleans()):
+        a, b, s = draw(polys), draw(polys), draw(weights)
+        items += [(a, b, s), (a * b, -s)]
+    return kind, dim, items
+
+
+@settings(max_examples=300, deadline=None)
+@given(sum_of_products_items())
+@example((PolyZZbar, 2, []))
+@example((PolyZZbar, 2, [(PolyZZbar(), 1), (PolyZZbar(), PolyZZbar({(1, 0): 1}), -1)]))
+# f - h - r*q = 0 with f = r*q + h: everything cancels
+@example((PolyZZbar, 2, [
+    (PolyZZbar({(1, 1): 1, (0, 0): -1}) * PolyZZbar({(0, 1): Fraction(1, 3), (1, 0): 2})
+     + PolyZZbar({(2, 0): Fraction(5, 7)}), 1),
+    (PolyZZbar({(2, 0): Fraction(5, 7)}), -1),
+    (PolyZZbar({(1, 1): 1, (0, 0): -1}), PolyZZbar({(0, 1): Fraction(1, 3), (1, 0): 2}), -1),
+]))
+def test_sum_of_products_is_the_ring_arithmetic(case):
+    kind, dim, items = case
+    expected = build(kind, dim, {})
+    for *factors, s in items:
+        value = factors[0] * factors[1] if len(factors) == 2 else factors[0]
+        expected = expected + value * s
+    terms = _sum_of_products([(*(f._terms for f in factors), s) for *factors, s in items])
+    assert build(kind, dim, {})._new(terms) == expected
+    for c in terms.values():
         a, b, d = c._a, c._b, c._d
         assert (a or b) and d > 0 and math.gcd(a, b, d) == 1
 

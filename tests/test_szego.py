@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 import szegopoly
 from szegopoly import dirichlet, szego
 from szegopoly.domains import Ellipse
-from szegopoly.linalg import solve_exact
+from szegopoly.linalg import graded_system, solve_exact
 from szegopoly.polynomials import PolyZZbar, monomials_zzbar
 from szegopoly.rational import GaussianRational
 from szegopoly.sampling import (
@@ -298,6 +298,45 @@ def test_verify_detects_tampered_projection():
     assert not cert.checks["projection_holomorphic"]
 
 
+def _residual_by_ring_arithmetic(d, e):
+    return d.input - d.projection - operator_A(e, d.preimage) - e.defining_poly_zzbar() * d.cofactor
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    ellipses(kinds=("disc", "shifted")),
+    st.integers(0, 6),
+    st.sampled_from(["projection", "preimage", "cofactor", None]),
+    st.randoms(use_true_random=False),
+)
+def test_residual_is_the_chained_ring_arithmetic(e, degree, part, rng):
+    """verify_decomposition's one-pass residual against f - h - A(p) - r*q,
+    on the solver's decomposition and on ones with h, p or q tampered."""
+    d = szego_project(e, random_poly_zzbar(rng, degree))
+    if part is not None:
+        nudge = random_poly_zzbar(rng, max(degree, 1)) or ZB
+        fields = dict(input=d.input, projection=d.projection, preimage=d.preimage,
+                      cofactor=d.cofactor, N=d.N)
+        fields[part] = fields[part] + nudge
+        d = SzegoDecomposition(**fields)
+    cert = verify_decomposition(d, e)
+    expected = _residual_by_ring_arithmetic(d, e)
+    assert cert.residual == expected
+    assert cert.checks["residual_zero"] is expected.is_zero()
+    reference = szego.DecompositionCertificate(checks=cert.checks, residual=expected)
+    assert cert.to_json_dict() == reference.to_json_dict()
+
+
+def test_residual_product_past_the_exponent_bound_raises():
+    # As r * q does: no key past the 32-bit bound enters the residual.
+    d = SzegoDecomposition(
+        input=PolyZZbar.zero(), projection=PolyZZbar.zero(), preimage=PolyZZbar.zero(),
+        cofactor=PolyZZbar.monomial(2**31 - 1, 0), N=2,
+    )
+    with pytest.raises(OverflowError, match="exponent 2147483649 exceeds the 32-bit bound"):
+        verify_decomposition(d, E21)
+
+
 def test_verify_detects_degree_violation():
     d = szego_project(E21, ZB)
     tampered = SzegoDecomposition(
@@ -310,6 +349,29 @@ def test_verify_detects_degree_violation():
     cert = verify_decomposition(tampered, E21)
     assert not cert.checks["projection_degree"]
     assert not cert.checks["residual_zero"]
+
+
+# -- the square system -----------------------------------------------------------------
+
+def _square_system_by_ring_products(e, N):
+    """The Szego system with each column a ring product of monomials."""
+    d_r, r = e.d_r(), e.defining_poly_zzbar()
+
+    def column(part, key):
+        if part == 0:
+            return PolyZZbar.monomial(*key)
+        if part == 1:  # A(zbar^k) = k * (d r) * zbar^(k-1)
+            return d_r * PolyZZbar.monomial(0, key[1] - 1, key[1])
+        return r * PolyZZbar.monomial(*key)
+
+    images = (column(part, key)._terms for part, key in szego._unknowns(N))
+    return graded_system(monomials_zzbar(N), images)
+
+
+@settings(max_examples=25, deadline=None)
+@given(ellipses(kinds=("disc", "shifted")), st.integers(0, 8))
+def test_square_system_columns_are_the_ring_products(e, N):
+    assert szego._square_system.__wrapped__(e, N) == _square_system_by_ring_products(e, N)
 
 
 # -- caches ---------------------------------------------------------------------------
